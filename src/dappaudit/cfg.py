@@ -8,7 +8,7 @@ outcome can change whether the statement executes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import IrFunction, Operand, TermKind
 
@@ -30,10 +30,6 @@ class Cfg:
     # Statement-level view of the same relation, keyed by sid.
     stmt_controls: dict[str, frozenset[tuple[Operand, bool]]]
     unreachable: tuple[str, ...]
-    _succ: dict[str, tuple[str, ...]] = field(repr=False, compare=False, default_factory=dict)
-
-    def successors(self, bid: str) -> tuple[str, ...]:
-        return self._succ.get(bid, ())
 
 
 def _successors(fn: IrFunction) -> dict[str, list[tuple[str, bool | None]]]:
@@ -77,7 +73,6 @@ def build_cfg(fn: IrFunction) -> Cfg:
         block_deps=block_deps,
         stmt_controls=stmt_controls,
         unreachable=unreachable,
-        _succ={b: tuple(d for d, _ in succ[b]) for b in order},
     )
 
 

@@ -1,7 +1,7 @@
-"""On-chain contract state: storage words, code bytes and storage-encoded
-strings, served by a live JSON-RPC endpoint or a file-backed mock.
+"""On-chain contract state: storage words and storage-encoded strings,
+served by a live JSON-RPC endpoint or a file-backed mock.
 
-Both backends expose the same three reads and are interchangeable behind
+Both backends expose the same two reads and are interchangeable behind
 the interface; responses are cached per address/slot for the duration of a
 run, so concurrent readers are safe.
 """
@@ -23,8 +23,6 @@ class ChainState(Protocol):
     """The read interface both backends implement."""
 
     def get_storage(self, address: str, slot: int) -> int: ...
-
-    def get_code(self, address: str) -> bytes: ...
 
     def read_string_at(self, address: str, slot: int) -> str: ...
 
@@ -119,16 +117,15 @@ class MockChain:
 
     def __init__(self, data: dict):
         self._storage: dict[str, dict[int, int]] = {}
-        self._code: dict[str, bytes] = {}
         for address, entry in data.items():
-            addr = address.lower()
             if not isinstance(entry, dict):
                 raise MockFormatError(f"{address}: expected an object")
+            # Code is not read, but a malformed field still marks a bad file.
             code = entry.get("code", "0x")
             if not isinstance(code, str) or not code.startswith("0x"):
                 raise MockFormatError(f"{address}.code: expected 0x-hex")
             try:
-                self._code[addr] = bytes.fromhex(code[2:])
+                bytes.fromhex(code[2:])
             except ValueError:
                 raise MockFormatError(f"{address}.code: bad hex") from None
             slots = {}
@@ -136,7 +133,7 @@ class MockChain:
                 slots[_to_word(key, f"{address}.storage key")] = _to_word(
                     val, f"{address}.storage[{key}]"
                 )
-            self._storage[addr] = slots
+            self._storage[address.lower()] = slots
 
     @classmethod
     def from_file(cls, path: str) -> "MockChain":
@@ -150,9 +147,6 @@ class MockChain:
     def get_storage(self, address: str, slot: int) -> int:
         return self._storage.get(address.lower(), {}).get(slot, 0)
 
-    def get_code(self, address: str) -> bytes:
-        return self._code.get(address.lower(), b"")
-
     def read_string_at(self, address: str, slot: int) -> str:
         word = self.get_storage(address, slot)
         return decode_string(slot, word, lambda s: self.get_storage(address, s))
@@ -165,7 +159,7 @@ def _default_post(url: str, payload: dict, timeout: float) -> dict:
 
 
 class RpcChain:
-    """JSON-RPC backend (eth_getStorageAt / eth_getCode, latest block).
+    """JSON-RPC backend (eth_getStorageAt, latest block).
 
     `post` is injectable for tests; failures are retried with exponential
     backoff before RpcError is raised.  Reads are cached per address/slot.
@@ -191,7 +185,6 @@ class RpcChain:
         self._lock = threading.Lock()
         self._next_id = 0
         self._storage_cache: dict[tuple[str, int], int] = {}
-        self._code_cache: dict[str, bytes] = {}
 
     def _call(self, method: str, params: list) -> str:
         with self._lock:
@@ -229,20 +222,6 @@ class RpcChain:
         with self._lock:
             self._storage_cache[key] = value
         return value
-
-    def get_code(self, address: str) -> bytes:
-        key = address.lower()
-        with self._lock:
-            if key in self._code_cache:
-                return self._code_cache[key]
-        result = self._call("eth_getCode", [address, "latest"])
-        try:
-            code = bytes.fromhex(result[2:])
-        except ValueError:
-            raise MalformedResponse(f"eth_getCode: {result!r}") from None
-        with self._lock:
-            self._code_cache[key] = code
-        return code
 
     def read_string_at(self, address: str, slot: int) -> str:
         word = self.get_storage(address, slot)

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import isfinite
 from typing import Sequence
 
 from .tokens import DEFAULT_TOKENIZER, Token
@@ -69,26 +70,52 @@ class FrontendAttributes:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FrontendAttributes":
-        def rational(v):
+        """Typed read of an attributes document: numeric keys take JSON
+        numbers (integers only for supply and lock time), boolean keys take
+        true/false, and null means "not stated". Anything else raises
+        ValueError naming the key."""
+        if not isinstance(doc, dict):
+            raise ValueError("attributes: expected a JSON object")
+        known = set(NUMERIC_ATTRIBUTES) | set(BOOLEAN_ATTRIBUTES)
+        extra = set(doc) - known
+        if extra:
+            raise ValueError(f"unknown attribute keys: {sorted(extra)}")
+
+        def number(key, kinds=(int, float)):
+            v = doc.get(key)
+            if v is None:
+                return None
+            bad = isinstance(v, bool) or not isinstance(v, kinds)
+            if bad or (isinstance(v, float) and not isfinite(v)):
+                want = "an integer" if kinds is int else "a number"
+                raise ValueError(f"{key}: expected {want}, got {v!r}")
+            return v
+
+        def rational(key):
+            v = number(key)
             if v is None:
                 return None
             # Floats go through their decimal rendering to stay exact for
             # rates like 2.5 that came in from JSON.
             return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
 
-        known = set(NUMERIC_ATTRIBUTES) | set(BOOLEAN_ATTRIBUTES)
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown attribute keys: {sorted(extra)}")
+        def flag(key, unstated):
+            v = doc.get(key)
+            if v is None:
+                return unstated
+            if not isinstance(v, bool):
+                raise ValueError(f"{key}: expected true or false, got {v!r}")
+            return v
+
         return cls(
-            reward_rate_percent=rational(doc.get("reward_rate_percent")),
-            fee_rate_percent=rational(doc.get("fee_rate_percent")),
-            fee_claimed=bool(doc.get("fee_claimed", False)),
-            lock_time_seconds=doc.get("lock_time_seconds"),
-            total_supply=doc.get("total_supply"),
-            pause_disclosed=bool(doc.get("pause_disclosed", False)),
-            fund_flow_disclosed=bool(doc.get("fund_flow_disclosed", False)),
-            nft_permanence_claimed=doc.get("nft_permanence_claimed"),
+            reward_rate_percent=rational("reward_rate_percent"),
+            fee_rate_percent=rational("fee_rate_percent"),
+            fee_claimed=flag("fee_claimed", False),
+            lock_time_seconds=number("lock_time_seconds", int),
+            total_supply=number("total_supply", int),
+            pause_disclosed=flag("pause_disclosed", False),
+            fund_flow_disclosed=flag("fund_flow_disclosed", False),
+            nft_permanence_claimed=flag("nft_permanence_claimed", None),
         )
 
     def to_json(self) -> dict:

@@ -3,10 +3,11 @@
 Each rule compares one claimed attribute against the summarized behavior
 and yields at most one finding, so finding types are unique per report.
 Rate arithmetic is exact rational throughout; a claim of 3 percent and a
-computed 5/100 never compare equal by rounding. Rules that need live
-chain data (HF rate resolution, VNA URI classification) degrade to an
-explicit "indeterminate" finding when the chain cannot answer instead of
-silently dropping the check.
+computed 5/100 never compare equal by rounding. This is the only layer
+that reads chain state; the layers before it keep storage words symbolic.
+Rules that need live chain data (HF rate resolution, VNA URI
+classification) degrade to an explicit "indeterminate" finding when the
+chain cannot answer instead of silently dropping the check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Mapping
 from .chain import ChainState, ChainUnavailable, NotAString
 from .claims import FrontendAttributes
 from .graphs import RecipientClass
-from .semantics import ContractSemantics, FeeCandidate, resolve_rate
+from .semantics import ContractSemantics, FeeCandidate
 
 FINDING_ORDER = ("UR", "HF", "AL", "UTS", "UFF", "CDS", "VNA")
 
@@ -87,13 +88,18 @@ def _slot_hex(slot: int) -> str:
     return hex(slot)
 
 
-def _resolve(
-    cand: FeeCandidate, chain: ChainState | None, address: str
+def resolve_rate(
+    candidate: FeeCandidate, chain: ChainState | None, address: str
 ) -> tuple[int, int]:
-    # Constant numerators resolve without a backend.
-    if cand.numerator.op != "const" and chain is None:
+    """Concrete (numerator, denominator) for a fee candidate, reading
+    storage-valued numerators from the chain. Constant numerators need no
+    backend. Raises ChainUnavailable when the chain cannot answer."""
+    k = candidate.numerator
+    if k.op == "const":
+        return k.value, candidate.denominator
+    if chain is None:
         raise ChainUnavailable("no chain backend configured")
-    return resolve_rate(cand, chain, address)
+    return chain.get_storage(address, k.value), candidate.denominator
 
 
 def _split_forwarding(
@@ -118,7 +124,7 @@ def _split_forwarding(
         c = shaped.get((t.call_site, t.amount))
         if c is None or c.base != cand.base:
             return False
-        num, den = _resolve(c, chain, sem.address)
+        num, den = resolve_rate(c, chain, sem.address)
         total += Fraction(num, den)
     return total == 1
 
@@ -166,7 +172,7 @@ def _hidden_fee(
         try:
             if _split_forwarding(cand, sem, chain):
                 continue
-            num, den = _resolve(cand, chain, sem.address)
+            num, den = resolve_rate(cand, chain, sem.address)
         except ChainUnavailable:
             unresolved.append(cand)
             continue

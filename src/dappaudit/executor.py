@@ -24,7 +24,7 @@ definition (no returned values bind zero).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .feasibility import Feasibility, check_feasible
 from .graphs import AnalysisPlan
@@ -127,11 +127,9 @@ def execute_function(
     selector: str,
     plan: AnalysisPlan,
     limits: Limits = Limits(),
-    chain: object | None = None,
 ) -> ExecutionResult:
     """Explore the public function `selector`, returning the checkpoint
-    states the plan asked for.  `chain` is accepted for interface parity
-    but unused: storage reads stay symbolic and are resolved later."""
+    states the plan asked for."""
     fn = program.function_of_selector(selector)
     entry = plan.entry(selector)
     if fn is None or entry is None:

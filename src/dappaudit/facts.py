@@ -9,16 +9,15 @@ program rather than duplicated as relations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .cfg import Cfg, build_cfg
+from .cfg import build_cfg
 from .model import (
     ARITH_OPS,
     COMPARE_OPS,
     IrProgram,
     IrStatement,
-    LOGIC_OPS,
     Opcode,
     Operand,
     TermKind,
@@ -58,7 +57,6 @@ class FactDb:
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
     # Reflexive-transitive influence closure over variables.
     dataflow: frozenset[tuple[str, str]]
-    cfgs: dict[str, Cfg] = field(repr=False, compare=False, default_factory=dict)
 
     # -- queries ------------------------------------------------------------
 
@@ -137,9 +135,6 @@ class FactDb:
     def plain_calls(self) -> tuple[IrStatement, ...]:
         return tuple(s for s in self.statements_of(Opcode.CALL) if len(s.args) == 2)
 
-    def abi_calls(self) -> tuple[IrStatement, ...]:
-        return tuple(s for s in self.statements_of(Opcode.CALL) if len(s.args) >= 3)
-
 
 def derive_base_facts(program: IrProgram) -> FactDb:
     """All relations except the dataflow closure (left empty here)."""
@@ -165,11 +160,10 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         for i, p in enumerate(fn.params)
     ]
 
-    cfgs = {fn.name: build_cfg(fn) for fn in program.functions}
     controls = [
         (cond, sid, branch)
-        for cfg in cfgs.values()
-        for sid, deps in cfg.stmt_controls.items()
+        for fn in program.functions
+        for sid, deps in build_cfg(fn).stmt_controls.items()
         for cond, branch in sorted(deps, key=repr)
         if isinstance(cond, str)
     ]
@@ -185,7 +179,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         stmt_func=_statement_selectors(program),
         comp=tuple(sorted(comp, key=repr)),
         dataflow=frozenset(),
-        cfgs=cfgs,
     )
 
 

@@ -137,8 +137,3 @@ def check_feasible(path: Sequence[SymExpr]) -> Feasibility:
         if all(eval_concrete(c, witness) != 0 for c in path):
             return Feasibility.FEASIBLE
     return Feasibility.UNKNOWN
-
-
-def feasible_enough(f: Feasibility) -> bool:
-    """Downstream filter: unknown counts as feasible."""
-    return f is not Feasibility.INFEASIBLE

@@ -78,9 +78,6 @@ class FundTransferGraph:
                 return n.kind
         return None
 
-    def edges_for(self, selector: str) -> tuple[FtgEdge, ...]:
-        return tuple(e for e in self.edges if e.selector == selector)
-
 
 @dataclass(frozen=True)
 class GuardEdge:
@@ -156,17 +153,10 @@ class AnalysisPlan:
 
 def build_ftg(
     db: FactDb,
-    transfers: tuple[TransferFact, ...] | None = None,
-    guards: tuple[SenderGuardFact, ...] | None = None,
-    roles: tuple[StorageRoleFact, ...] | None = None,
+    transfers: tuple[TransferFact, ...],
+    guards: tuple[SenderGuardFact, ...],
+    roles: tuple[StorageRoleFact, ...],
 ) -> FundTransferGraph:
-    if transfers is None:
-        transfers = infer_transfers(db)
-    if guards is None:
-        guards = infer_sender_guards(db)
-    if roles is None:
-        roles = infer_storage_roles(db, guards)
-
     owner_slots = {r.slot for r in roles if r.role is StorageRole.OWNER}
     # selector -> smallest owner-role slot guarding it
     privileged: dict[str, int] = {}
@@ -241,17 +231,10 @@ def _shared_amount_edges(
 
 def build_sdg(
     db: FactDb,
-    roles: tuple[StorageRoleFact, ...] | None = None,
-    guards: tuple[SenderGuardFact, ...] | None = None,
-    transfers: tuple[TransferFact, ...] | None = None,
+    roles: tuple[StorageRoleFact, ...],
+    guards: tuple[SenderGuardFact, ...],
+    transfers: tuple[TransferFact, ...],
 ) -> StateDependencyGraph:
-    if guards is None:
-        guards = infer_sender_guards(db)
-    if roles is None:
-        roles = infer_storage_roles(db, guards)
-    if transfers is None:
-        transfers = infer_transfers(db)
-
     nodes = tuple(sorted({(r.slot, r.role.value) for r in roles}))
     role_slots = {r.slot for r in roles}
 

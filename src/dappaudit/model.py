@@ -202,17 +202,6 @@ class IrProgram:
                 return s
         raise KeyError(sid)
 
-    def def_sites(self) -> dict[str, str]:
-        """Variable -> sid of its defining statement (params map to "")."""
-        sites: dict[str, str] = {}
-        for f in self.functions:
-            for p in f.params:
-                sites[p] = ""
-        for _, _, s in self.statements():
-            if s.defvar is not None:
-                sites[s.defvar] = s.sid
-        return sites
-
     def address_int(self) -> int:
         return int(self.address, 16)
 

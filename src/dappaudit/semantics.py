@@ -8,8 +8,7 @@ div(mul(x, k), d) with k and d constant or storage-valued, provided the
 base shares an origin with user money (CallValue in the expression, a
 data-flow ancestor shared with a sibling transfer, or leaves shared with
 a caller payout under the same selector). Supply, pause, and lock status
-come from the storage-role graph; rate resolution against chain state is
-a separate step so callers decide how to handle an unreachable chain.
+come from the storage-role graph.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chain import ChainState
 from .executor import CheckpointState, ExecutionResult
 from .facts import FactDb
 from .feasibility import Feasibility
@@ -34,10 +32,6 @@ class DynamicFlags:
     store_init: bool
     store_written: bool
     calldata_arg: bool
-
-    @property
-    def any(self) -> bool:
-        return self.balance_self or self.store_init or self.calldata_arg
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,6 @@ def summarize_semantics(
     db: FactDb,
     ftg: FundTransferGraph,
     sdg: StateDependencyGraph,
-    chain: ChainState | None = None,
 ) -> ContractSemantics:
     address = db.program.address
     budget = any(res.budget_exceeded for res in executions)
@@ -353,15 +346,3 @@ def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
             else:
                 after = True
     return before, after
-
-
-def resolve_rate(
-    candidate: FeeCandidate, chain: ChainState, address: str
-) -> tuple[int, int]:
-    """Concrete (numerator, denominator) for a fee candidate, reading
-    storage-valued numerators from the chain. Raises ChainUnavailable
-    when the chain cannot answer."""
-    k = candidate.numerator
-    if k.op == "const":
-        return k.value, candidate.denominator
-    return chain.get_storage(address, k.value), candidate.denominator

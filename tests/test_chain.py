@@ -47,12 +47,6 @@ def test_mock_storage_reads_and_zero_default():
     assert chain.get_storage("0x" + "99" * 20, 1) == 0
 
 
-def test_mock_code_and_eoa():
-    chain = MockChain({ADDR: {"code": "0x6001600255"}})
-    assert chain.get_code(ADDR) == bytes.fromhex("6001600255")
-    assert chain.get_code("0x" + "99" * 20) == b""
-
-
 def test_mock_address_case_insensitive():
     chain = MockChain({ADDR.upper().replace("0X", "0x"): {"storage": {"0x1": "0x2"}}})
     assert chain.get_storage(ADDR, 1) == 2
@@ -146,7 +140,7 @@ def test_round_trip_identity_on_random_strings():
 # RPC backend (stubbed transport)
 
 
-def _serving_post(storage: dict[int, int], code: str = "0x", log: list | None = None):
+def _serving_post(storage: dict[int, int], log: list | None = None):
     def post(url, payload, timeout):
         if log is not None:
             log.append(payload)
@@ -154,23 +148,19 @@ def _serving_post(storage: dict[int, int], code: str = "0x", log: list | None = 
         if method == "eth_getStorageAt":
             slot = int(payload["params"][1], 16)
             return {"jsonrpc": "2.0", "id": payload["id"], "result": hex(storage.get(slot, 0))}
-        if method == "eth_getCode":
-            return {"jsonrpc": "2.0", "id": payload["id"], "result": code}
         raise AssertionError(method)
 
     return post
 
 
-def test_rpc_storage_code_and_caching():
+def test_rpc_storage_caching():
     log: list = []
-    chain = RpcChain("http://node.invalid", post=_serving_post({1: 5}, "0x6001", log))
+    chain = RpcChain("http://node.invalid", post=_serving_post({1: 5}, log))
     assert chain.get_storage(ADDR, 1) == 5
     assert chain.get_storage(ADDR, 1) == 5
     assert chain.get_storage(ADDR, 2) == 0
-    assert chain.get_code(ADDR) == b"\x60\x01"
-    assert chain.get_code(ADDR) == b"\x60\x01"
     # One request per distinct read; repeats served from the cache.
-    assert len(log) == 3
+    assert len(log) == 2
 
 
 def test_rpc_retries_with_exponential_backoff():

@@ -135,6 +135,14 @@ def test_audit_rejects_unknown_attr_keys(workdir, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_audit_rejects_mistyped_attr_value(workdir, capsys):
+    (workdir / "typed.json").write_text(json.dumps({"lock_time_seconds": "100"}))
+    assert main(_audit_args(workdir, attrs="typed.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lock_time_seconds" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_audit_ir_syntax_error_exits_two(workdir, capsys):
     (workdir / "contract.ir").write_text("contract 0xzz\n")
     assert main(_audit_args(workdir)) == 2

@@ -8,9 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from dappaudit.chain import MockChain, RpcChain, encode_string_at
+from dappaudit.chain import ChainUnavailable, MockChain, RpcChain, encode_string_at
 from dappaudit.claims import FrontendAttributes
-from dappaudit.detector import FINDING_ORDER, InconsistencyReport, detect_all
+from dappaudit.detector import (
+    FINDING_ORDER,
+    InconsistencyReport,
+    detect_all,
+    resolve_rate,
+)
 from dappaudit.executor import execute_function
 from dappaudit.facts import build_facts
 from dappaudit.graphs import build_graphs
@@ -308,6 +313,44 @@ def test_hf_incomplete_split_fires():
     short = SPLIT_FORWARD.replace("0x28", "0x1e")
     report = _detect(short, FrontendAttributes(fee_claimed=False))
     assert _types(report) == ["HF"]
+
+
+# ---------------------------------------------------------------------------
+# HF rate resolution against chain state
+
+
+def test_resolve_rate_reads_chain_storage():
+    sem = _semantics(FEE_AND_PAYOUT)
+    (cand,) = sem.fee_candidates
+    chain = MockChain({ADDR: {"storage": {"0x1": "0x5"}}})
+    assert resolve_rate(cand, chain, ADDR) == (5, 100)
+
+
+def test_resolve_rate_propagates_chain_failure():
+    sem = _semantics(FEE_AND_PAYOUT)
+    (cand,) = sem.fee_candidates
+
+    def down(url, payload, timeout):
+        raise OSError("no route")
+
+    chain = RpcChain("http://chain.test", post=down, sleep=lambda s: None)
+    with pytest.raises(ChainUnavailable):
+        resolve_rate(cand, chain, ADDR)
+
+
+def test_plain_division_rate_needs_no_chain():
+    sem = _semantics(CONST_RATE_FEE)
+    (cand,) = sem.fee_candidates
+    assert cand.numerator.op == "const"
+    assert cand.fee_slot is None
+    assert resolve_rate(cand, chain=None, address=ADDR) == (1, 20)
+
+
+def test_resolve_rate_storage_numerator_needs_backend():
+    sem = _semantics(FEE_AND_PAYOUT)
+    (cand,) = sem.fee_candidates
+    with pytest.raises(ChainUnavailable):
+        resolve_rate(cand, None, ADDR)
 
 
 # ---------------------------------------------------------------------------

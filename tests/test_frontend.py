@@ -404,6 +404,36 @@ def test_attributes_validation():
         FrontendAttributes(lock_time_seconds=-5)
     with pytest.raises(ValueError):
         FrontendAttributes.from_json({"velocity": 3})
+    with pytest.raises(ValueError):
+        FrontendAttributes.from_json([])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lock_time_seconds", "100"),
+        ("lock_time_seconds", 100.0),
+        ("total_supply", 1.5),
+        ("total_supply", True),
+        ("fee_rate_percent", "3"),
+        ("fee_rate_percent", False),
+        ("reward_rate_percent", [3]),
+        ("reward_rate_percent", float("inf")),
+        ("fee_claimed", "false"),
+        ("fee_claimed", 0),
+        ("pause_disclosed", 1),
+        ("fund_flow_disclosed", "no"),
+        ("nft_permanence_claimed", {}),
+    ],
+)
+def test_attributes_json_rejects_mistyped_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        FrontendAttributes.from_json({key: value})
+
+
+def test_attributes_json_null_means_unstated():
+    keys = ("fee_rate_percent", "total_supply", "fee_claimed", "nft_permanence_claimed")
+    assert FrontendAttributes.from_json(dict.fromkeys(keys)) == FrontendAttributes()
 
 
 def test_end_to_end_bundle_to_attributes():

@@ -7,11 +7,8 @@ from dappaudit.facts import build_facts
 from dappaudit.graphs import (
     RecipientClass,
     SELF_NODE,
-    build_ftg,
     build_graphs,
-    build_sdg,
     dump_graphs,
-    plan_symexec,
 )
 from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
@@ -281,9 +278,9 @@ def test_plan_well_formed_on_random_programs():
             w.selector for w in sdg.writes
         }
         assert set(plan.selectors()) == edge_selectors
-        defined = set(program.def_sites()) | {
-            p for fn in program.functions for p in fn.params
-        }
+        defined = {
+            s.defvar for _, _, s in program.statements() if s.defvar is not None
+        } | {p for fn in program.functions for p in fn.params}
         for entry in plan.entries:
             assert entry.checkpoints
             for sid in entry.checkpoints:
@@ -295,8 +292,7 @@ def test_plan_well_formed_on_random_programs():
 
 def test_dump_is_deterministic_golden():
     db = build_facts(parse_ir(WITHDRAW_ALL))
-    ftg = build_ftg(db)
-    sdg = build_sdg(db)
+    ftg, sdg, _ = build_graphs(db)
     assert dump_graphs(ftg, sdg) == (
         "ftg nodes:\n"
         "  caller vc\n"

@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
-
-from dappaudit.chain import ChainUnavailable, MockChain, RpcChain
 from dappaudit.executor import execute_function
 from dappaudit.facts import build_facts
 from dappaudit.feasibility import Feasibility
 from dappaudit.graphs import RecipientClass, build_graphs
 from dappaudit.inference import TransferKind
 from dappaudit.parser import parse_ir
-from dappaudit.semantics import resolve_rate, summarize_semantics
+from dappaudit.semantics import summarize_semantics
 
 from helpers import ADDR
 
 
-def _semantics(text, chain=None):
+def _semantics(text):
     program = parse_ir(text)
     db = build_facts(program)
     ftg, sdg, plan = build_graphs(db)
     executions = [execute_function(program, sel, plan) for sel in plan.selectors()]
-    return summarize_semantics(executions, db, ftg, sdg, chain)
+    return summarize_semantics(executions, db, ftg, sdg)
 
 
 # ---------------------------------------------------------------------------
@@ -72,48 +69,6 @@ def test_fee_candidate_shape_and_slot():
     assert cand.recipient_class is RecipientClass.CONSTANT_ADDRESS
 
 
-def test_resolve_rate_reads_chain_storage():
-    sem = _semantics(FEE_AND_PAYOUT)
-    (cand,) = sem.fee_candidates
-    chain = MockChain({ADDR: {"storage": {"0x1": "0x5"}}})
-    assert resolve_rate(cand, chain, ADDR) == (5, 100)
-
-
-def test_resolve_rate_propagates_chain_failure():
-    sem = _semantics(FEE_AND_PAYOUT)
-    (cand,) = sem.fee_candidates
-
-    def down(url, payload, timeout):
-        raise OSError("no route")
-
-    chain = RpcChain("http://chain.test", post=down, sleep=lambda s: None)
-    with pytest.raises(ChainUnavailable):
-        resolve_rate(cand, chain, ADDR)
-
-
-CONST_RATE_FEE = f"""contract {ADDR}
-function deposit public sig 0x01020304 params () {{
-  block D0:
-    0: v1 = CALLVALUE
-    1: v4 = DIV v1 0x14
-    2: vw = CONST 0xbeef
-    3: CALL vw v4
-    4: v5 = SUB v1 v4
-    5: vc = CALLER
-    6: CALL vc v5
-    stop
-}}
-"""
-
-
-def test_plain_division_rate_needs_no_chain():
-    sem = _semantics(CONST_RATE_FEE)
-    (cand,) = sem.fee_candidates
-    assert cand.numerator.op == "const"
-    assert cand.fee_slot is None
-    assert resolve_rate(cand, chain=None, address=ADDR) == (1, 20)
-
-
 REWARD_FROM_BALANCE = f"""contract {ADDR}
 function claim public sig 0x0a0b0c0d params () {{
   block C0:
@@ -133,7 +88,6 @@ def test_balance_dependent_caller_payout():
     assert t.recipient_class is RecipientClass.CALLER
     assert t.amount == "div(balance(self), 10)"
     assert t.dynamic.balance_self
-    assert t.dynamic.any
     assert not t.dynamic.store_init
     assert not t.dynamic.calldata_arg
     # Balance-derived amounts are not fraction-of-principal fees.
@@ -161,7 +115,6 @@ def test_storage_amount_with_writer_is_dynamic():
     (t,) = sem.transfers
     assert t.dynamic.store_init
     assert t.dynamic.store_written
-    assert t.dynamic.any
 
 
 def test_storage_amount_without_writer_counts_constant():

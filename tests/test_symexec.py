@@ -11,9 +11,14 @@ import random
 
 import pytest
 
-from dappaudit.executor import Limits, execute_function
+from dappaudit.executor import (
+    CheckpointState,
+    ExecutionResult,
+    Limits,
+    execute_function,
+)
 from dappaudit.facts import build_facts
-from dappaudit.feasibility import Feasibility, check_feasible, feasible_enough
+from dappaudit.feasibility import Feasibility, check_feasible
 from dappaudit.graphs import build_graphs
 from dappaudit.parser import parse_ir
 from dappaudit.symexpr import (
@@ -210,10 +215,17 @@ def test_impure_constraint_can_still_be_witnessed():
     assert check_feasible(path) is Feasibility.FEASIBLE
 
 
-def test_feasible_enough_keeps_unknown():
-    assert feasible_enough(Feasibility.FEASIBLE)
-    assert feasible_enough(Feasibility.UNKNOWN)
-    assert not feasible_enough(Feasibility.INFEASIBLE)
+def test_feasible_checkpoints_keep_unknown():
+    # Downstream consumers treat unknown as feasible to preserve recall.
+    cps = tuple(
+        CheckpointState(f"f.B0.{i}", "0x01020304", "CALL", (), (), verdict)
+        for i, verdict in enumerate(Feasibility)
+    )
+    kept = ExecutionResult(cps, False, 1).feasible_checkpoints()
+    assert [cp.feasibility for cp in kept] == [
+        Feasibility.FEASIBLE,
+        Feasibility.UNKNOWN,
+    ]
 
 
 def test_verdicts_agree_with_brute_force_on_atom_systems():
