@@ -116,6 +116,8 @@ class MockChain:
     """
 
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise MockFormatError("expected an object of addresses")
         self._storage: dict[str, dict[int, int]] = {}
         for address, entry in data.items():
             if not isinstance(entry, dict):
@@ -128,8 +130,11 @@ class MockChain:
                 bytes.fromhex(code[2:])
             except ValueError:
                 raise MockFormatError(f"{address}.code: bad hex") from None
+            storage = entry.get("storage", {})
+            if not isinstance(storage, dict):
+                raise MockFormatError(f"{address}.storage: expected an object")
             slots = {}
-            for key, val in entry.get("storage", {}).items():
+            for key, val in storage.items():
                 slots[_to_word(key, f"{address}.storage key")] = _to_word(
                     val, f"{address}.storage[{key}]"
                 )
@@ -158,29 +163,22 @@ def _default_post(url: str, payload: dict, timeout: float) -> dict:
     return resp.json()
 
 
+RPC_ATTEMPTS = 3
+RPC_BACKOFF_S = 0.5
+RPC_TIMEOUT_S = 10.0
+
+
 class RpcChain:
     """JSON-RPC backend (eth_getStorageAt, latest block).
 
-    `post` is injectable for tests; failures are retried with exponential
-    backoff before RpcError is raised.  Reads are cached per address/slot.
+    `post` and `sleep` are injectable for tests; a request is tried up to
+    RPC_ATTEMPTS times, with exponential backoff after each transport
+    failure, before RpcError is raised.  Reads are cached per address/slot.
     """
 
-    def __init__(
-        self,
-        url: str,
-        chain_id: int | None = None,
-        post=_default_post,
-        retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 10.0,
-        sleep=time.sleep,
-    ):
+    def __init__(self, url: str, post=_default_post, sleep=time.sleep):
         self.url = url
-        self.chain_id = chain_id
         self._post = post
-        self._retries = retries
-        self._backoff = backoff
-        self._timeout = timeout
         self._sleep = sleep
         self._lock = threading.Lock()
         self._next_id = 0
@@ -192,13 +190,13 @@ class RpcChain:
             rid = self._next_id
         payload = {"jsonrpc": "2.0", "id": rid, "method": method, "params": params}
         last_err: Exception | None = None
-        for attempt in range(self._retries):
+        for attempt in range(RPC_ATTEMPTS):
             try:
-                body = self._post(self.url, payload, self._timeout)
+                body = self._post(self.url, payload, RPC_TIMEOUT_S)
             except Exception as err:  # transport failure: retry
                 last_err = err
-                if attempt + 1 < self._retries:
-                    self._sleep(self._backoff * (2**attempt))
+                if attempt + 1 < RPC_ATTEMPTS:
+                    self._sleep(RPC_BACKOFF_S * (2**attempt))
                 continue
             if not isinstance(body, dict) or "result" not in body:
                 detail = body.get("error") if isinstance(body, dict) else body
@@ -207,7 +205,7 @@ class RpcChain:
             if not isinstance(result, str) or not result.startswith("0x"):
                 raise MalformedResponse(f"{method}: non-hex result {result!r}")
             return result
-        raise RpcError(f"{method} failed after {self._retries} attempts: {last_err}")
+        raise RpcError(f"{method} failed after {RPC_ATTEMPTS} attempts: {last_err}")
 
     def get_storage(self, address: str, slot: int) -> int:
         key = (address.lower(), slot)

@@ -60,6 +60,11 @@ class Limits:
     loop_bound: int = 3
     max_states: int = 512
 
+    def __post_init__(self) -> None:
+        for name in ("max_depth", "loop_bound", "max_states"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass(frozen=True)
 class CheckpointState:

@@ -2,10 +2,10 @@
 
 The stored relations: constants (with folding), external calls, call
 arguments, math ops, function arguments, control dependence, statement
-ownership by public selector, syntactic comparisons, and the
-reflexive-transitive dataflow closure.  Storage and environment opcodes
-(SLOAD/SSTORE/CALLER/TIMESTAMP/BALANCE) are exposed as views over the
-program rather than duplicated as relations.
+ownership by public selector, syntactic comparisons, the
+reflexive-transitive dataflow closure, and the storage and environment
+relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP, own-address
+BALANCE, plain CALL).  All are collected once, when the database is built.
 """
 from __future__ import annotations
 
@@ -28,13 +28,12 @@ WORD = 1 << 256
 
 @dataclass(frozen=True)
 class StorageOp:
-    """An SLOAD or SSTORE with a resolved-constant slot, if constant."""
+    """An SLOAD or SSTORE whose slot resolves to a constant."""
 
     sid: str
-    slot: int | None
+    slot: int
     # SLOAD: the loaded variable.  SSTORE: the stored operand.
     value: Operand
-    function: str
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,22 @@ class FactDb:
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
     # Reflexive-transitive influence closure over variables.
     dataflow: frozenset[tuple[str, str]]
+    # Constant-slot storage operations, in program order.
+    sloads: tuple[StorageOp, ...]
+    sstores: tuple[StorageOp, ...]
+    # slot -> variables loaded from it, in program order
+    slot_loads: dict[int, tuple[str, ...]]
+    caller_defs: tuple[str, ...]
+    timestamp_defs: tuple[str, ...]
+    # Variables holding the contract's own balance.
+    self_balance_defs: tuple[str, ...]
+    # CALL statements without ABI arguments: ether sends.
+    plain_calls: tuple[IrStatement, ...]
 
     # -- queries ------------------------------------------------------------
 
     def const_of(self, operand: Operand) -> int | None:
-        if isinstance(operand, int):
-            return operand
-        return self.constant.get(operand)
+        return _const_of(self.constant, operand)
 
     def df(self, src: Operand, dst: Operand) -> bool:
         """Does src influence dst?  Literal operands influence nothing."""
@@ -95,46 +103,6 @@ class FactDb:
                 hits.append(sid)
         return tuple(hits)
 
-    # -- program views ------------------------------------------------------
-
-    def statements_of(self, opcode: Opcode) -> tuple[IrStatement, ...]:
-        return tuple(s for _, _, s in self.program.statements() if s.opcode is opcode)
-
-    def defs_of(self, opcode: Opcode) -> tuple[str, ...]:
-        return tuple(
-            s.defvar
-            for _, _, s in self.program.statements()
-            if s.opcode is opcode and s.defvar is not None
-        )
-
-    def sloads(self) -> tuple[StorageOp, ...]:
-        return tuple(
-            StorageOp(s.sid, self.const_of(s.args[0]), s.defvar, fn.name)
-            for fn, _, s in self.program.statements()
-            if s.opcode is Opcode.SLOAD
-        )
-
-    def sstores(self) -> tuple[StorageOp, ...]:
-        return tuple(
-            StorageOp(s.sid, self.const_of(s.args[0]), s.args[1], fn.name)
-            for fn, _, s in self.program.statements()
-            if s.opcode is Opcode.SSTORE
-        )
-
-    def self_balance_defs(self) -> tuple[str, ...]:
-        """Variables holding the contract's own balance."""
-        own = self.program.address_int()
-        return tuple(
-            s.defvar
-            for _, _, s in self.program.statements()
-            if s.opcode is Opcode.BALANCE
-            and s.defvar is not None
-            and self.const_of(s.args[0]) == own
-        )
-
-    def plain_calls(self) -> tuple[IrStatement, ...]:
-        return tuple(s for s in self.statements_of(Opcode.CALL) if len(s.args) == 2)
-
 
 def derive_base_facts(program: IrProgram) -> FactDb:
     """All relations except the dataflow closure (left empty here)."""
@@ -144,15 +112,37 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     call_arg: list[tuple[str, Operand, int]] = []
     math_op: list[tuple[str, str, tuple[Operand, ...]]] = []
     comp: list[tuple[str, str, Operand, Operand, str]] = []
+    sloads: list[StorageOp] = []
+    sstores: list[StorageOp] = []
+    caller_defs: list[str] = []
+    timestamp_defs: list[str] = []
+    self_balance_defs: list[str] = []
+    plain_calls: list[IrStatement] = []
+    own = program.address_int()
     for _, _, s in program.statements():
         if s.opcode is Opcode.CALL and len(s.args) >= 3:
             external_call.append((s.sid, s.args[0], s.args[2]))
             for i, a in enumerate(s.args[3:]):
                 call_arg.append((s.sid, a, i))
+        elif s.opcode is Opcode.CALL:
+            plain_calls.append(s)
         elif s.opcode in ARITH_OPS and s.defvar is not None:
             math_op.append((s.defvar, s.opcode.value.lower(), s.args))
         elif s.opcode in COMPARE_OPS and s.defvar is not None:
             comp.append((s.sid, s.opcode.value.lower(), s.args[0], s.args[1], s.defvar))
+        elif s.opcode is Opcode.SLOAD and (slot := _const_of(constant, s.args[0])) is not None:
+            sloads.append(StorageOp(s.sid, slot, s.defvar))
+        elif s.opcode is Opcode.SSTORE and (slot := _const_of(constant, s.args[0])) is not None:
+            sstores.append(StorageOp(s.sid, slot, s.args[1]))
+        elif s.opcode is Opcode.CALLER:
+            caller_defs.append(s.defvar)
+        elif s.opcode is Opcode.TIMESTAMP:
+            timestamp_defs.append(s.defvar)
+        elif s.opcode is Opcode.BALANCE and _const_of(constant, s.args[0]) == own:
+            self_balance_defs.append(s.defvar)
+    slot_loads: dict[int, list[str]] = {}
+    for load in sloads:
+        slot_loads.setdefault(load.slot, []).append(load.value)
 
     func_arg = [
         (fn.selector, p, i)
@@ -179,6 +169,13 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         stmt_func=_statement_selectors(program),
         comp=tuple(sorted(comp, key=repr)),
         dataflow=frozenset(),
+        sloads=tuple(sloads),
+        sstores=tuple(sstores),
+        slot_loads={slot: tuple(vs) for slot, vs in slot_loads.items()},
+        caller_defs=tuple(caller_defs),
+        timestamp_defs=tuple(timestamp_defs),
+        self_balance_defs=tuple(self_balance_defs),
+        plain_calls=tuple(plain_calls),
     )
 
 
@@ -238,6 +235,10 @@ def dataflow_closure(db: FactDb) -> FactDb:
 
 def build_facts(program: IrProgram) -> FactDb:
     return dataflow_closure(derive_base_facts(program))
+
+
+def _const_of(constant: dict[str, int], operand: Operand) -> int | None:
+    return operand if isinstance(operand, int) else constant.get(operand)
 
 
 def _fold_constants(program: IrProgram) -> dict[str, int]:

@@ -24,7 +24,7 @@ from .inference import (
     infer_storage_roles,
     infer_transfers,
 )
-from .model import Opcode, Operand
+from .model import Operand
 
 # Distinguished node for the contract itself.  Variables are v-prefixed,
 # so the name cannot collide with a recipient operand.
@@ -164,12 +164,10 @@ def build_ftg(
         if g.slot in owner_slots:
             privileged.setdefault(g.selector, g.slot)
 
-    caller_defs = db.defs_of(Opcode.CALLER)
-    balance_defs = db.self_balance_defs()
-    loaded = [l.value for l in db.sloads() if l.slot is not None and isinstance(l.value, str)]
+    loaded = [l.value for l in db.sloads]
 
     def classify(recipient: Operand) -> RecipientClass:
-        if db.df_any(caller_defs, recipient):
+        if db.df_any(db.caller_defs, recipient):
             return RecipientClass.CALLER
         if db.const_of(recipient) is not None:
             return RecipientClass.CONSTANT_ADDRESS
@@ -186,7 +184,7 @@ def build_ftg(
             selector=t.selector,
             kind=t.kind,
             privileged_owner=privileged.get(t.selector),
-            amount_from_self_balance=db.df_any(balance_defs, t.amount),
+            amount_from_self_balance=db.df_any(db.self_balance_defs, t.amount),
             shared_fee_ancestor=(t.call_site, t.selector) in shared,
         )
         for t in transfers
@@ -243,8 +241,8 @@ def build_sdg(
 
     guard_edges: list[GuardEdge] = []
     writes: list[SlotWrite] = []
-    for store in db.sstores():
-        if store.slot is None or store.slot not in role_slots:
+    for store in db.sstores:
+        if store.slot not in role_slots:
             continue
         for selector in sorted(db.selectors_of(store.sid)):
             guarding = sorted(
@@ -264,14 +262,12 @@ def build_sdg(
     pause_edges: list[PauseEdge] = []
     seen: set[tuple[int, str, str]] = set()
     for slot in pause_slots:
-        for load in db.sloads():
-            if load.slot != slot or not isinstance(load.value, str):
-                continue
+        for x in db.slot_loads.get(slot, ()):
             for t in transfers:
                 key = (slot, t.call_site, t.selector)
                 if key in seen:
                     continue
-                if db.value_controls(load.value, t.call_site):
+                if db.value_controls(x, t.call_site):
                     seen.add(key)
                     pause_edges.append(PauseEdge(slot, t.call_site, t.selector))
 

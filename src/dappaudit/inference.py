@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .facts import FactDb
-from .model import Opcode, Operand, TermKind
+from .model import Operand, TermKind
 from .signatures import GETTER_ROLES, OWNER_NAME, selectors_named, transfer_shape
 
 
@@ -91,7 +91,7 @@ def infer_transfers(db: FactDb) -> tuple[TransferFact, ...]:
             out.append(
                 TransferFact(cs, args[r_idx], args[a_idx], selector, TransferKind(kind))
             )
-    for s in db.plain_calls():
+    for s in db.plain_calls:
         for selector in sorted(db.selectors_of(s.sid)):
             out.append(TransferFact(s.sid, s.args[0], s.args[1], selector, TransferKind.ETHER))
     return tuple(sorted(out, key=lambda t: (t.call_site, t.selector)))
@@ -99,14 +99,11 @@ def infer_transfers(db: FactDb) -> tuple[TransferFact, ...]:
 
 def infer_sender_guards(db: FactDb) -> tuple[SenderGuardFact, ...]:
     """Constant-slot loads compared against the caller, per selector."""
-    caller_defs = db.defs_of(Opcode.CALLER)
     out: dict[tuple[int, str], SenderGuardFact] = {}
-    for load in db.sloads():
-        if load.slot is None or not isinstance(load.value, str):
-            continue
+    for load in db.sloads:
         sites = [
             sid
-            for c in caller_defs
+            for c in db.caller_defs
             for sid in db.compared(load.value, c)
         ]
         if not sites:
@@ -135,9 +132,7 @@ def infer_storage_roles(
     }
 
     # Loads with constant slots drive the read-side rules.
-    for load in db.sloads():
-        if load.slot is None or not isinstance(load.value, str):
-            continue
+    for load in db.sloads:
         x = load.value
         for selector in sorted(db.selectors_of(load.sid)):
             returns_x = _flows_to_return(db, x, selector)
@@ -156,13 +151,10 @@ def infer_storage_roles(
                 )
 
     # Store-side rules.
-    timestamp_defs = db.defs_of(Opcode.TIMESTAMP)
     public_params = [v for _, v, _ in db.func_arg]
-    for store in db.sstores():
-        if store.slot is None:
-            continue
+    for store in db.sstores:
         z = store.value
-        if db.df_any(timestamp_defs, z) and db.df_any(public_params, z):
+        if db.df_any(db.timestamp_defs, z) and db.df_any(public_params, z):
             for selector in sorted(db.selectors_of(store.sid)):
                 found.append(
                     StorageRoleFact(
@@ -179,10 +171,8 @@ def infer_storage_roles(
 
     # A load whose value decides whether a nonzero constant is stored back
     # to the same slot marks a pause flag.
-    for load in db.sloads():
-        if load.slot is None or not isinstance(load.value, str):
-            continue
-        for store in db.sstores():
+    for load in db.sloads:
+        for store in db.sstores:
             if store.slot != load.slot:
                 continue
             stored = db.const_of(store.value)
@@ -227,7 +217,7 @@ def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:
     """stored is ADD-derived from a load of the same slot."""
     if not isinstance(stored, str):
         return False
-    loads_of_slot = [l.value for l in db.sloads() if l.slot == slot and isinstance(l.value, str)]
+    loads_of_slot = db.slot_loads.get(slot, ())
     for r, op, operands in db.math_op:
         if op != "add" or not db.df(r, stored):
             continue

@@ -15,6 +15,7 @@ import requests
 from .prompts import PromptBundle
 
 ENDPOINT_ENV = "LLM_ENDPOINT_URL"
+TIMEOUT_S = 30.0
 
 
 class LlmError(Exception):
@@ -28,16 +29,15 @@ def _default_post(url: str, payload: dict, timeout: float) -> dict:
 
 
 class LlmClient:
-    def __init__(self, url: str | None = None, post=_default_post, timeout: float = 30.0):
+    def __init__(self, url: str | None = None, post=_default_post):
         self.url = url or os.environ.get(ENDPOINT_ENV)
         if not self.url:
             raise LlmError(f"no endpoint configured; set {ENDPOINT_ENV}")
         self._post = post
-        self._timeout = timeout
 
     def complete(self, prompt: str) -> str:
         try:
-            body = self._post(self.url, {"prompt": prompt}, self._timeout)
+            body = self._post(self.url, {"prompt": prompt}, TIMEOUT_S)
         except Exception as exc:
             raise LlmError(f"endpoint request failed: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):

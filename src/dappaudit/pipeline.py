@@ -62,9 +62,6 @@ class RunConfig:
             )
         if self.chain_mock is not None and self.chain_rpc is not None:
             raise ConfigError("choose one chain backend: mock file or RPC URL")
-        for name in ("max_depth", "loop_bound", "max_states"):
-            if getattr(self.limits, name) < 1:
-                raise ConfigError(f"{name} must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be positive")
 

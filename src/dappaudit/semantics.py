@@ -177,9 +177,7 @@ def summarize_semantics(
     if not cps:
         return ContractSemantics(address, (), (), (), (), (), None, budget)
 
-    written_slots = frozenset(
-        s.slot for s in db.sstores() if s.slot is not None
-    )
+    written_slots = frozenset(s.slot for s in db.sstores)
 
     edge_index: dict[tuple[str, str], list] = {}
     for edge in ftg.edges:
@@ -326,9 +324,7 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?"""
-    load_vars = [
-        l.value for l in db.sloads() if l.slot == slot and isinstance(l.value, str)
-    ]
+    load_vars = db.slot_loads.get(slot, ())
     before = False
     after = False
     for w in writes:

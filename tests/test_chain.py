@@ -61,6 +61,8 @@ def test_mock_address_case_insensitive():
         {ADDR: {"storage": {"0x1": "nope"}}},
         {ADDR: {"storage": {"0x1": "0x" + "ff" * 33}}},
         {ADDR: "not an object"},
+        {ADDR: {"storage": ["0x1"]}},
+        [],
     ],
 )
 def test_mock_rejects_malformed_entries(data):

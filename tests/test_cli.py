@@ -143,6 +143,14 @@ def test_audit_rejects_mistyped_attr_value(workdir, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_audit_rejects_mock_file_that_is_not_an_object(workdir, capsys):
+    (workdir / "chain.json").write_text("[]")
+    assert main(_audit_args(workdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_audit_ir_syntax_error_exits_two(workdir, capsys):
     (workdir / "contract.ir").write_text("contract 0xzz\n")
     assert main(_audit_args(workdir)) == 2
@@ -272,6 +280,15 @@ def test_symexec_command_dumps_checkpoints(workdir, capsys):
         assert all(isinstance(a, str) for a in cp["args"])
 
 
+def test_symexec_rejects_nonpositive_limit(workdir, capsys):
+    args = ["symexec", "--ir", str(workdir / "contract.ir"), "--max-states", "0"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "max_states" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_symexec_selector_filter(workdir, capsys):
     args = ["symexec", "--ir", str(workdir / "contract.ir"),
             "--selector", "0xdeadbeef"]
@@ -393,7 +410,7 @@ def test_run_config_validation(tmp_path):
             ir_path=ir, attrs_path=attrs,
             chain_mock=tmp_path / "m", chain_rpc="http://x",
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="max_depth must be positive"):
         RunConfig(ir_path=ir, attrs_path=attrs, limits=Limits(max_depth=0))
     with pytest.raises(ConfigError):
         RunConfig(ir_path=ir, attrs_path=attrs, jobs=0)

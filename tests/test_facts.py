@@ -36,7 +36,7 @@ function f public sig 0x00000001 params (vT, vV) {{
     db = build_facts(parse_ir(text))
     assert db.external_call == ()
     assert db.call_arg == ()
-    assert len(db.plain_calls()) == 1
+    assert len(db.plain_calls) == 1
 
 
 def test_constant_folding_fixpoint():
@@ -215,25 +215,71 @@ def test_dataflow_matches_floyd_warshall_oracle():
 
 
 def test_base_fact_naive_rederivation():
-    # Independent single-pass scan for EC/CA/MathOp/Comp on random programs.
+    # Independent single-pass scan for EC/CA/MathOp/Comp and the storage and
+    # environment relations on random programs.
     rng = random.Random(5)
     for _ in range(60):
         program = random_program(rng)
         db = derive_base_facts(program)
         ec, ca, mo, cmp_ = set(), set(), set(), set()
+        loads, stores, callers, stamps, plain = [], [], [], [], []
         for _, _, s in program.statements():
             if s.opcode is Opcode.CALL and len(s.args) >= 3:
                 ec.add((s.sid, s.args[0], s.args[2]))
                 for i, a in enumerate(s.args[3:]):
                     ca.add((s.sid, a, i))
+            if s.opcode is Opcode.CALL and len(s.args) == 2:
+                plain.append(s)
             if s.opcode.value in ("ADD", "SUB", "MUL", "DIV", "MOD") and s.defvar:
                 mo.add((s.defvar, s.opcode.value.lower(), s.args))
             if s.opcode.value in ("LT", "GT", "EQ"):
                 cmp_.add((s.sid, s.opcode.value.lower(), s.args[0], s.args[1], s.defvar))
+            # Random programs address storage by literal slots only.
+            slot = s.args[0] if s.args and isinstance(s.args[0], int) else None
+            if s.opcode is Opcode.SLOAD and slot is not None:
+                loads.append((s.sid, slot, s.defvar))
+            if s.opcode is Opcode.SSTORE and slot is not None:
+                stores.append((s.sid, slot, s.args[1]))
+            if s.opcode is Opcode.CALLER:
+                callers.append(s.defvar)
+            if s.opcode is Opcode.TIMESTAMP:
+                stamps.append(s.defvar)
         assert set(db.external_call) == ec
         assert set(db.call_arg) == ca
         assert set(db.math_op) == mo
         assert set(db.comp) == cmp_
+        assert [(o.sid, o.slot, o.value) for o in db.sloads] == loads
+        assert [(o.sid, o.slot, o.value) for o in db.sstores] == stores
+        assert db.slot_loads == {
+            k: tuple(v for _, slot, v in loads if slot == k)
+            for k in {slot for _, slot, _ in loads}
+        }
+        assert list(db.caller_defs) == callers
+        assert list(db.timestamp_defs) == stamps
+        assert list(db.plain_calls) == plain
+
+
+def test_storage_and_balance_relations_keep_only_resolved_rows():
+    other = "0x" + "bb" * 20
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params (vK, vV) {{
+  block B0:
+    0: vs = CONST 4
+    1: v1 = SLOAD vK
+    2: SSTORE vK vV
+    3: v2 = SLOAD vs
+    4: SSTORE vs v2
+    5: vmine = BALANCE {ADDR}
+    6: vtheirs = BALANCE {other}
+    7: vp = BALANCE vK
+    stop
+}}
+"""
+    db = derive_base_facts(parse_ir(text))
+    assert [(o.sid, o.slot, o.value) for o in db.sloads] == [("f.B0.3", 4, "v2")]
+    assert [(o.sid, o.slot, o.value) for o in db.sstores] == [("f.B0.4", 4, "v2")]
+    assert db.slot_loads == {4: ("v2",)}
+    assert db.self_balance_defs == ("vmine",)
 
 
 def test_fact_dump_is_deterministic(tmp_path):
