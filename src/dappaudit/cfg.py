@@ -1,14 +1,17 @@
-"""Per-function control-flow graphs and control dependence.
+"""Per-function control dependence.
 
-Post-dominators are computed by an iterative set fixpoint over a graph
-augmented with a synthetic exit node; control-dependence base edges come
-from post-dominance frontiers, and the exposed relation is their
-block-level transitive closure: a statement depends on every branch whose
-outcome can change whether the statement executes.
+Post-dominators are computed by an iterative set fixpoint over the
+control-flow graph augmented with a synthetic exit node. Control
+dependence takes the region form of Ferrante, Ottenstein & Warren (1987):
+a branch at block A with immediate post-dominator P controls, under an
+outcome, every block that the successor for that outcome reaches before
+P. The relation is transitive by construction: a statement depends on
+every branch whose outcome can change whether the statement executes,
+including statements in a region that never reaches the exit. A branch
+from which no path reaches the exit has no immediate post-dominator and
+controls nothing.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .model import IrFunction, Operand, TermKind
 
@@ -16,20 +19,6 @@ EXIT = "__exit__"
 
 # Terminators that leave the function (edges to the synthetic exit).
 _EXITING = {TermKind.RETURN, TermKind.RETURNPRIVATE, TermKind.REVERT, TermKind.STOP}
-
-
-@dataclass(frozen=True)
-class Cfg:
-    function: str
-    nodes: tuple[str, ...]
-    # (src, dst, branch): branch is True/False for jumpi edges, None for jump.
-    edges: tuple[tuple[str, str, bool | None], ...]
-    ipdom: dict[str, str]
-    # Transitive block-level control dependence: block -> {(cond, branch)}.
-    block_deps: dict[str, frozenset[tuple[Operand, bool]]]
-    # Statement-level view of the same relation, keyed by sid.
-    stmt_controls: dict[str, frozenset[tuple[Operand, bool]]]
-    unreachable: tuple[str, ...]
 
 
 def _successors(fn: IrFunction) -> dict[str, list[tuple[str, bool | None]]]:
@@ -47,43 +36,44 @@ def _successors(fn: IrFunction) -> dict[str, list[tuple[str, bool | None]]]:
     return succ
 
 
-def build_cfg(fn: IrFunction) -> Cfg:
+def control_dependence(fn: IrFunction) -> dict[str, frozenset[tuple[Operand, bool]]]:
+    """Statement id -> every (condition, outcome) that controls it."""
     order = [b.bid for b in fn.blocks]
     succ = _successors(fn)
-    edges = tuple((src, dst, br) for src in order for dst, br in succ[src])
-
-    reachable = _forward_reachable(order[0], succ)
-    unreachable = tuple(b for b in order if b not in reachable)
-
     ipdom = _post_dominators(order, succ)
-    base = _frontier_deps(fn, order, succ, ipdom, reachable)
-    block_deps = _transitive(fn, base)
+    reachable = _reach(order[0], succ)
 
-    stmt_controls: dict[str, frozenset[tuple[Operand, bool]]] = {}
+    deps: dict[str, set[tuple[Operand, bool]]] = {n: set() for n in order}
     for b in fn.blocks:
-        deps = block_deps.get(b.bid, frozenset())
-        for s in b.statements:
-            stmt_controls[s.sid] = deps
+        # A branch that never executes, or after which no path reaches the
+        # exit, controls nothing.
+        if (
+            b.terminator.kind is not TermKind.JUMPI
+            or b.bid not in reachable
+            or b.bid not in ipdom
+        ):
+            continue
+        for dst, branch in succ[b.bid]:
+            for n in _reach(dst, succ, stop=ipdom[b.bid]):
+                deps[n].add((b.terminator.cond, branch))
 
-    return Cfg(
-        function=fn.name,
-        nodes=tuple(order),
-        edges=edges,
-        ipdom=ipdom,
-        block_deps=block_deps,
-        stmt_controls=stmt_controls,
-        unreachable=unreachable,
-    )
+    return {
+        s.sid: frozenset(deps[b.bid]) for b in fn.blocks for s in b.statements
+    }
 
 
-def _forward_reachable(entry: str, succ: dict[str, list[tuple[str, bool | None]]]) -> set[str]:
-    seen = {entry}
-    work = [entry]
+def _reach(
+    start: str, succ: dict[str, list[tuple[str, bool | None]]], stop: str = EXIT
+) -> set[str]:
+    """Blocks reachable from `start` without entering `stop` or the exit."""
+    seen: set[str] = set()
+    work = [start]
     while work:
-        for dst, _ in succ[work.pop()]:
-            if dst != EXIT and dst not in seen:
-                seen.add(dst)
-                work.append(dst)
+        n = work.pop()
+        if n in seen or n == stop or n == EXIT:
+            continue
+        seen.add(n)
+        work.extend(d for d, _ in succ[n])
     return seen
 
 
@@ -106,8 +96,7 @@ def _post_dominators(
                 pdom[n] = new
                 changed = True
 
-    # A block that cannot reach the exit has no defined ipdom and takes no
-    # part in control dependence.
+    # A block that cannot reach the exit has no defined ipdom.
     reaches_exit = {EXIT}
     changed = True
     while changed:
@@ -130,53 +119,3 @@ def _post_dominators(
                 ipdom[n] = c
                 break
     return ipdom
-
-
-def _frontier_deps(
-    fn: IrFunction,
-    order: list[str],
-    succ: dict[str, list[tuple[str, bool | None]]],
-    ipdom: dict[str, str],
-    reachable: set[str],
-) -> dict[str, set[tuple[str, Operand, bool]]]:
-    """Base control dependence: walk the post-dominator tree per branch edge."""
-    deps: dict[str, set[tuple[str, Operand, bool]]] = {n: set() for n in order}
-    for a in order:
-        # A branch that never executes controls nothing.
-        if a not in reachable:
-            continue
-        block = fn.block(a)
-        if block.terminator.kind is not TermKind.JUMPI:
-            continue
-        cond = block.terminator.cond
-        stop = ipdom.get(a)
-        if stop is None:
-            continue
-        for dst, br in succ[a]:
-            runner = dst
-            while runner != stop and runner != EXIT:
-                deps[runner].add((a, cond, br))
-                nxt = ipdom.get(runner)
-                if nxt is None:
-                    break
-                runner = nxt
-    return deps
-
-
-def _transitive(
-    fn: IrFunction, base: dict[str, set[tuple[str, Operand, bool]]]
-) -> dict[str, frozenset[tuple[Operand, bool]]]:
-    # A branch statement is itself subject to its block's dependences, so a
-    # dependent block inherits the dependences of each controlling block.
-    full: dict[str, set[tuple[str, Operand, bool]]] = {b: set(d) for b, d in base.items()}
-    changed = True
-    while changed:
-        changed = False
-        for b in full:
-            add: set[tuple[str, Operand, bool]] = set()
-            for src, _, _ in full[b]:
-                add |= full.get(src, set())
-            if not add <= full[b]:
-                full[b] |= add
-                changed = True
-    return {b: frozenset((c, br) for _, c, br in d) for b, d in full.items()}

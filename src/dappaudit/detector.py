@@ -57,10 +57,6 @@ class InconsistencyReport:
     findings: tuple[Finding, ...]
     budget_exceeded: bool = False
 
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "contract": self.contract,
@@ -292,7 +288,7 @@ def _concealed_pause(
 ) -> Finding | None:
     if attrs.pause_disclosed is not False:
         return None
-    hits = [p for p in sem.pauses if p.owner_modifiable and p.gates_transfer]
+    hits = [p for p in sem.pauses if p.owner_modifiable and p.gated_call_sites]
     if not hits:
         return None
     return Finding(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .cfg import build_cfg
+from .cfg import control_dependence
 from .model import (
     ARITH_OPS,
     COMPARE_OPS,
@@ -153,7 +153,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     controls = [
         (cond, sid, branch)
         for fn in program.functions
-        for sid, deps in build_cfg(fn).stmt_controls.items()
+        for sid, deps in control_dependence(fn).items()
         for cond, branch in sorted(deps, key=repr)
         if isinstance(cond, str)
     ]

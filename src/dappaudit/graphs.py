@@ -1,11 +1,12 @@
 """Fund-transfer and state-dependency graphs, and the plan they induce.
 
-The fund-transfer graph (FTG) records every inferred transfer as an edge
-from the contract-self node to a classified recipient.  The state
-dependency graph (SDG) records role-slot writes, which of them sit behind
-a sender check, and pause flags that gate transfers.  The analysis plan
-lists, per public selector, the statements worth checkpointing during
-symbolic execution; selectors with no graph content are excluded.
+The fund-transfer graph (FTG) records every inferred transfer out of the
+contract as an edge that carries its recipient's class.  The state
+dependency graph (SDG) records storage roles, role-slot writes with
+whether each sits behind a sender check, and pause flags that gate
+transfers.  The analysis plan lists, per public selector, the statements
+worth checkpointing during symbolic execution; selectors with no graph
+content are excluded.
 """
 from __future__ import annotations
 
@@ -26,24 +27,12 @@ from .inference import (
 )
 from .model import Operand
 
-# Distinguished node for the contract itself.  Variables are v-prefixed,
-# so the name cannot collide with a recipient operand.
-SELF_NODE = "self"
-
-
 @unique
 class RecipientClass(Enum):
     CALLER = "caller"
     CONSTANT_ADDRESS = "constant_address"
     STORAGE_LOADED = "storage_loaded"
     OTHER = "other"
-    CONTRACT_SELF = "self"
-
-
-@dataclass(frozen=True)
-class FtgNode:
-    recipient: Operand
-    kind: RecipientClass
 
 
 @dataclass(frozen=True)
@@ -52,6 +41,7 @@ class FtgEdge:
 
     call_site: str
     recipient: Operand
+    recipient_class: RecipientClass
     amount: Operand
     selector: str
     kind: TransferKind
@@ -65,29 +55,7 @@ class FtgEdge:
 
 @dataclass(frozen=True)
 class FundTransferGraph:
-    nodes: tuple[FtgNode, ...]
     edges: tuple[FtgEdge, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
-    def recipient_class(self, recipient: Operand) -> RecipientClass | None:
-        for n in self.nodes:
-            if n.recipient == recipient:
-                return n.kind
-        return None
-
-
-@dataclass(frozen=True)
-class GuardEdge:
-    """Writes to `slot` under `selector` run only after a sender check
-    against `guard_slot`."""
-
-    guard_slot: int
-    slot: int
-    selector: str
-    store_site: str
 
 
 @dataclass(frozen=True)
@@ -96,6 +64,7 @@ class SlotWrite:
     store_site: str
     selector: str
     value: Operand
+    # A sender check under the same selector decides whether the store runs.
     guarded: bool
 
 
@@ -112,13 +81,8 @@ class PauseEdge:
 class StateDependencyGraph:
     # (slot, role name) for every inferred storage role.
     nodes: tuple[tuple[int, str], ...]
-    guard_edges: tuple[GuardEdge, ...]
     writes: tuple[SlotWrite, ...]
     pause_edges: tuple[PauseEdge, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.nodes or self.guard_edges or self.writes or self.pause_edges)
 
     def writes_to(self, slot: int) -> tuple[SlotWrite, ...]:
         return tuple(w for w in self.writes if w.slot == slot)
@@ -129,17 +93,11 @@ class PlanEntry:
     selector: str
     # Statement ids to capture state at: transfer calls and role-slot stores.
     checkpoints: tuple[str, ...]
-    # Variables whose symbolic values matter at those checkpoints.
-    tracked: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class AnalysisPlan:
     entries: tuple[PlanEntry, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
 
     def selectors(self) -> tuple[str, ...]:
         return tuple(e.selector for e in self.entries)
@@ -180,6 +138,7 @@ def build_ftg(
         FtgEdge(
             call_site=t.call_site,
             recipient=t.recipient,
+            recipient_class=classify(t.recipient),
             amount=t.amount,
             selector=t.selector,
             kind=t.kind,
@@ -189,12 +148,7 @@ def build_ftg(
         )
         for t in transfers
     )
-
-    node_map = {t.recipient: classify(t.recipient) for t in transfers}
-    nodes = [FtgNode(r, k) for r, k in node_map.items()]
-    nodes.append(FtgNode(SELF_NODE, RecipientClass.CONTRACT_SELF))
-    nodes.sort(key=lambda n: (n.kind.value, str(n.recipient)))
-    return FundTransferGraph(nodes=tuple(nodes), edges=edges)
+    return FundTransferGraph(edges=edges)
 
 
 def _shared_amount_edges(
@@ -239,24 +193,18 @@ def build_sdg(
     # Comparison result variable for each guard's compare site.
     comp_def = {sid: d for sid, _, _, _, d in db.comp}
 
-    guard_edges: list[GuardEdge] = []
     writes: list[SlotWrite] = []
     for store in db.sstores:
         if store.slot not in role_slots:
             continue
         for selector in sorted(db.selectors_of(store.sid)):
-            guarding = sorted(
-                g.slot
-                for g in guards
-                if g.selector == selector
+            guarded = any(
+                g.selector == selector
                 and g.compare_site in comp_def
                 and db.value_controls(comp_def[g.compare_site], store.sid)
+                for g in guards
             )
-            for g_slot in guarding:
-                guard_edges.append(GuardEdge(g_slot, store.slot, selector, store.sid))
-            writes.append(
-                SlotWrite(store.slot, store.sid, selector, store.value, bool(guarding))
-            )
+            writes.append(SlotWrite(store.slot, store.sid, selector, store.value, guarded))
 
     pause_slots = sorted({r.slot for r in roles if r.role is StorageRole.PAUSE})
     pause_edges: list[PauseEdge] = []
@@ -273,7 +221,6 @@ def build_sdg(
 
     return StateDependencyGraph(
         nodes=nodes,
-        guard_edges=tuple(sorted(guard_edges, key=lambda e: (e.slot, e.selector, e.guard_slot, e.store_site))),
         writes=tuple(sorted(writes, key=lambda w: (w.slot, w.store_site, w.selector))),
         pause_edges=tuple(sorted(pause_edges, key=lambda e: (e.slot, e.call_site, e.selector))),
     )
@@ -281,26 +228,15 @@ def build_sdg(
 
 def plan_symexec(ftg: FundTransferGraph, sdg: StateDependencyGraph) -> AnalysisPlan:
     """Selectors owning at least one edge or role-slot write, with their
-    checkpoint statements and the variables to track there."""
+    checkpoint statements."""
     checkpoints: dict[str, set[str]] = defaultdict(set)
-    tracked: dict[str, set[str]] = defaultdict(set)
-
     for e in ftg.edges:
         checkpoints[e.selector].add(e.call_site)
-        for v in (e.recipient, e.amount):
-            if isinstance(v, str):
-                tracked[e.selector].add(v)
     for w in sdg.writes:
         checkpoints[w.selector].add(w.store_site)
-        if isinstance(w.value, str):
-            tracked[w.selector].add(w.value)
 
     entries = tuple(
-        PlanEntry(
-            selector=sel,
-            checkpoints=tuple(sorted(checkpoints[sel])),
-            tracked=tuple(sorted(tracked[sel])),
-        )
+        PlanEntry(selector=sel, checkpoints=tuple(sorted(checkpoints[sel])))
         for sel in sorted(checkpoints)
     )
     return AnalysisPlan(entries=entries)
@@ -315,38 +251,3 @@ def build_graphs(
     ftg = build_ftg(db, transfers, guards, roles)
     sdg = build_sdg(db, roles, guards, transfers)
     return ftg, sdg, plan_symexec(ftg, sdg)
-
-
-def dump_graphs(ftg: FundTransferGraph, sdg: StateDependencyGraph) -> str:
-    """Deterministic plain-text adjacency dump, for golden tests."""
-    lines = ["ftg nodes:"]
-    lines += [f"  {n.kind.value} {n.recipient}" for n in ftg.nodes] or ["  (none)"]
-    lines.append("ftg edges:")
-    for e in ftg.edges:
-        owner = e.privileged_owner if e.privileged_owner is not None else "-"
-        lines.append(
-            f"  {SELF_NODE} -> {e.recipient} amount={e.amount}"
-            f" selector={e.selector} kind={e.kind.value} owner_slot={owner}"
-            f" self_balance={int(e.amount_from_self_balance)}"
-            f" shared_fee={int(e.shared_fee_ancestor)}"
-        )
-    if not ftg.edges:
-        lines.append("  (none)")
-    lines.append("sdg nodes:")
-    lines += [f"  slot {s} role {r}" for s, r in sdg.nodes] or ["  (none)"]
-    lines.append("sdg guard edges:")
-    lines += [
-        f"  slot {e.guard_slot} -> slot {e.slot} selector={e.selector} store={e.store_site}"
-        for e in sdg.guard_edges
-    ] or ["  (none)"]
-    lines.append("sdg writes:")
-    lines += [
-        f"  slot {w.slot} store={w.store_site} selector={w.selector}"
-        f" value={w.value} guarded={int(w.guarded)}"
-        for w in sdg.writes
-    ] or ["  (none)"]
-    lines.append("sdg pause edges:")
-    lines += [
-        f"  slot {e.slot} -> {e.call_site} selector={e.selector}" for e in sdg.pause_edges
-    ] or ["  (none)"]
-    return "\n".join(lines) + "\n"

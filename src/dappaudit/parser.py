@@ -36,7 +36,6 @@ from .model import (
 )
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
-_SELECTOR_RE = re.compile(r"^0x[0-9a-fA-F]{8}$")
 _VAR_RE = re.compile(r"^v[A-Za-z0-9_]*$")
 _SLOT_RE = re.compile(r"^slot\((0x[0-9a-fA-F]+|\d+)\)$")
 _TERMINATORS = {k.value for k in TermKind}

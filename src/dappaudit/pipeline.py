@@ -146,11 +146,13 @@ def expand_directory(
     """Per-contract configs for every *.ir under ir_dir, pairing each with
     its <name>.attrs.json sidecar and a report path under out_dir. Shared
     settings (chain backend, limits, strict mode) pass through `common`."""
+    if common.get("facts_dump") is not None:
+        raise ConfigError("--facts-dump takes a single IR file, not a directory")
     ir_files = sorted(ir_dir.glob("*.ir"))
     if not ir_files:
         raise ConfigError(f"no .ir files under {ir_dir}")
-    # Relation dumps and endpoint fan-out are single-contract concerns.
-    common = {**common, "facts_dump": None, "jobs": 1}
+    # Endpoint fan-out is a single-contract concern.
+    common = {**common, "jobs": 1}
     configs = []
     for ir in ir_files:
         sidecar = ir.with_suffix(".attrs.json")

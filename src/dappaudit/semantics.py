@@ -19,7 +19,7 @@ from typing import Sequence
 from .executor import CheckpointState, ExecutionResult
 from .facts import FactDb
 from .feasibility import Feasibility
-from .graphs import FundTransferGraph, RecipientClass, StateDependencyGraph
+from .graphs import FtgEdge, FundTransferGraph, RecipientClass, StateDependencyGraph
 from .inference import StorageRole, TransferKind
 from .symexpr import SymExpr, const, contains_op, leaves, render
 
@@ -29,9 +29,7 @@ class DynamicFlags:
     """Which non-constant inputs the amount expression depends on."""
 
     balance_self: bool
-    store_init: bool
     store_written: bool
-    calldata_arg: bool
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class SupplyStatus:
 class PauseStatus:
     slot: int
     owner_modifiable: bool
-    gates_transfer: bool
     write_sites: tuple[str, ...]
     gated_call_sites: tuple[str, ...]
 
@@ -105,38 +102,21 @@ class ContractSemantics:
     token_uri_slot: int | None
     budget_exceeded: bool
 
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.transfers
-            or self.fee_candidates
-            or self.supplies
-            or self.pauses
-            or self.locks
-            or self.token_uri_slot is not None
-        )
-
 
 def _dynamic_flags(e: SymExpr, written_slots: frozenset[int]) -> DynamicFlags:
     balance = False
-    store_init = False
     store_written = False
-    calldata_arg = False
     for leaf in leaves(e):
         if leaf == "balance(self)":
             balance = True
         elif leaf.startswith("store("):
-            store_init = True
             if int(leaf[6:-1]) in written_slots:
                 store_written = True
         elif leaf.startswith("sload("):
             # Dynamic-slot load: the slot cannot be named, so writability
             # cannot be ruled out.
-            store_init = True
             store_written = True
-        elif leaf.startswith("calldata("):
-            calldata_arg = True
-    return DynamicFlags(balance, store_init, store_written, calldata_arg)
+    return DynamicFlags(balance, store_written)
 
 
 def _fee_shape(e: SymExpr) -> tuple[SymExpr, SymExpr, int] | None:
@@ -144,8 +124,6 @@ def _fee_shape(e: SymExpr) -> tuple[SymExpr, SymExpr, int] | None:
     if e.op != "div" or e.args[1].op != "const":
         return None
     d = e.args[1].value
-    if d == 0:
-        return None
     num = e.args[0]
     if num.op == "mul":
         a, b = num.args
@@ -179,28 +157,23 @@ def summarize_semantics(
 
     written_slots = frozenset(s.slot for s in db.sstores)
 
-    edge_index: dict[tuple[str, str], list] = {}
+    # (call site, selector) -> each edge there with its amount's argument
+    # position; inference takes the amount from the CALL's own arguments.
+    edge_index: dict[tuple[str, str], list[tuple[FtgEdge, int]]] = {}
     for edge in ftg.edges:
-        edge_index.setdefault((edge.call_site, edge.selector), []).append(edge)
+        idx = db.program.statement(edge.call_site).args.index(edge.amount)
+        edge_index.setdefault((edge.call_site, edge.selector), []).append((edge, idx))
 
     transfers: list[TransferSummary] = []
     seen: dict[tuple[str, str, str], int] = {}
     for cp in cps:
-        if cp.opcode != "CALL":
-            continue
-        stmt = db.program.statement(cp.checkpoint)
-        for edge in edge_index.get((cp.checkpoint, cp.selector), ()):
-            try:
-                idx = stmt.args.index(edge.amount)
-            except ValueError:
-                continue
+        for edge, idx in edge_index.get((cp.checkpoint, cp.selector), ()):
             amount_expr = cp.args[idx]
             summary = TransferSummary(
                 call_site=edge.call_site,
                 selector=edge.selector,
                 kind=edge.kind,
-                recipient_class=ftg.recipient_class(edge.recipient)
-                or RecipientClass.OTHER,
+                recipient_class=edge.recipient_class,
                 amount=render(amount_expr),
                 amount_expr=amount_expr,
                 dynamic=_dynamic_flags(amount_expr, written_slots),
@@ -229,7 +202,7 @@ def summarize_semantics(
 
     fee_candidates: list[FeeCandidate] = []
     for t in transfers:
-        if t.recipient_class in (RecipientClass.CALLER, RecipientClass.CONTRACT_SELF):
+        if t.recipient_class is RecipientClass.CALLER:
             continue
         shape = _fee_shape(t.amount_expr)
         if shape is None:
@@ -289,7 +262,6 @@ def summarize_semantics(
             PauseStatus(
                 slot=slot,
                 owner_modifiable=any(w.guarded for w in writes),
-                gates_transfer=bool(gated),
                 write_sites=tuple(sorted({w.store_site for w in writes})),
                 gated_call_sites=gated,
             )

@@ -1,9 +1,9 @@
-"""CFG construction, post-dominators and control dependence."""
+"""Control dependence over each function's control-flow graph."""
 from __future__ import annotations
 
 import random
 
-from dappaudit.cfg import EXIT, build_cfg
+from dappaudit.cfg import control_dependence
 from dappaudit.parser import parse_ir
 from helpers import ADDR, flip_dependence, random_cfg_text
 
@@ -22,12 +22,7 @@ function f public sig 0x00000001 params () {{
 }}
 """
     )
-    cfg = build_cfg(fn)
-    assert cfg.nodes == ("B0",)
-    assert cfg.edges == (("B0", EXIT, None),)
-    assert cfg.ipdom == {"B0": EXIT}
-    assert cfg.stmt_controls["f.B0.0"] == frozenset()
-    assert cfg.unreachable == ()
+    assert control_dependence(fn) == {"f.B0.0": frozenset()}
 
 
 DIAMOND = f"""contract {ADDR}
@@ -49,11 +44,11 @@ function f public sig 0x00000001 params () {{
 
 
 def test_diamond_dependence():
-    cfg = build_cfg(_fn(DIAMOND))
-    assert cfg.stmt_controls["f.B1.0"] == frozenset({("vc", True)})
-    assert cfg.stmt_controls["f.B2.0"] == frozenset({("vc", False)})
-    assert cfg.stmt_controls["f.B3.0"] == frozenset()
-    assert cfg.ipdom["B0"] == "B3"
+    deps = control_dependence(_fn(DIAMOND))
+    assert deps["f.B1.0"] == frozenset({("vc", True)})
+    assert deps["f.B2.0"] == frozenset({("vc", False)})
+    assert deps["f.B3.0"] == frozenset()
+    assert deps["f.B0.0"] == frozenset()
 
 
 NESTED = f"""contract {ADDR}
@@ -79,10 +74,10 @@ function f public sig 0x00000001 params () {{
 def test_nested_chain_is_transitive():
     # Y executes only when vc1 picks B and vc2 picks Y: holding vc2 fixed at
     # the Y branch, flipping vc1 toggles Y, so Y depends on both conditions.
-    cfg = build_cfg(_fn(NESTED))
-    assert cfg.stmt_controls["f.Y.0"] == frozenset({("vc1", True), ("vc2", False)})
+    deps = control_dependence(_fn(NESTED))
+    assert deps["f.Y.0"] == frozenset({("vc1", True), ("vc2", False)})
     # X is reachable under either vc1 outcome, depending on vc2.
-    assert cfg.stmt_controls["f.X.0"] == frozenset(
+    assert deps["f.X.0"] == frozenset(
         {("vc1", True), ("vc1", False), ("vc2", True)}
     )
 
@@ -104,13 +99,12 @@ function f public sig 0x00000001 params (vn) {{
 
 
 def test_loop_body_depends_on_its_own_condition():
-    cfg = build_cfg(_fn(LOOP))
-    assert cfg.stmt_controls["f.L.0"] == frozenset({("v4", True)})
-    assert cfg.stmt_controls["f.B0.0"] == frozenset()
-    assert cfg.ipdom["L"] == "X"
+    deps = control_dependence(_fn(LOOP))
+    assert deps["f.L.0"] == frozenset({("v4", True)})
+    assert deps["f.B0.0"] == frozenset()
 
 
-def test_unreachable_block_is_reported_and_controls_nothing():
+def test_unreachable_branch_controls_nothing():
     text = f"""contract {ADDR}
 function f public sig 0x00000001 params () {{
   block B0:
@@ -126,28 +120,53 @@ function f public sig 0x00000001 params () {{
     stop
 }}
 """
-    cfg = build_cfg(_fn(text))
-    assert cfg.unreachable == ("B1", "B3")
     # vc's branch never runs, so nothing may depend on it.
-    for sid, deps in cfg.stmt_controls.items():
+    for sid, deps in control_dependence(_fn(text)).items():
         assert all(c != "vc" for c, _ in deps), sid
 
 
-def test_dead_end_loop_has_no_ipdom():
+def test_dead_end_loop_depends_on_the_branch_into_it():
     text = f"""contract {ADDR}
 function f public sig 0x00000001 params () {{
   block B0:
     0: vc = CALLVALUE
     jumpi vc B1 B2
   block B1:
+    0: vx = CONST 1
     jump B1
+  block B2:
+    0: vy = CONST 2
+    stop
+}}
+"""
+    deps = control_dependence(_fn(text))
+    assert deps["f.B1.0"] == frozenset({("vc", True)})
+    # Every path that leaves the function passes B2, so B2 post-dominates
+    # the branch and depends on nothing.
+    assert deps["f.B2.0"] == frozenset()
+
+
+def test_whole_dead_end_region_depends_on_the_branch_into_it():
+    # B3 runs only when vc is true, although it lies past the first block
+    # that cannot reach the exit.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: vc = CALLVALUE
+    jumpi vc B1 B2
+  block B1:
+    0: vx = CONST 1
+    jump B3
+  block B3:
+    0: vy = CONST 2
+    jump B3
   block B2:
     stop
 }}
 """
-    cfg = build_cfg(_fn(text))
-    assert "B1" not in cfg.ipdom
-    assert cfg.ipdom["B0"] == "B2"
+    deps = control_dependence(_fn(text))
+    assert deps["f.B1.0"] == frozenset({("vc", True)})
+    assert deps["f.B3.0"] == frozenset({("vc", True)})
 
 
 def test_control_dependence_matches_flip_oracle():
@@ -156,8 +175,8 @@ def test_control_dependence_matches_flip_oracle():
     rng = random.Random(20260819)
     for i in range(220):
         fn = _fn(random_cfg_text(rng))
-        cfg = build_cfg(fn)
+        deps = control_dependence(fn)
         oracle = flip_dependence(fn)
         for b in fn.blocks:
-            got = {c for c, _ in cfg.block_deps.get(b.bid, frozenset())}
+            got = {c for c, _ in deps[b.statements[0].sid]}
             assert got == oracle[b.bid], f"instance {i}, block {b.bid}"

@@ -248,6 +248,16 @@ def test_directory_audit_rejects_claim_flags(corpus_dir, capsys):
     assert "sidecar" in capsys.readouterr().err
 
 
+def test_directory_audit_rejects_facts_dump(corpus_dir, capsys):
+    dump = corpus_dir / "dump"
+    args = _dir_args(corpus_dir, corpus_dir / "x") + ["--facts-dump", str(dump)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--facts-dump" in err
+    assert len(err.splitlines()) == 1
+    assert not dump.exists()
+
+
 def test_directory_audit_missing_sidecar(corpus_dir, capsys):
     (corpus_dir / "corpus" / "hot.attrs.json").unlink()
     assert main(_dir_args(corpus_dir, corpus_dir / "x")) == 2

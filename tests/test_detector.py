@@ -739,7 +739,6 @@ def test_combined_fixture_reports_ur_then_hf():
     hf = report.findings[1]
     assert hf.evidence["fee_slot_modifiable"] is True
     assert report.contract == ADDR
-    assert not report.clean
 
 
 def test_finding_order_is_fixed():
@@ -812,7 +811,7 @@ function ping public sig 0x00000007 params () {{
 }}
 """
     report = _detect(quiet, FrontendAttributes())
-    assert report.clean
+    assert report.findings == ()
     assert report.render() == json.dumps(
         {"contract": ADDR, "findings": []}, indent=2
     ) + "\n"

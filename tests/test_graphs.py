@@ -4,12 +4,8 @@ from __future__ import annotations
 import random
 
 from dappaudit.facts import build_facts
-from dappaudit.graphs import (
-    RecipientClass,
-    SELF_NODE,
-    build_graphs,
-    dump_graphs,
-)
+from dappaudit.graphs import FtgEdge, RecipientClass, build_graphs
+from dappaudit.inference import TransferKind
 from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
 from helpers import ADDR, random_program
@@ -37,11 +33,12 @@ function f public sig 0x00000001 params (vp) {{
 }}
 """
     )
-    assert ftg.recipient_class("vr1") is RecipientClass.CALLER
-    assert ftg.recipient_class("vk") is RecipientClass.CONSTANT_ADDRESS
-    assert ftg.recipient_class("vr3") is RecipientClass.STORAGE_LOADED
-    assert ftg.recipient_class("vp") is RecipientClass.OTHER
-    assert ftg.recipient_class(SELF_NODE) is RecipientClass.CONTRACT_SELF
+    assert {e.recipient: e.recipient_class for e in ftg.edges} == {
+        "vr1": RecipientClass.CALLER,
+        "vk": RecipientClass.CONSTANT_ADDRESS,
+        "vr3": RecipientClass.STORAGE_LOADED,
+        "vp": RecipientClass.OTHER,
+    }
     assert len(ftg.edges) == 4
 
 
@@ -68,7 +65,7 @@ def test_guarded_withdraw_all_edge():
     assert e.privileged_owner == 0
     assert e.amount_from_self_balance
     assert not e.shared_fee_ancestor
-    assert ftg.recipient_class("vc") is RecipientClass.CALLER
+    assert e.recipient_class is RecipientClass.CALLER
 
 
 def test_unguarded_transfer_has_no_privileged_owner():
@@ -184,16 +181,13 @@ function move public sig 0x00000005 params (vto, vval) {{
 def test_pause_setter_and_gated_transfer():
     _, sdg, plan = _graphs(PAUSABLE)
     assert set(sdg.nodes) == {(0, "owner"), (3, "pause")}
-    (ge,) = sdg.guard_edges
-    assert (ge.guard_slot, ge.slot, ge.selector) == (0, 3, "0x00000004")
     (w,) = sdg.writes
-    assert (w.slot, w.guarded) == (3, True)
+    assert (w.slot, w.selector, w.guarded) == (3, "0x00000004", True)
     (pe,) = sdg.pause_edges
     assert (pe.slot, pe.call_site, pe.selector) == (3, "move.M1.0", "0x00000005")
     assert plan.selectors() == ("0x00000004", "0x00000005")
     assert plan.entry("0x00000004").checkpoints == ("setPause.B3.0",)
-    assert plan.entry("0x00000004").tracked == ()
-    assert plan.entry("0x00000005").tracked == ("vto", "vval")
+    assert plan.entry("0x00000005").checkpoints == ("move.M1.0",)
 
 
 def test_lock_written_guarded_and_unguarded():
@@ -223,8 +217,6 @@ function lockU public sig 0x00000007 params (vt2) {{
 """
     )
     assert (5, "lock_time") in sdg.nodes
-    (ge,) = sdg.guard_edges
-    assert (ge.guard_slot, ge.slot, ge.selector) == (0, 5, "0x00000006")
     flags = {w.selector: w.guarded for w in sdg.writes_to(5)}
     assert flags == {"0x00000006": True, "0x00000007": False}
 
@@ -239,9 +231,9 @@ function pure public sig 0x00000001 params (va, vb) {{
 }}
 """
     )
-    assert ftg.is_empty
-    assert sdg.is_empty
-    assert plan.is_empty
+    assert ftg.edges == ()
+    assert (sdg.nodes, sdg.writes, sdg.pause_edges) == ((), (), ())
+    assert plan.entries == ()
 
 
 def test_plan_excludes_functions_without_graph_content():
@@ -278,43 +270,37 @@ def test_plan_well_formed_on_random_programs():
             w.selector for w in sdg.writes
         }
         assert set(plan.selectors()) == edge_selectors
-        defined = {
-            s.defvar for _, _, s in program.statements() if s.defvar is not None
-        } | {p for fn in program.functions for p in fn.params}
         for entry in plan.entries:
             assert entry.checkpoints
             for sid in entry.checkpoints:
                 stmt = program.statement(sid)
                 assert stmt.opcode in (Opcode.CALL, Opcode.SSTORE)
-            for v in entry.tracked:
-                assert v in defined
 
 
-def test_dump_is_deterministic_golden():
-    db = build_facts(parse_ir(WITHDRAW_ALL))
-    ftg, sdg, _ = build_graphs(db)
-    assert dump_graphs(ftg, sdg) == (
-        "ftg nodes:\n"
-        "  caller vc\n"
-        "  self self\n"
-        "ftg edges:\n"
-        "  self -> vc amount=vb selector=0x00000002 kind=ether owner_slot=0"
-        " self_balance=1 shared_fee=0\n"
-        "sdg nodes:\n"
-        "  slot 0 role owner\n"
-        "sdg guard edges:\n"
-        "  (none)\n"
-        "sdg writes:\n"
-        "  (none)\n"
-        "sdg pause edges:\n"
-        "  (none)\n"
+def test_withdraw_all_graphs_golden():
+    ftg, sdg, _ = _graphs(WITHDRAW_ALL)
+    assert ftg.edges == (
+        FtgEdge(
+            call_site="clear.B1.1",
+            recipient="vc",
+            recipient_class=RecipientClass.CALLER,
+            amount="vb",
+            selector="0x00000002",
+            kind=TransferKind.ETHER,
+            privileged_owner=0,
+            amount_from_self_balance=True,
+            shared_fee_ancestor=False,
+        ),
     )
+    assert sdg.nodes == ((0, "owner"),)
+    assert sdg.writes == ()
+    assert sdg.pause_edges == ()
 
 
 def test_graphs_ignore_function_declaration_order():
     base = PAUSABLE
     fns = base.split("function ")
     swapped = fns[0] + "function " + fns[2].rstrip("\n") + "\nfunction " + fns[1]
-    a = dump_graphs(*build_graphs(build_facts(parse_ir(base)))[:2])
-    b = dump_graphs(*build_graphs(build_facts(parse_ir(swapped)))[:2])
+    a = build_graphs(build_facts(parse_ir(base)))
+    b = build_graphs(build_facts(parse_ir(swapped)))
     assert a == b

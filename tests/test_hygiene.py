@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+so is every module-level private name."""
 from __future__ import annotations
 
 import ast
@@ -39,6 +40,40 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each module-level name with one leading
+    underscore that no module loads, reads as an attribute or imports.
+
+    Only loads count, so the definition itself is not a use.
+    """
+    defined: list[tuple[str, int, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [
+                (module, node.lineno, n)
+                for n in names
+                if n.startswith("_") and not n.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [(m, line, name) for m, line, name in defined if name not in used]
+
+
 def test_unused_imports_are_detected():
     source = (
         "from __future__ import annotations\n"
@@ -61,3 +96,37 @@ def test_package_has_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert orphans == [], "unused imports:\n" + "\n".join(orphans)
+
+
+def test_dead_private_names_are_detected():
+    sources = {
+        "a.py": (
+            "_USED_HERE = 1\n"
+            "_IMPORTED = 2\n"
+            "_READ_AS_ATTRIBUTE = 3\n"
+            "_DEAD: int = 4\n"
+            "__dunder__ = 5\n"
+            "def _helper():\n"
+            "    return _USED_HERE\n"
+            "class _Dead:\n"
+            "    _attr = 6\n"
+        ),
+        "b.py": (
+            "from .a import _IMPORTED\n"
+            "from . import a\n"
+            "_orphan = a._READ_AS_ATTRIBUTE\n"
+        ),
+    }
+    assert dead_private_names(sources) == [
+        ("a.py", 4, "_DEAD"),
+        ("a.py", 6, "_helper"),
+        ("a.py", 8, "_Dead"),
+        ("b.py", 3, "_orphan"),
+    ]
+
+
+def test_package_has_no_dead_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    dead = [f"{m}:{line}: {name}" for m, line, name in dead_private_names(sources)]
+    assert dead == [], "private names nothing uses:\n" + "\n".join(dead)

@@ -88,8 +88,7 @@ def test_balance_dependent_caller_payout():
     assert t.recipient_class is RecipientClass.CALLER
     assert t.amount == "div(balance(self), 10)"
     assert t.dynamic.balance_self
-    assert not t.dynamic.store_init
-    assert not t.dynamic.calldata_arg
+    assert not t.dynamic.store_written
     # Balance-derived amounts are not fraction-of-principal fees.
     assert sem.fee_candidates == ()
 
@@ -113,7 +112,6 @@ function setRate public sig 0x00000002 params (vx) {{
 def test_storage_amount_with_writer_is_dynamic():
     sem = _semantics(STORED_RATE_PAYOUT)
     (t,) = sem.transfers
-    assert t.dynamic.store_init
     assert t.dynamic.store_written
 
 
@@ -121,7 +119,7 @@ def test_storage_amount_without_writer_counts_constant():
     frozen = STORED_RATE_PAYOUT[: STORED_RATE_PAYOUT.index("function setRate")]
     sem = _semantics(frozen)
     (t,) = sem.transfers
-    assert t.dynamic.store_init
+    assert t.amount == "store(4)"
     assert not t.dynamic.store_written
 
 
@@ -146,7 +144,6 @@ def test_forked_paths_with_equal_amounts_merge():
     sem = _semantics(CALLDATA_AMOUNT_MERGE)
     (t,) = sem.transfers
     assert t.amount == "calldata(0x0000000b,0)"
-    assert t.dynamic.calldata_arg
     assert t.feasibility is Feasibility.FEASIBLE
 
 
@@ -262,7 +259,6 @@ def test_owner_pause_gating_transfers():
     (p,) = sem.pauses
     assert p.slot == 3
     assert p.owner_modifiable
-    assert p.gates_transfer
     assert p.write_sites == ("setPause.B3.0",)
     assert p.gated_call_sites == ("move.M1.0",)
 
@@ -334,11 +330,21 @@ function setURI public sig 0x00000009 params (vx) {{
 def test_token_uri_slot_found():
     sem = _semantics(URI_CONTRACT)
     assert sem.token_uri_slot == 6
-    assert not sem.is_empty
 
 
 # ---------------------------------------------------------------------------
 # Emptiness and determinism
+
+
+def _is_empty(sem) -> bool:
+    return (
+        sem.transfers,
+        sem.fee_candidates,
+        sem.supplies,
+        sem.pauses,
+        sem.locks,
+        sem.token_uri_slot,
+    ) == ((), (), (), (), (), None)
 
 
 NO_FLOWS = f"""contract {ADDR}
@@ -351,10 +357,7 @@ function ping public sig 0x00000007 params () {{
 
 
 def test_no_checkpoints_means_empty_semantics():
-    sem = _semantics(NO_FLOWS)
-    assert sem.is_empty
-    assert sem.transfers == ()
-    assert sem.token_uri_slot is None
+    assert _is_empty(_semantics(NO_FLOWS))
 
 
 ALL_PATHS_BLOCKED = f"""contract {ADDR}
@@ -378,8 +381,7 @@ function claim public sig 0x0a0b0c0d params (vamt) {{
 
 
 def test_infeasible_only_checkpoints_mean_empty_semantics():
-    sem = _semantics(ALL_PATHS_BLOCKED)
-    assert sem.is_empty
+    assert _is_empty(_semantics(ALL_PATHS_BLOCKED))
 
 
 def test_summarization_is_deterministic():
