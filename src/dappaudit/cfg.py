@@ -7,9 +7,16 @@ a branch at block A with immediate post-dominator P controls, under an
 outcome, every block that the successor for that outcome reaches before
 P. The relation is transitive by construction: a statement depends on
 every branch whose outcome can change whether the statement executes,
-including statements in a region that never reaches the exit. A branch
-from which no path reaches the exit has no immediate post-dominator and
-controls nothing.
+including statements in a region that never reaches the exit.
+
+A branch from which no path reaches the exit has no immediate
+post-dominator in that graph. Its post-dominators are taken instead over
+the graph augmented with a virtual exit edge from each sink region (a
+strongly connected set of blocks that cannot reach the exit and has no
+edge out), so it controls the blocks each outcome leads to before the two
+paths meet or settle in their sink regions. Branches that can reach the
+exit keep the post-dominators of the unaugmented graph, in which a path
+into a dead end never passes a post-dominator.
 """
 from __future__ import annotations
 
@@ -43,23 +50,44 @@ def control_dependence(fn: IrFunction) -> dict[str, frozenset[tuple[Operand, boo
     ipdom = _post_dominators(order, succ)
     reachable = _reach(order[0], succ)
 
+    # Built on the first branch that cannot reach the exit.
+    sink_exits: tuple[dict, dict[str, str]] | None = None
+
     deps: dict[str, set[tuple[Operand, bool]]] = {n: set() for n in order}
     for b in fn.blocks:
-        # A branch that never executes, or after which no path reaches the
-        # exit, controls nothing.
-        if (
-            b.terminator.kind is not TermKind.JUMPI
-            or b.bid not in reachable
-            or b.bid not in ipdom
-        ):
+        # A branch that never executes controls nothing.
+        if b.terminator.kind is not TermKind.JUMPI or b.bid not in reachable:
             continue
-        for dst, branch in succ[b.bid]:
-            for n in _reach(dst, succ, stop=ipdom[b.bid]):
+        graph, post = succ, ipdom
+        if b.bid not in ipdom:
+            if sink_exits is None:
+                aug = _with_sink_exits(order, succ, ipdom)
+                sink_exits = aug, _post_dominators(order, aug)
+            graph, post = sink_exits
+        for dst, branch in graph[b.bid]:
+            for n in _reach(dst, graph, stop=post[b.bid]):
                 deps[n].add((b.terminator.cond, branch))
 
     return {
         s.sid: frozenset(deps[b.bid]) for b in fn.blocks for s in b.statements
     }
+
+
+def _with_sink_exits(
+    order: list[str],
+    succ: dict[str, list[tuple[str, bool | None]]],
+    live: dict[str, str],
+) -> dict[str, list[tuple[str, bool | None]]]:
+    """succ plus a virtual exit edge from the first block of each sink
+    region; `live` holds the blocks that can reach the exit."""
+    reach = {n: _reach(n, succ) for n in order if n not in live}
+    aug = dict(succ)
+    covered: set[str] = set()
+    for n in order:
+        if n in reach and n not in covered and all(n in reach[m] for m in reach[n]):
+            covered |= reach[n]
+            aug[n] = succ[n] + [(EXIT, None)]
+    return aug
 
 
 def _reach(

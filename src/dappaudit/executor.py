@@ -21,6 +21,14 @@ variable read on a path that never defined it is an unknown named after
 the variable; private calls are inlined with their block counters reset
 per invocation, and the first value of a returning block binds the call's
 definition (no returned values bind zero).
+
+Expression-size budget: an operator statement whose value, read as a tree,
+has more than MAX_EXPR_NODES nodes binds an opaque unknown named after its
+site and occurrence instead (``opaque(<sid>#<n>)``), and the run reports
+budget_exceeded, as it does when max_states cuts the search short.  The
+value's DAG stays small however large its tree grows, but the rendered
+checkpoint operands grow with the tree, so the budget keeps reports and
+`symexec` dumps bounded.
 """
 from __future__ import annotations
 
@@ -33,6 +41,7 @@ from .model import (
     COMPARE_OPS,
     IrFunction,
     IrProgram,
+    IrStatement,
     LOGIC_OPS,
     Opcode,
     Operand,
@@ -52,6 +61,10 @@ from .symexpr import (
     store,
     timestamp,
 )
+
+# Largest tree size an operator statement may bind; see the module docstring.
+# A doubling chain of 15 levels (65,535 nodes) still fits.
+MAX_EXPR_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,7 @@ class _State:
     counts: dict[tuple[str, str], int]
     stack: list[_Frame]
     occ: dict[str, int]
+    expr_budget_hit: bool = False
 
     def clone(self) -> "_State":
         return _State(
@@ -124,6 +138,7 @@ class _State:
             counts=dict(self.counts),
             stack=[replace(f) for f in self.stack],
             occ=dict(self.occ),
+            expr_budget_hit=self.expr_budget_hit,
         )
 
 
@@ -166,6 +181,7 @@ def execute_function(
         st = stack.pop()
         processed += 1
         _run_path(program, st, selector, targets, limits, captured, stack)
+        budget_exceeded = budget_exceeded or st.expr_budget_hit
     return ExecutionResult(tuple(captured), budget_exceeded, processed)
 
 
@@ -219,7 +235,7 @@ def _run_path(
                         feasibility=check_feasible(st.path),
                     )
                 )
-            if not _exec_statement(program, st, s, limits):
+            if not _STATEMENTS[s.opcode](program, st, s, limits):
                 return
             continue
 
@@ -259,60 +275,108 @@ def _run_path(
         return
 
 
-def _exec_statement(program, st: _State, s, limits: Limits) -> bool:
-    op = s.opcode
-    if op is Opcode.CONST:
-        st.env[s.defvar] = const(s.args[0])
-    elif op in ARITH_OPS or op in COMPARE_OPS or op in LOGIC_OPS:
-        st.env[s.defvar] = binop(
-            op.value.lower(), _resolve(st, s.args[0]), _resolve(st, s.args[1])
-        )
-    elif op is Opcode.ISZERO:
-        st.env[s.defvar] = iszero(_resolve(st, s.args[0]))
-    elif op is Opcode.CALLER:
-        st.env[s.defvar] = caller()
-    elif op is Opcode.CALLVALUE:
-        st.env[s.defvar] = callvalue()
-    elif op is Opcode.TIMESTAMP:
-        st.env[s.defvar] = timestamp()
-    elif op is Opcode.BALANCE:
-        addr = _resolve(st, s.args[0])
-        if addr.is_const and addr.value == program.address_int():
-            st.env[s.defvar] = balance_self()
-        else:
-            st.env[s.defvar] = fresh(f"balance({render(addr)})")
-    elif op is Opcode.SLOAD:
-        slot = _resolve(st, s.args[0])
-        if slot.is_const:
-            st.env[s.defvar] = st.storage.get(slot.value, store(slot.value))
-        else:
-            st.env[s.defvar] = fresh(f"sload({s.sid}#{_occ(st, s.sid)})")
-    elif op is Opcode.SSTORE:
-        slot = _resolve(st, s.args[0])
-        if slot.is_const:
-            st.storage[slot.value] = _resolve(st, s.args[1])
-    elif op is Opcode.PHI:
-        in_op, out_op = s.args
-        count = st.counts.get((st.fn.name, st.bid), 1)
-        in_bound = isinstance(in_op, int) or in_op in st.env
-        if count <= limits.loop_bound and in_bound:
-            st.env[s.defvar] = _resolve(st, in_op)
-        else:
-            st.env[s.defvar] = _resolve(st, out_op)
-    elif op is Opcode.CALL:
-        if s.defvar is not None:
-            st.env[s.defvar] = fresh(f"ext({s.sid}#{_occ(st, s.sid)})")
-    elif op is Opcode.CALLPRIVATE:
-        callee = program.function(s.callee)
-        for formal, actual in zip(callee.params, s.args[1:]):
-            st.env[formal] = _resolve(st, actual)
-        st.stack.append(_Frame(st.fn.name, st.bid, st.idx, s.defvar))
-        for b in callee.blocks:
-            st.counts[(callee.name, b.bid)] = 0
-        st.fn = callee
-        if not _transition(st, limits, callee.entry.bid):
-            return False
+def _bind_op(st: _State, s: IrStatement, value: SymExpr) -> bool:
+    """Bind an operator's value, or an opaque leaf past the size budget."""
+    if value.size > MAX_EXPR_NODES:
+        value = fresh(f"opaque({s.sid}#{_occ(st, s.sid)})")
+        st.expr_budget_hit = True
+    st.env[s.defvar] = value
     return True
+
+
+def _binop(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    value = binop(_OP_NAMES[s.opcode], _resolve(st, s.args[0]), _resolve(st, s.args[1]))
+    return _bind_op(st, s, value)
+
+
+def _iszero(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    return _bind_op(st, s, iszero(_resolve(st, s.args[0])))
+
+
+def _leaf(make):
+    def run(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+        st.env[s.defvar] = make()
+        return True
+
+    return run
+
+
+def _const(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    st.env[s.defvar] = const(s.args[0])
+    return True
+
+
+def _balance(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    addr = _resolve(st, s.args[0])
+    if addr.is_const and addr.value == program.address_int():
+        st.env[s.defvar] = balance_self()
+    else:
+        st.env[s.defvar] = fresh(f"balance({render(addr)})")
+    return True
+
+
+def _sload(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    slot = _resolve(st, s.args[0])
+    if slot.is_const:
+        st.env[s.defvar] = st.storage.get(slot.value, store(slot.value))
+    else:
+        st.env[s.defvar] = fresh(f"sload({s.sid}#{_occ(st, s.sid)})")
+    return True
+
+
+def _sstore(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    slot = _resolve(st, s.args[0])
+    if slot.is_const:
+        st.storage[slot.value] = _resolve(st, s.args[1])
+    return True
+
+
+def _phi(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    in_op, out_op = s.args
+    count = st.counts.get((st.fn.name, st.bid), 1)
+    in_bound = isinstance(in_op, int) or in_op in st.env
+    if count <= limits.loop_bound and in_bound:
+        st.env[s.defvar] = _resolve(st, in_op)
+    else:
+        st.env[s.defvar] = _resolve(st, out_op)
+    return True
+
+
+def _call(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    if s.defvar is not None:
+        st.env[s.defvar] = fresh(f"ext({s.sid}#{_occ(st, s.sid)})")
+    return True
+
+
+def _callprivate(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
+    callee = program.function(s.callee)
+    for formal, actual in zip(callee.params, s.args[1:]):
+        st.env[formal] = _resolve(st, actual)
+    st.stack.append(_Frame(st.fn.name, st.bid, st.idx, s.defvar))
+    for b in callee.blocks:
+        st.counts[(callee.name, b.bid)] = 0
+    st.fn = callee
+    return _transition(st, limits, callee.entry.bid)
+
+
+_OP_NAMES = {op: op.value.lower() for op in ARITH_OPS | COMPARE_OPS | LOGIC_OPS}
+
+# Opcode -> handler that runs the statement on a state; a handler returns
+# False when the path ends inside the statement.
+_STATEMENTS = {
+    **{op: _binop for op in _OP_NAMES},
+    Opcode.CONST: _const,
+    Opcode.ISZERO: _iszero,
+    Opcode.CALLER: _leaf(caller),
+    Opcode.CALLVALUE: _leaf(callvalue),
+    Opcode.TIMESTAMP: _leaf(timestamp),
+    Opcode.BALANCE: _balance,
+    Opcode.SLOAD: _sload,
+    Opcode.SSTORE: _sstore,
+    Opcode.PHI: _phi,
+    Opcode.CALL: _call,
+    Opcode.CALLPRIVATE: _callprivate,
+}
 
 
 def _occ(st: _State, sid: str) -> int:

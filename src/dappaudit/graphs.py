@@ -11,7 +11,7 @@ content are excluded.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, unique
 
 from .facts import FactDb
@@ -98,15 +98,18 @@ class PlanEntry:
 @dataclass(frozen=True)
 class AnalysisPlan:
     entries: tuple[PlanEntry, ...]
+    _entry_index: dict[str, PlanEntry] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._entry_index.update({e.selector: e for e in self.entries})
 
     def selectors(self) -> tuple[str, ...]:
         return tuple(e.selector for e in self.entries)
 
     def entry(self, selector: str) -> PlanEntry | None:
-        for e in self.entries:
-            if e.selector == selector:
-                return e
-        return None
+        return self._entry_index.get(selector)
 
 
 def build_ftg(

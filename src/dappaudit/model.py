@@ -151,6 +151,12 @@ class IrFunction:
     selector: str | None  # "0x" + 8 hex digits for public entry points
     params: tuple[str, ...]
     blocks: tuple[IrBlock, ...]
+    _block_index: dict[str, IrBlock] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._block_index.update({b.bid: b for b in self.blocks})
 
     @property
     def is_public(self) -> bool:
@@ -161,10 +167,7 @@ class IrFunction:
         return self.blocks[0]
 
     def block(self, bid: str) -> IrBlock:
-        for b in self.blocks:
-            if b.bid == bid:
-                return b
-        raise KeyError(bid)
+        return self._block_index[bid]
 
 
 @dataclass(frozen=True)
@@ -174,9 +177,16 @@ class IrProgram:
     _fn_index: dict[str, IrFunction] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _selector_index: dict[str, IrFunction] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._fn_index.update({f.name: f for f in self.functions})
+        # The first function with a selector wins, as a scan would find it.
+        self._selector_index.update(
+            {f.selector: f for f in reversed(self.functions) if f.is_public}
+        )
 
     def function(self, name: str) -> IrFunction:
         return self._fn_index[name]
@@ -185,10 +195,7 @@ class IrProgram:
         return tuple(f for f in self.functions if f.is_public)
 
     def function_of_selector(self, selector: str) -> IrFunction | None:
-        for f in self.functions:
-            if f.selector == selector:
-                return f
-        return None
+        return self._selector_index.get(selector)
 
     def statements(self) -> Iterator[tuple[IrFunction, IrBlock, IrStatement]]:
         for f in self.functions:

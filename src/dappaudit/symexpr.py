@@ -1,4 +1,4 @@
-"""Symbolic expression trees over 256-bit words.
+"""Symbolic expressions over 256-bit words, hash-consed into a DAG.
 
 Leaves name transaction inputs (caller, callvalue, timestamp, calldata
 arguments), environment reads (the contract's own balance, initial storage
@@ -6,16 +6,37 @@ words) and unconstrained unknowns.  Interior nodes are the IR operators.
 Every expression renders to a canonical prefix form, e.g.
 ``div(sub(store(1), calldata(0x11223344,0)), 100)``; leaf renderings double
 as the binding keys for concrete evaluation.
+
+Nodes are interned (Filliâtre & Conchon, "Type-safe modular hash-consing",
+ML 2006).  Every constructor below looks its node up in one table keyed on
+the operator, the identities of the already-interned arguments, the value
+and the name, so equal expressions built on different paths are one object
+and a value like ``add(v, v)`` shares ``v`` instead of copying it.  A node
+therefore describes a DAG, and the queries here visit each distinct node
+once however often it is shared:
+
+- the tree size is computed at construction as ``1 + sum(child sizes)``;
+- the rendered text, the leaf set and the operator set are computed on
+  first use, children first and without recursion, then stored on the node;
+- ``eval_concrete`` evaluates each distinct node once per call.
+
+Interning is an optimisation, not an invariant: ``==`` and ``hash`` stay
+structural, so two equal nodes built by threads racing on the same table
+entry still compare equal; the race only costs a cache miss.  The table
+holds its nodes weakly, so an entry lives exactly as long as some
+expression still uses its node and the table does not grow from one audit
+to the next.  Nodes are immutable by convention: only this module writes
+their fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from functools import partial
 
 WORD = 1 << 256
 MASK = WORD - 1
 
 _BINARY = ("add", "sub", "mul", "div", "mod", "lt", "gt", "eq", "and", "or")
-_LEAVES = ("const", "fresh", "caller", "callvalue", "timestamp", "balance_self", "store", "calldata")
 
 
 class UnboundLeaf(KeyError):
@@ -26,12 +47,50 @@ class UnboundLeaf(KeyError):
         self.name = name
 
 
-@dataclass(frozen=True)
 class SymExpr:
-    op: str
-    args: tuple["SymExpr", ...] = ()
-    value: int | None = None
-    name: str | None = None
+    """One interned expression node; build it with the constructors below."""
+
+    __slots__ = (
+        "op", "args", "value", "name", "size",
+        "_hash", "_text", "_leaves", "_ops", "__weakref__",
+    )
+
+    def __init__(
+        self, op: str, args: tuple[SymExpr, ...], value: int | None, name: str | None
+    ) -> None:
+        self.op = op
+        self.args = args
+        self.value = value
+        self.name = name
+        # Nodes of the expression read as a tree, shared subterms counted
+        # once per use.
+        size = 1
+        for a in args:
+            size += a.size
+        self.size = size
+        self._hash = hash((op, args, value, name))
+        self._text: str | None = None
+        self._leaves: frozenset[str] | None = None
+        self._ops: frozenset[str] | None = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SymExpr):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.op == other.op
+            and self.value == other.value
+            and self.name == other.name
+            and self.args == other.args
+        )
+
+    def __repr__(self) -> str:
+        return f"SymExpr({render(self)})"
 
     def render(self) -> str:
         return render(self)
@@ -41,37 +100,61 @@ class SymExpr:
         return self.op == "const"
 
 
+# (op, value, name, *ids of args) -> weak reference to the node.  A node
+# holds its args, so their ids cannot be reused while it lives; when it
+# dies, its reference's callback drops the entry.
+_table: dict[tuple, weakref.ref] = {}
+
+
+def _intern(
+    op: str, args: tuple[SymExpr, ...] = (), value: int | None = None, name: str | None = None
+) -> SymExpr:
+    key = (op, value, name, *map(id, args))
+    ref = _table.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = SymExpr(op, args, value, name)
+        _table[key] = weakref.ref(node, partial(_forget, key))
+    return node
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    # A racing thread may have replaced the entry meanwhile; keep its node.
+    if _table.get(key) is ref:
+        _table.pop(key, None)
+
+
 def const(value: int) -> SymExpr:
-    return SymExpr("const", value=value % WORD)
+    return _intern("const", value=value % WORD)
 
 
 def fresh(name: str) -> SymExpr:
-    return SymExpr("fresh", name=name)
+    return _intern("fresh", name=name)
 
 
 def caller() -> SymExpr:
-    return SymExpr("caller")
+    return _intern("caller")
 
 
 def callvalue() -> SymExpr:
-    return SymExpr("callvalue")
+    return _intern("callvalue")
 
 
 def timestamp() -> SymExpr:
-    return SymExpr("timestamp")
+    return _intern("timestamp")
 
 
 def balance_self() -> SymExpr:
-    return SymExpr("balance_self")
+    return _intern("balance_self")
 
 
 def store(slot: int) -> SymExpr:
     """The word sitting in storage slot `slot` when the call starts."""
-    return SymExpr("store", value=slot)
+    return _intern("store", value=slot)
 
 
 def calldata(selector: str, index: int) -> SymExpr:
-    return SymExpr("calldata", value=index, name=selector)
+    return _intern("calldata", value=index, name=selector)
 
 
 def _apply(op: str, a: int, b: int) -> int:
@@ -107,63 +190,114 @@ def binop(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
         return const(_apply(op, lhs.value, rhs.value))
     if op in ("div", "mod") and rhs.is_const and rhs.value == 0:
         return const(0)
-    return SymExpr(op, args=(lhs, rhs))
+    return _intern(op, (lhs, rhs))
 
 
 def iszero(x: SymExpr) -> SymExpr:
     if x.is_const:
         return const(int(x.value == 0))
-    return SymExpr("iszero", args=(x,))
+    return _intern("iszero", (x,))
+
+
+def _fill(e: SymExpr, slot: str, compute) -> object:
+    """The cached value `slot` of e, first computing it for every node below
+    e that lacks it, children before parents."""
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        if getattr(n, slot) is not None:
+            stack.pop()
+            continue
+        todo = [a for a in n.args if getattr(a, slot) is None]
+        if todo:
+            stack.extend(todo)
+        else:
+            setattr(n, slot, compute(n))
+            stack.pop()
+    return getattr(e, slot)
+
+
+def _text_of(n: SymExpr) -> str:
+    op = n.op
+    if op == "const":
+        return str(n.value)
+    if op == "fresh":
+        return n.name
+    if op in ("caller", "callvalue", "timestamp"):
+        return op
+    if op == "balance_self":
+        return "balance(self)"
+    if op == "store":
+        return f"store({n.value})"
+    if op == "calldata":
+        return f"calldata({n.name},{n.value})"
+    inner = ", ".join(a._text for a in n.args)
+    return f"{op}({inner})"
+
+
+def _union(sets) -> frozenset:
+    """Union of frozensets, reusing one of them when it holds all the others."""
+    out = frozenset()
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+def _leaves_of(n: SymExpr) -> frozenset[str]:
+    if n.op == "const":
+        return frozenset()
+    if not n.args:
+        return frozenset((render(n),))
+    return _union(a._leaves for a in n.args)
+
+
+def _ops_of(n: SymExpr) -> frozenset[str]:
+    return _union([frozenset((n.op,)), *(a._ops for a in n.args)])
 
 
 def render(e: SymExpr) -> str:
-    if e.op == "const":
-        return str(e.value)
-    if e.op == "fresh":
-        return e.name
-    if e.op in ("caller", "callvalue", "timestamp"):
-        return e.op
-    if e.op == "balance_self":
-        return "balance(self)"
-    if e.op == "store":
-        return f"store({e.value})"
-    if e.op == "calldata":
-        return f"calldata({e.name},{e.value})"
-    inner = ", ".join(render(a) for a in e.args)
-    return f"{e.op}({inner})"
+    text = e._text
+    return text if text is not None else _fill(e, "_text", _text_of)
 
 
 def leaves(e: SymExpr) -> frozenset[str]:
     """Rendered names of all non-constant leaves."""
-    if e.op == "const":
-        return frozenset()
-    if not e.args:
-        return frozenset((render(e),))
-    out: set[str] = set()
-    for a in e.args:
-        out |= leaves(a)
-    return frozenset(out)
+    found = e._leaves
+    return found if found is not None else _fill(e, "_leaves", _leaves_of)
 
 
 def contains_op(e: SymExpr, op: str) -> bool:
-    if e.op == op:
-        return True
-    return any(contains_op(a, op) for a in e.args)
+    ops = e._ops
+    if ops is None:
+        ops = _fill(e, "_ops", _ops_of)
+    return op in ops
 
 
 def eval_concrete(e: SymExpr, bindings: dict[str, int]) -> int:
     """Evaluate under 256-bit wrapping semantics; division and modulo by
     zero yield 0; comparisons yield 0/1.  Non-constant leaves are looked up
-    by their rendered name."""
-    if e.op == "const":
-        return e.value
-    if e.op in _LEAVES:
-        key = render(e)
+    by their rendered name, and the first unbound one met left to right
+    raises UnboundLeaf."""
+    return _eval(e, bindings, {})
+
+
+def _eval(n: SymExpr, bindings: dict[str, int], done: dict[int, int]) -> int:
+    # `done` maps id(node) -> value; every node stays alive through the
+    # expression being evaluated.
+    if not n.args:
+        if n.op == "const":
+            return n.value
+        key = render(n)
         if key not in bindings:
             raise UnboundLeaf(key)
         return bindings[key] % WORD
-    if e.op == "iszero":
-        return int(eval_concrete(e.args[0], bindings) == 0)
-    a = eval_concrete(e.args[0], bindings)
-    b = eval_concrete(e.args[1], bindings)
-    return _apply(e.op, a, b)
+    val = done.get(id(n))
+    if val is None:
+        args = n.args
+        if n.op == "iszero":
+            val = int(_eval(args[0], bindings, done) == 0)
+        else:
+            val = _apply(n.op, _eval(args[0], bindings, done), _eval(args[1], bindings, done))
+        done[id(n)] = val
+    return val

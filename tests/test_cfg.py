@@ -169,6 +169,67 @@ function f public sig 0x00000001 params () {{
     assert deps["f.B3.0"] == frozenset({("vc", True)})
 
 
+def test_branch_inside_a_dead_end_region_controls_its_arms():
+    # No path from B1 reaches the exit, yet vd decides whether B3 or B4
+    # runs; post-dominance over sink regions with a virtual exit edge
+    # gives B1 the virtual exit as its immediate post-dominator.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: vc = CALLVALUE
+    1: vd = CALLVALUE
+    jumpi vc B1 B2
+  block B1:
+    0: v1 = CONST 1
+    jumpi vd B3 B4
+  block B3:
+    0: v3 = CONST 3
+    jump B3
+  block B4:
+    0: v4 = CONST 4
+    jump B4
+  block B2:
+    0: v2 = CONST 2
+    stop
+}}
+"""
+    deps = control_dependence(_fn(text))
+    assert deps["f.B1.0"] == frozenset({("vc", True)})
+    assert deps["f.B3.0"] == frozenset({("vc", True), ("vd", True)})
+    assert deps["f.B4.0"] == frozenset({("vc", True), ("vd", False)})
+    assert deps["f.B2.0"] == frozenset()
+
+
+def test_dead_end_arms_that_meet_share_the_meeting_block():
+    # Both arms of vd fall into the one sink loop M, which runs whatever
+    # vd is; only the arms themselves depend on it.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: vc = CALLVALUE
+    1: vd = CALLVALUE
+    jumpi vc B1 B2
+  block B1:
+    jumpi vd X Y
+  block X:
+    0: vx = CONST 1
+    jump M
+  block Y:
+    0: vy = CONST 2
+    jump M
+  block M:
+    0: vm = CONST 3
+    jump M
+  block B2:
+    stop
+}}
+"""
+    deps = control_dependence(_fn(text))
+    assert deps["f.X.0"] == frozenset({("vc", True), ("vd", True)})
+    assert deps["f.Y.0"] == frozenset({("vc", True), ("vd", False)})
+    assert deps["f.M.0"] == frozenset({("vc", True)})
+
+
 def test_control_dependence_matches_flip_oracle():
     # Spec-level invariant: on acyclic CFGs the relation must equal the
     # "flip one branch outcome, all else fixed" definition.

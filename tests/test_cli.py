@@ -4,9 +4,11 @@ mode, relation dumps, checkpoint dumps, and description extraction."""
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -14,8 +16,14 @@ import pytest
 
 from dappaudit.chain import MockChain, RpcChain
 from dappaudit.cli import main
-from dappaudit.executor import Limits
-from dappaudit.pipeline import ConfigError, RunConfig, chain_backend
+from dappaudit.executor import MAX_EXPR_NODES, Limits
+from dappaudit.pipeline import (
+    ConfigError,
+    RunConfig,
+    audit_many,
+    chain_backend,
+    expand_directory,
+)
 
 from helpers import ADDR
 
@@ -186,6 +194,41 @@ function pay public sig 0x01020304 params (vamt) {{
     assert doc["metadata"] == {"symbolic_budget_exceeded": True}
 
 
+def _doubling_chain_ir(n: int) -> str:
+    """A refund to the caller of CALLVALUE doubled n times by ADD v v."""
+    lines = [
+        f"contract {ADDR}",
+        "function refund public sig 0x0badf00d params () {",
+        "  block R0:",
+        "    0: v0 = CALLVALUE",
+    ]
+    lines += [f"    {i}: v{i} = ADD v{i - 1} v{i - 1}" for i in range(1, n + 1)]
+    lines += [f"    {n + 1}: vwho = CALLER", f"    {n + 2}: CALL vwho v{n}", "    stop", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_audit_expression_budget_lands_in_metadata(workdir, capsys):
+    # The amount's tree has 2**65 - 1 nodes; past MAX_EXPR_NODES the
+    # executor binds an opaque leaf instead and flags the cutoff.
+    (workdir / "contract.ir").write_text(_doubling_chain_ir(64))
+    start = time.perf_counter()
+    assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"] == {"symbolic_budget_exceeded": True}
+
+
+def test_symexec_keeps_values_under_the_expression_budget(workdir, capsys):
+    # 15 doublings make 65,535 tree nodes, the most that still fits.
+    assert 2**16 - 1 <= MAX_EXPR_NODES
+    (workdir / "contract.ir").write_text(_doubling_chain_ir(15))
+    assert main(["symexec", "--ir", str(workdir / "contract.ir")]) == 0
+    (sel,) = json.loads(capsys.readouterr().out)["selectors"]
+    assert sel["budget_exceeded"] is False
+    (cp,) = sel["checkpoints"]
+    assert cp["args"][1].count("callvalue") == 2**15
+
+
 def test_audit_runs_as_a_module(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "dappaudit.cli", *_audit_args(workdir)],
@@ -232,6 +275,30 @@ def test_directory_audit_parallel_matches_sequential(corpus_dir, capsys):
     for name in ("hot.report.json", "cold.report.json"):
         assert (seq / name).read_bytes() == (par / name).read_bytes()
     assert json.loads((seq / "cold.report.json").read_text())["findings"] == []
+
+
+def test_parallel_audit_of_shared_expressions_matches_sequential(tmp_path):
+    # Threads intern the same expressions into one table at once; the
+    # reports must not depend on who wins.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(Path(__file__).parent / "fixtures" / "corpus", corpus)
+    attrs = corpus / "fee_forwarder_consistent.attrs.json"
+    for n in (15, 40):
+        (corpus / f"deep{n}.ir").write_text(_doubling_chain_ir(n))
+        shutil.copy(attrs, corpus / f"deep{n}.attrs.json")
+    chain = Path(__file__).parent / "fixtures" / "chain.json"
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}"
+            audit_many(expand_directory(corpus, out, chain_mock=chain), jobs=jobs)
+            runs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs[1]) == 16
+    assert runs[4] == runs[1]
 
 
 def test_directory_audit_requires_out(corpus_dir, capsys):

@@ -6,10 +6,15 @@ reference interpreter in helpers.py.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from dappaudit.executor import (
     CheckpointState,
@@ -20,21 +25,27 @@ from dappaudit.executor import (
 from dappaudit.facts import build_facts
 from dappaudit.feasibility import Feasibility, check_feasible
 from dappaudit.graphs import build_graphs
+from dappaudit import symexpr
 from dappaudit.parser import parse_ir
+from dappaudit.pipeline import analyze_ir
 from dappaudit.symexpr import (
     MASK,
+    SymExpr,
     UnboundLeaf,
+    balance_self,
     binop,
     calldata,
     callvalue,
     caller,
     const,
+    contains_op,
     eval_concrete,
     fresh,
     iszero,
     leaves,
     render,
     store,
+    timestamp,
 )
 from helpers import ADDR, concrete_execute, random_program
 
@@ -140,6 +151,189 @@ def test_eval_concrete_matches_reference_on_random_trees():
         for k in leaves(e):
             bindings[k] = rng.choice((0, 1, 2, rng.randrange(0, 1 << 256), MASK))
         assert eval_concrete(e, bindings) == _ref_eval(e, bindings)
+
+
+# Naive tree walks: the references for the cached DAG queries.  They visit
+# a shared subterm once per use, so keep their inputs small.
+
+_REF_LEAF_TEXT = {
+    "caller": "caller",
+    "callvalue": "callvalue",
+    "timestamp": "timestamp",
+    "balance_self": "balance(self)",
+}
+
+
+def _ref_render(e):
+    if e.op == "const":
+        return str(e.value)
+    if e.op == "fresh":
+        return e.name
+    if e.op in _REF_LEAF_TEXT:
+        return _REF_LEAF_TEXT[e.op]
+    if e.op == "store":
+        return f"store({e.value})"
+    if e.op == "calldata":
+        return f"calldata({e.name},{e.value})"
+    return e.op + "(" + ", ".join(_ref_render(a) for a in e.args) + ")"
+
+
+def _ref_leaves(e):
+    if e.op == "const":
+        return set()
+    if not e.args:
+        return {_ref_render(e)}
+    return set().union(*(_ref_leaves(a) for a in e.args))
+
+
+def _ref_contains_op(e, op):
+    return e.op == op or any(_ref_contains_op(a, op) for a in e.args)
+
+
+def _ref_size(e):
+    return 1 + sum(_ref_size(a) for a in e.args)
+
+
+def _ref_equal(a, b):
+    return (
+        a.op == b.op
+        and a.value == b.value
+        and a.name == b.name
+        and len(a.args) == len(b.args)
+        and all(_ref_equal(x, y) for x, y in zip(a.args, b.args))
+    )
+
+
+_DAG_LEAVES = (
+    callvalue,
+    caller,
+    timestamp,
+    balance_self,
+    lambda: store(0),
+    lambda: store(1),
+    lambda: calldata("0x01020304", 0),
+    lambda: fresh("x"),
+    lambda: fresh("caller"),  # renders like caller(), yet a different leaf
+    lambda: const(0),
+    lambda: const(3),
+    lambda: const(MASK),
+)
+_DAG_OPS = ("add", "sub", "mul", "div", "mod", "lt", "gt", "eq", "and", "or", "iszero")
+
+# A DAG as a recipe: each step makes a leaf or applies an operator to
+# earlier nodes by index, so later nodes share earlier ones freely.
+_dag_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("leaf"), st.integers(0, len(_DAG_LEAVES) - 1)),
+        st.tuples(st.sampled_from(_DAG_OPS), st.integers(0, 63), st.integers(0, 63)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _build_dag(steps):
+    nodes = []
+    for step in steps:
+        if step[0] == "leaf" or not nodes:
+            nodes.append(_DAG_LEAVES[step[1] if step[0] == "leaf" else 0]())
+            continue
+        if step[0] == "iszero":
+            args = (nodes[step[1] % len(nodes)],)
+            e = iszero(*args)
+        else:
+            args = (nodes[step[1] % len(nodes)], nodes[step[2] % len(nodes)])
+            e = binop(step[0], *args)
+        # The table must hand back the node asked for, or a folded constant.
+        assert e.is_const or (e.op, e.args) == (step[0], args)
+        nodes.append(e)
+    return nodes
+
+
+_ORACLE = settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@seed(20261018)
+@_ORACLE
+@given(steps=_dag_steps, order=st.randoms(use_true_random=False))
+def test_cached_queries_match_tree_walks_on_shared_dags(steps, order):
+    nodes = _build_dag(steps)
+    # Query in a random order, so some nodes are asked while only part of
+    # the DAG below them has cached values.
+    order.shuffle(nodes)
+    for e in nodes:
+        assert e.size == _ref_size(e)
+        assert render(e) == _ref_render(e)
+        assert leaves(e) == _ref_leaves(e)
+        for op in (*_DAG_OPS, "const", "callvalue", "fresh"):
+            assert contains_op(e, op) == _ref_contains_op(e, op)
+        bindings = {k: order.choice((0, 1, 2, 1 << 255, MASK)) for k in _ref_leaves(e)}
+        assert eval_concrete(e, bindings) == _ref_eval(e, bindings)
+
+
+@seed(20261019)
+@_ORACLE
+@given(steps=_dag_steps)
+def test_equal_expressions_are_one_object(steps):
+    first = _build_dag(steps)
+    again = _build_dag(steps)
+    for a, b in zip(first, again):
+        assert a is b
+    for a, b in itertools.product(first, repeat=2):
+        equal = _ref_equal(a, b)
+        assert (a == b) == equal
+        assert (a is b) == equal
+        if equal:
+            assert hash(a) == hash(b)
+
+
+def test_equality_stays_structural_without_interning():
+    # A node made outside the table, as when two threads race to intern the
+    # same expression, still equals and hashes like the interned one.
+    e = binop("add", callvalue(), store(1))
+    twin = SymExpr(e.op, e.args, e.value, e.name)
+    assert twin is not e
+    assert twin == e and hash(twin) == hash(e)
+    assert binop("mul", twin, const(2)) == binop("mul", e, const(2))
+    assert twin != binop("add", store(1), callvalue())
+
+
+def test_doubling_chain_queries_stay_linear():
+    # 40 levels of add(v, v): the tree has 2**41 - 1 nodes, the DAG 41.
+    start = time.perf_counter()
+    v = callvalue()
+    for _ in range(40):
+        v = binop("add", v, v)
+    assert binop("add", v, v).args[0] is v
+    assert v.size == 2**41 - 1
+    assert hash(v) == hash(SymExpr(v.op, v.args, v.value, v.name))
+    assert leaves(v) == frozenset({"callvalue"})
+    assert contains_op(v, "callvalue") and not contains_op(v, "mul")
+    assert eval_concrete(v, {"callvalue": 3}) == (3 << 40) % (MASK + 1)
+    # The text itself doubles per level, so render a 14-level prefix of the
+    # same chain: 32,767 tree nodes through 15 cached strings.
+    w = callvalue()
+    for _ in range(14):
+        w = binop("add", w, w)
+    text = render(w)
+    assert text == f"add({render(w.args[0])}, {render(w.args[0])})"
+    assert text.count("callvalue") == 2**14
+    assert time.perf_counter() - start < 2.0
+
+
+def test_intern_table_drops_nodes_no_expression_uses():
+    before = len(symexpr._table)
+    text = (Path(__file__).parent / "fixtures" / "corpus" / "staking_rewards.ir").read_text()
+    analysis = analyze_ir(text)
+    assert len(symexpr._table) > before
+    del analysis
+    gc.collect()
+    assert len(symexpr._table) == before
 
 
 # ---------------------------------------------------------------------------
