@@ -17,6 +17,16 @@ edge out), so it controls the blocks each outcome leads to before the two
 paths meet or settle in their sink regions. Branches that can reach the
 exit keep the post-dominators of the unaugmented graph, in which a path
 into a dead end never passes a post-dominator.
+
+The same walk over each branch's arms measures how many blocks the
+shortest path from each successor crosses before the immediate
+post-dominator P. The successor with the fewer (the then-successor on a
+tie) is the branch's short arm when P is a real block of the unaugmented
+graph, the blocks the short arm reaches before P form no cycle, and no
+path through the short arm crosses more blocks before P than the shortest
+path through the other arm. A path that takes the short arm then enters
+each of those blocks once and reaches P with no more blocks behind it than
+any path through the other arm. Any other branch has no short arm.
 """
 from __future__ import annotations
 
@@ -43,34 +53,103 @@ def _successors(fn: IrFunction) -> dict[str, list[tuple[str, bool | None]]]:
     return succ
 
 
-def control_dependence(fn: IrFunction) -> dict[str, frozenset[tuple[Operand, bool]]]:
-    """Statement id -> every (condition, outcome) that controls it."""
+def branch_structure(
+    fn: IrFunction,
+) -> tuple[
+    dict[str, frozenset[tuple[Operand, bool]]],
+    dict[str, tuple[str, frozenset[str]] | None],
+]:
+    """Statement id -> every (condition, outcome) that controls it, and
+    block id -> (short arm, blocks either arm reaches before the immediate
+    post-dominator) for every reachable branch on a variable, None for one
+    without a short arm."""
     order = [b.bid for b in fn.blocks]
     succ = _successors(fn)
-    ipdom = _post_dominators(order, succ)
-    reachable = _reach(order[0], succ)
+    reachable = _reach(order[0], succ)[0]
 
-    # Built on the first branch that cannot reach the exit.
+    # Built on the first reachable branch, and on the first that cannot
+    # reach the exit: most functions have neither.
+    ipdom: dict[str, str] | None = None
     sink_exits: tuple[dict, dict[str, str]] | None = None
 
     deps: dict[str, set[tuple[Operand, bool]]] = {n: set() for n in order}
+    arms: dict[str, tuple[str, frozenset[str]] | None] = {}
     for b in fn.blocks:
+        t = b.terminator
         # A branch that never executes controls nothing.
-        if b.terminator.kind is not TermKind.JUMPI or b.bid not in reachable:
+        if t.kind is not TermKind.JUMPI or b.bid not in reachable:
             continue
+        if ipdom is None:
+            ipdom = _post_dominators(order, succ)
         graph, post = succ, ipdom
         if b.bid not in ipdom:
             if sink_exits is None:
                 aug = _with_sink_exits(order, succ, ipdom)
                 sink_exits = aug, _post_dominators(order, aug)
             graph, post = sink_exits
+        regions: list[set[str]] = []
+        dist: list[float] = []
         for dst, branch in graph[b.bid]:
-            for n in _reach(dst, graph, stop=post[b.bid]):
-                deps[n].add((b.terminator.cond, branch))
+            region, steps = _reach(dst, graph, stop=post[b.bid])
+            for n in region:
+                deps[n].add((t.cond, branch))
+            regions.append(region)
+            dist.append(float("inf") if steps is None else steps)
+        if isinstance(t.cond, str):
+            arms[b.bid] = None
+            if graph is succ and post[b.bid] != EXIT:
+                arm = _short_arm(t.targets, regions, dist, post[b.bid], succ)
+                if arm is not None:
+                    arms[b.bid] = arm, frozenset(regions[0] | regions[1])
 
-    return {
+    deps_of = {
         s.sid: frozenset(deps[b.bid]) for b in fn.blocks for s in b.statements
     }
+    return deps_of, arms
+
+
+def _short_arm(
+    targets: tuple[str, ...],
+    regions: list[set[str]],
+    dist: list[float],
+    stop: str,
+    succ: dict[str, list[tuple[str, bool | None]]],
+) -> str | None:
+    """The arm with the fewest blocks before `stop`, or None when it breaks
+    a condition of the module docstring."""
+    i = 1 if dist[1] < dist[0] else 0
+    longest = _longest_path(targets[i], regions[i], stop, succ)
+    if longest is None or longest > dist[1 - i]:
+        return None
+    return targets[i]
+
+
+def _longest_path(
+    start: str,
+    region: set[str],
+    stop: str,
+    succ: dict[str, list[tuple[str, bool | None]]],
+) -> int | None:
+    """Most blocks of `region` a path from `start` crosses before `stop`;
+    None when the region holds a cycle."""
+    if start == stop:
+        return 0
+    longest: dict[str, int] = {}
+    on_path: set[str] = set()
+    work = [(start, False)]
+    while work:
+        n, done = work.pop()
+        inner = [d for d, _ in succ[n] if d in region]
+        if done:
+            on_path.discard(n)
+            longest[n] = 1 + max((longest[d] for d in inner), default=0)
+        elif n in on_path:
+            return None
+        elif n not in longest:
+            on_path.add(n)
+            work.append((n, True))
+            work.extend((d, False) for d in inner)
+    return longest[start]
 
 
 def _with_sink_exits(
@@ -80,7 +159,7 @@ def _with_sink_exits(
 ) -> dict[str, list[tuple[str, bool | None]]]:
     """succ plus a virtual exit edge from the first block of each sink
     region; `live` holds the blocks that can reach the exit."""
-    reach = {n: _reach(n, succ) for n in order if n not in live}
+    reach = {n: _reach(n, succ)[0] for n in order if n not in live}
     aug = dict(succ)
     covered: set[str] = set()
     for n in order:
@@ -92,17 +171,26 @@ def _with_sink_exits(
 
 def _reach(
     start: str, succ: dict[str, list[tuple[str, bool | None]]], stop: str = EXIT
-) -> set[str]:
-    """Blocks reachable from `start` without entering `stop` or the exit."""
+) -> tuple[set[str], int | None]:
+    """Blocks reachable from `start` without entering `stop` or the exit,
+    and how many of them the shortest path to `stop` crosses (None when no
+    path gets there)."""
     seen: set[str] = set()
-    work = [start]
-    while work:
-        n = work.pop()
-        if n in seen or n == stop or n == EXIT:
-            continue
-        seen.add(n)
-        work.extend(d for d, _ in succ[n])
-    return seen
+    steps = None
+    level = [start]
+    depth = 0
+    while level:
+        nxt = []
+        for n in level:
+            if n == stop:
+                if steps is None:
+                    steps = depth
+            elif n != EXIT and n not in seen:
+                seen.add(n)
+                nxt.extend(d for d, _ in succ[n])
+        level = nxt
+        depth += 1
+    return seen, steps
 
 
 def _post_dominators(

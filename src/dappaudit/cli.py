@@ -3,7 +3,8 @@
 Commands: audit (full pipeline on one IR file or a directory of
 contracts), facts (dump derived relations as TSVs), symexec (checkpoint
 states only), extract (description to attributes via the language-model
-endpoint). Exit codes: 0 clean, 1 findings reported, 2 errors.
+endpoint). Exit codes: 0 clean, 1 findings reported, 2 errors, including
+unexpected ones (always a single ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -189,6 +190,12 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # A fault of the program itself still ends in one line and exit 2,
+        # never in a traceback and exit 1, which means "findings".
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -6,6 +6,27 @@ expressions are unclobbered by the statement itself.  Paths fork on
 symbolic branch conditions, appending the condition (then) or its negation
 (else) to the path constraints; constant conditions do not fork.
 
+Dataflow-guided pruning: at a symbolic branch the plan entry lists in
+`follow` (one that no checkpoint of the selector depends on; see
+`graphs`), the path moves to the listed short arm without forking and
+without a path constraint.  Both arms reach the branch's post-dominator
+with the same values for everything the checkpoints and the remaining
+branches read, so the states captured there are those of either arm.
+Dropping the condition leaves the other constraints P and R of a path:
+(P and c and R) or (P and not c and R) is P and R, and because
+`check_feasible` proves infeasibility only from single-leaf atoms, the
+constraints of the followed path are infeasible exactly when those of
+every arm combination were.  A branch has a short arm only when every
+path through it enters each of its blocks once and crosses no more blocks
+than any path through the other arm (see `cfg`), and the blocks after the
+post-dominator do not depend on the arm taken (see `graphs`), so loop and
+depth pruning cut the followed path no earlier than any path the full
+search would take through the other arm.  When they cut every path
+through the other arm,
+the full search captures only the short arm's states, each constrained
+by the condition, and the followed path can keep a checkpoint those
+constraints made infeasible; it never drops one the full search keeps.
+
 Loops are bounded per path: entering a block increments its counter, PHI
 statements take the in-loop operand (first) while the counter is at most
 loop_bound, falling back to the out-loop operand (second) when the in-loop
@@ -155,6 +176,7 @@ def execute_function(
     if fn is None or entry is None:
         return ExecutionResult((), False, 0)
     targets = frozenset(entry.checkpoints)
+    follow = {(f, b): arm for f, b, arm in entry.follow}
 
     env = {p: calldata(selector, i) for i, p in enumerate(fn.params)}
     first = _State(
@@ -180,7 +202,7 @@ def execute_function(
             break
         st = stack.pop()
         processed += 1
-        _run_path(program, st, selector, targets, limits, captured, stack)
+        _run_path(program, st, selector, targets, follow, limits, captured, stack)
         budget_exceeded = budget_exceeded or st.expr_budget_hit
     return ExecutionResult(tuple(captured), budget_exceeded, processed)
 
@@ -215,6 +237,7 @@ def _run_path(
     st: _State,
     selector: str,
     targets: frozenset[str],
+    follow: dict[tuple[str, str], str],
     limits: Limits,
     captured: list[CheckpointState],
     stack: list[_State],
@@ -246,8 +269,12 @@ def _run_path(
             continue
         if t.kind is TermKind.JUMPI:
             cond = _resolve(st, t.cond)
+            target = None
             if cond.is_const:
                 target = t.targets[0] if cond.value != 0 else t.targets[1]
+            elif follow:
+                target = follow.get((st.fn.name, st.bid))
+            if target is not None:
                 if not _transition(st, limits, target):
                     return
                 continue

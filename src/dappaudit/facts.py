@@ -6,16 +6,23 @@ ownership by public selector, syntactic comparisons, the
 reflexive-transitive dataflow closure, and the storage and environment
 relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP, own-address
 BALANCE, plain CALL).  All are collected once, when the database is built.
+
+Besides the relations, the database keeps two indexes of `controls` (by
+statement and by condition) and, per public selector, the branches its
+execution can meet with their short arms (see `cfg`) and what their
+regions may set.  These are not relations and are left out of the TSV
+dumps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .cfg import control_dependence
+from .cfg import branch_structure
 from .model import (
     ARITH_OPS,
     COMPARE_OPS,
+    IrFunction,
     IrProgram,
     IrStatement,
     Opcode,
@@ -34,6 +41,27 @@ class StorageOp:
     slot: int
     # SLOAD: the loaded variable.  SSTORE: the stored operand.
     value: Operand
+
+
+@dataclass(frozen=True)
+class Branch:
+    """A reachable JUMPI on a variable."""
+
+    function: str
+    block: str
+    cond: str
+    # Successor to follow when no checkpoint depends on the branch; None
+    # when it has no short arm (see `cfg`).
+    short_arm: str | None
+    # Blocks either arm reaches before the immediate post-dominator (empty
+    # without a short arm).
+    blocks: frozenset[str]
+    # Variables the statements of `blocks` may set: their definitions, and
+    # the loads that may read a slot they store to (every load when the
+    # slot has no constant, else the loads of that slot and those whose
+    # slot has none).  None when the branch has no short arm or `blocks`
+    # make a private call.
+    sets: frozenset[str] | None
 
 
 @dataclass(frozen=True)
@@ -67,6 +95,12 @@ class FactDb:
     self_balance_defs: tuple[str, ...]
     # CALL statements without ABI arguments: ether sends.
     plain_calls: tuple[IrStatement, ...]
+    # Indexes of `controls`: sid -> conditions controlling it, and
+    # condition -> sids it controls under either outcome.
+    controlled_by: dict[str, frozenset[str]]
+    region: dict[str, frozenset[str]]
+    # Public selector -> branches in the functions its entry point reaches.
+    branches: dict[str, tuple[Branch, ...]]
 
     # -- queries ------------------------------------------------------------
 
@@ -86,7 +120,7 @@ class FactDb:
         return self.stmt_func.get(sid, frozenset())
 
     def conditions_controlling(self, sid: str) -> frozenset[str]:
-        return frozenset(c for c, s, _ in self.controls if s == sid)
+        return self.controlled_by.get(sid, frozenset())
 
     def value_controls(self, x: Operand, sid: str) -> bool:
         """x determines whether sid runs: x flows into a branch condition
@@ -118,28 +152,51 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     timestamp_defs: list[str] = []
     self_balance_defs: list[str] = []
     plain_calls: list[IrStatement] = []
+    # Loads whose slot the constant folding cannot name.
+    unnamed_loads: list[str] = []
     own = program.address_int()
-    for _, _, s in program.statements():
-        if s.opcode is Opcode.CALL and len(s.args) >= 3:
+
+    def call(s: IrStatement) -> None:
+        if len(s.args) >= 3:
             external_call.append((s.sid, s.args[0], s.args[2]))
             for i, a in enumerate(s.args[3:]):
                 call_arg.append((s.sid, a, i))
-        elif s.opcode is Opcode.CALL:
+        else:
             plain_calls.append(s)
-        elif s.opcode in ARITH_OPS and s.defvar is not None:
-            math_op.append((s.defvar, s.opcode.value.lower(), s.args))
-        elif s.opcode in COMPARE_OPS and s.defvar is not None:
-            comp.append((s.sid, s.opcode.value.lower(), s.args[0], s.args[1], s.defvar))
-        elif s.opcode is Opcode.SLOAD and (slot := _const_of(constant, s.args[0])) is not None:
+
+    def compare(s: IrStatement) -> None:
+        comp.append((s.sid, s.opcode.value.lower(), s.args[0], s.args[1], s.defvar))
+
+    def sload(s: IrStatement) -> None:
+        if (slot := _const_of(constant, s.args[0])) is not None:
             sloads.append(StorageOp(s.sid, slot, s.defvar))
-        elif s.opcode is Opcode.SSTORE and (slot := _const_of(constant, s.args[0])) is not None:
+        else:
+            unnamed_loads.append(s.defvar)
+
+    def sstore(s: IrStatement) -> None:
+        if (slot := _const_of(constant, s.args[0])) is not None:
             sstores.append(StorageOp(s.sid, slot, s.args[1]))
-        elif s.opcode is Opcode.CALLER:
-            caller_defs.append(s.defvar)
-        elif s.opcode is Opcode.TIMESTAMP:
-            timestamp_defs.append(s.defvar)
-        elif s.opcode is Opcode.BALANCE and _const_of(constant, s.args[0]) == own:
+
+    def balance(s: IrStatement) -> None:
+        if _const_of(constant, s.args[0]) == own:
             self_balance_defs.append(s.defvar)
+
+    # Opcodes missing here add to no relation.
+    record = {
+        Opcode.CALL: call,
+        **dict.fromkeys(
+            ARITH_OPS, lambda s: math_op.append((s.defvar, s.opcode.value.lower(), s.args))
+        ),
+        **dict.fromkeys(COMPARE_OPS, compare),
+        Opcode.SLOAD: sload,
+        Opcode.SSTORE: sstore,
+        Opcode.CALLER: lambda s: caller_defs.append(s.defvar),
+        Opcode.TIMESTAMP: lambda s: timestamp_defs.append(s.defvar),
+        Opcode.BALANCE: balance,
+    }.get
+    for _, _, s in program.statements():
+        if (f := record(s.opcode)) is not None:
+            f(s)
     slot_loads: dict[int, list[str]] = {}
     for load in sloads:
         slot_loads.setdefault(load.slot, []).append(load.value)
@@ -150,13 +207,50 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         for i, p in enumerate(fn.params)
     ]
 
-    controls = [
-        (cond, sid, branch)
-        for fn in program.functions
-        for sid, deps in control_dependence(fn).items()
-        for cond, branch in sorted(deps, key=repr)
-        if isinstance(cond, str)
-    ]
+    controls: list[tuple[str, str, bool]] = []
+    arms: list[tuple[IrFunction, str, tuple[str, frozenset[str]] | None]] = []
+    for fn in program.functions:
+        deps, fn_arms = branch_structure(fn)
+        controls += [
+            (cond, sid, outcome)
+            for sid, conds in deps.items()
+            for cond, outcome in sorted(conds, key=repr)
+            if isinstance(cond, str)
+        ]
+        arms += [(fn, bid, arm) for bid, arm in fn_arms.items()]
+    controlled_by: dict[str, set[str]] = {}
+    region: dict[str, set[str]] = {}
+    for cond, sid, _ in controls:
+        controlled_by.setdefault(sid, set()).add(cond)
+        region.setdefault(cond, set()).add(sid)
+
+    every_load = frozenset(unnamed_loads).union(l.value for l in sloads)
+
+    def sets(fn: IrFunction, blocks: frozenset[str]) -> frozenset[str] | None:
+        """What the statements of `blocks` may set (see `Branch.sets`)."""
+        out: set[str] = set()
+        for bid in blocks:
+            for s in fn.block(bid).statements:
+                if s.opcode is Opcode.CALLPRIVATE:
+                    return None
+                if s.defvar is not None:
+                    out.add(s.defvar)
+                if s.opcode is Opcode.SSTORE:
+                    slot = _const_of(constant, s.args[0])
+                    out.update(every_load if slot is None else slot_loads.get(slot, ()))
+                    out.update(unnamed_loads)
+        return frozenset(out)
+
+    fn_selectors = _function_selectors(program)
+    branches: dict[str, list[Branch]] = {}
+    for fn, bid, arm in arms:
+        cond = fn.block(bid).terminator.cond
+        if arm is None:
+            br = Branch(fn.name, bid, cond, None, frozenset(), None)
+        else:
+            br = Branch(fn.name, bid, cond, *arm, sets(fn, arm[1]))
+        for selector in fn_selectors[fn.name]:
+            branches.setdefault(selector, []).append(br)
 
     return FactDb(
         program=program,
@@ -166,7 +260,9 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         math_op=tuple(sorted(math_op, key=repr)),
         func_arg=tuple(sorted(func_arg)),
         controls=tuple(sorted(controls, key=repr)),
-        stmt_func=_statement_selectors(program),
+        stmt_func={
+            s.sid: fn_selectors[fn.name] for fn, _, s in program.statements()
+        },
         comp=tuple(sorted(comp, key=repr)),
         dataflow=frozenset(),
         sloads=tuple(sloads),
@@ -176,6 +272,9 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         timestamp_defs=tuple(timestamp_defs),
         self_balance_defs=tuple(self_balance_defs),
         plain_calls=tuple(plain_calls),
+        controlled_by={sid: frozenset(c) for sid, c in controlled_by.items()},
+        region={cond: frozenset(sids) for cond, sids in region.items()},
+        branches={sel: tuple(brs) for sel, brs in branches.items()},
     )
 
 
@@ -278,8 +377,9 @@ def _fold_constants(program: IrProgram) -> dict[str, int]:
     return out
 
 
-def _statement_selectors(program: IrProgram) -> dict[str, frozenset[str]]:
-    """Propagate public selectors through private call chains (monotone)."""
+def _function_selectors(program: IrProgram) -> dict[str, frozenset[str]]:
+    """Function name -> public selectors whose entry points reach it,
+    propagated through private call chains (monotone)."""
     reach: dict[str, set[str]] = {fn.name: set() for fn in program.functions}
     for fn in program.public_functions():
         reach[fn.name].add(fn.selector)
@@ -297,10 +397,7 @@ def _statement_selectors(program: IrProgram) -> dict[str, frozenset[str]]:
                 reach[callee] |= reach[caller]
                 changed = True
 
-    return {
-        s.sid: frozenset(reach[fn.name])
-        for fn, _, s in program.statements()
-    }
+    return {name: frozenset(sels) for name, sels in reach.items()}
 
 
 _RELATION_DUMPERS = {

@@ -7,6 +7,43 @@ whether each sits behind a sender check, and pause flags that gate
 transfers.  The analysis plan lists, per public selector, the statements
 worth checkpointing during symbolic execution; selectors with no graph
 content are excluded.
+
+Each edge and role-slot write also lists the branches its checkpoint does
+not depend on, as (function, block, successor) triples naming the
+branch's short arm (see `cfg`).  For one checkpoint a branch is deciding
+when
+
+- (a) the checkpoint is control-dependent on its condition;
+- (b) its region (the statements its condition controls) makes a private
+  call;
+- (c) a variable its region sets reaches (in `dataflow`) an operand of the
+  checkpoint, or the condition of any branch, itself included, outside
+  the blocks its arms reach before they meet.  A region sets the
+  variables it defines, and a store in it sets every load that may read
+  the stored slot: the loads of the same constant slot, and every load
+  when either slot is not a constant the facts can name;
+- (d) it has no short arm: its arms meet only at the synthetic exit, or
+  the short arm loops or can run more blocks than the other arm.
+
+The other branches are listed.  The plan follows, per selector, the
+branches listed for every one of its checkpoints.  Both arms of a listed
+branch reach its post-dominator with the same values for every
+checkpoint operand and every later branch condition, so a path takes the
+same blocks after either arm, whether those conditions are symbolic or
+constant; the short arm gets there having entered each of its blocks
+once and with no more blocks behind it than the other arm, so loop and
+depth pruning cut the path no earlier than a path through the other arm.
+A block of either arm that runs again later holds no checkpoint (the
+checkpoint would depend on the branch) and leads on only to the
+post-dominator, which has run at least as often, so its extra entries cut
+no path that the post-dominator would not cut next.  Executing only the
+short arm therefore drops no checkpoint state; how dropping the branch's
+condition from the path constraints affects feasibility is described in
+`executor`.  One case lies outside the rule, because the executor binds a
+variable read on a path that never defined it and a PHI then takes that
+variable as its in-loop operand: a region that reads a PHI's in-loop
+operand before any definition of it.  SSA form, in which a definition
+dominates every use other than a PHI's, rules that out.
 """
 from __future__ import annotations
 
@@ -26,6 +63,9 @@ from .inference import (
     infer_transfers,
 )
 from .model import Operand
+
+# (function, block, successor): follow only `successor` at that branch.
+Follow = frozenset[tuple[str, str, str]]
 
 @unique
 class RecipientClass(Enum):
@@ -51,6 +91,8 @@ class FtgEdge:
     amount_from_self_balance: bool
     # Another transfer under the same selector splits a common source value.
     shared_fee_ancestor: bool
+    # Branches the transfer's checkpoint does not depend on.
+    follow: Follow
 
 
 @dataclass(frozen=True)
@@ -66,6 +108,8 @@ class SlotWrite:
     value: Operand
     # A sender check under the same selector decides whether the store runs.
     guarded: bool
+    # Branches the store's checkpoint does not depend on.
+    follow: Follow
 
 
 @dataclass(frozen=True)
@@ -83,9 +127,16 @@ class StateDependencyGraph:
     nodes: tuple[tuple[int, str], ...]
     writes: tuple[SlotWrite, ...]
     pause_edges: tuple[PauseEdge, ...]
+    _writes_index: dict[int, list[SlotWrite]] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for w in self.writes:
+            self._writes_index.setdefault(w.slot, []).append(w)
 
     def writes_to(self, slot: int) -> tuple[SlotWrite, ...]:
-        return tuple(w for w in self.writes if w.slot == slot)
+        return tuple(self._writes_index.get(slot, ()))
 
 
 @dataclass(frozen=True)
@@ -93,6 +144,8 @@ class PlanEntry:
     selector: str
     # Statement ids to capture state at: transfer calls and role-slot stores.
     checkpoints: tuple[str, ...]
+    # Branches no checkpoint depends on, with the arm to follow.
+    follow: Follow
 
 
 @dataclass(frozen=True)
@@ -148,6 +201,7 @@ def build_ftg(
             privileged_owner=privileged.get(t.selector),
             amount_from_self_balance=db.df_any(db.self_balance_defs, t.amount),
             shared_fee_ancestor=(t.call_site, t.selector) in shared,
+            follow=_free_branches(db, t.call_site, t.selector),
         )
         for t in transfers
     )
@@ -207,7 +261,16 @@ def build_sdg(
                 and db.value_controls(comp_def[g.compare_site], store.sid)
                 for g in guards
             )
-            writes.append(SlotWrite(store.slot, store.sid, selector, store.value, guarded))
+            writes.append(
+                SlotWrite(
+                    store.slot,
+                    store.sid,
+                    selector,
+                    store.value,
+                    guarded,
+                    _free_branches(db, store.sid, selector),
+                )
+            )
 
     pause_slots = sorted({r.slot for r in roles if r.role is StorageRole.PAUSE})
     pause_edges: list[PauseEdge] = []
@@ -231,18 +294,51 @@ def build_sdg(
 
 def plan_symexec(ftg: FundTransferGraph, sdg: StateDependencyGraph) -> AnalysisPlan:
     """Selectors owning at least one edge or role-slot write, with their
-    checkpoint statements."""
+    checkpoint statements and the branches none of them depends on."""
     checkpoints: dict[str, set[str]] = defaultdict(set)
+    follow: dict[str, Follow] = {}
+
+    def add(site: str, selector: str, free: Follow) -> None:
+        checkpoints[selector].add(site)
+        follow[selector] = follow[selector] & free if selector in follow else free
+
     for e in ftg.edges:
-        checkpoints[e.selector].add(e.call_site)
+        add(e.call_site, e.selector, e.follow)
     for w in sdg.writes:
-        checkpoints[w.selector].add(w.store_site)
+        add(w.store_site, w.selector, w.follow)
 
     entries = tuple(
-        PlanEntry(selector=sel, checkpoints=tuple(sorted(checkpoints[sel])))
+        PlanEntry(
+            selector=sel,
+            checkpoints=tuple(sorted(checkpoints[sel])),
+            follow=follow[sel],
+        )
         for sel in sorted(checkpoints)
     )
     return AnalysisPlan(entries=entries)
+
+
+def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
+    """The branches under `selector` that do not decide the checkpoint at
+    `site`, each with its short arm (module docstring)."""
+    controlling = db.conditions_controlling(site)
+    operands = db.program.statement(site).var_operands()
+    branches = db.branches.get(selector, ())
+    free = []
+    for br in branches:
+        if br.sets is None or br.cond in controlling:
+            continue
+        reads = [
+            *operands,
+            *(
+                other.cond
+                for other in branches
+                if other.function != br.function or other.block not in br.blocks
+            ),
+        ]
+        if not any(db.df(v, r) for v in br.sets for r in reads):
+            free.append((br.function, br.block, br.short_arm))
+    return frozenset(free)
 
 
 def build_graphs(

@@ -209,8 +209,7 @@ def _flows_to_return(db: FactDb, x: str, selector: str) -> bool:
 
 
 def _controls_anything(db: FactDb, x: str) -> bool:
-    conds = {c for c, _, _ in db.controls}
-    return any(db.df(x, c) for c in conds)
+    return any(db.df(x, c) for c in db.region)
 
 
 def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:

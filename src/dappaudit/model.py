@@ -180,12 +180,18 @@ class IrProgram:
     _selector_index: dict[str, IrFunction] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
+    _stmt_index: dict[str, IrStatement] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._fn_index.update({f.name: f for f in self.functions})
         # The first function with a selector wins, as a scan would find it.
         self._selector_index.update(
             {f.selector: f for f in reversed(self.functions) if f.is_public}
+        )
+        self._stmt_index.update(
+            {s.sid: s for f in self.functions for b in f.blocks for s in b.statements}
         )
 
     def function(self, name: str) -> IrFunction:
@@ -204,10 +210,7 @@ class IrProgram:
                     yield f, b, s
 
     def statement(self, sid: str) -> IrStatement:
-        for _, _, s in self.statements():
-            if s.sid == sid:
-                return s
-        raise KeyError(sid)
+        return self._stmt_index[sid]
 
     def address_int(self) -> int:
         return int(self.address, 16)

@@ -18,7 +18,8 @@ once however often it is shared:
 - the tree size is computed at construction as ``1 + sum(child sizes)``;
 - the rendered text, the leaf set and the operator set are computed on
   first use, children first and without recursion, then stored on the node;
-- ``eval_concrete`` evaluates each distinct node once per call.
+- ``eval_concrete`` evaluates each distinct node once per call, also
+  without recursion.
 
 Interning is an optimisation, not an invariant: ``==`` and ``hash`` stay
 structural, so two equal nodes built by threads racing on the same table
@@ -278,26 +279,36 @@ def eval_concrete(e: SymExpr, bindings: dict[str, int]) -> int:
     """Evaluate under 256-bit wrapping semantics; division and modulo by
     zero yield 0; comparisons yield 0/1.  Non-constant leaves are looked up
     by their rendered name, and the first unbound one met left to right
-    raises UnboundLeaf."""
-    return _eval(e, bindings, {})
-
-
-def _eval(n: SymExpr, bindings: dict[str, int], done: dict[int, int]) -> int:
-    # `done` maps id(node) -> value; every node stays alive through the
-    # expression being evaluated.
-    if not n.args:
-        if n.op == "const":
-            return n.value
-        key = render(n)
-        if key not in bindings:
-            raise UnboundLeaf(key)
-        return bindings[key] % WORD
-    val = done.get(id(n))
-    if val is None:
+    raises UnboundLeaf.  Each distinct node is evaluated once, children
+    before parents and without recursion."""
+    # id(node) -> value; every node stays alive through `e`.  The stack is
+    # a path from `e`: its top is evaluated once its children are, left
+    # child first, so a node is never on it twice.
+    done: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        n = stack[-1]
         args = n.args
-        if n.op == "iszero":
-            val = int(_eval(args[0], bindings, done) == 0)
+        if args:
+            a = args[0]
+            if id(a) not in done:
+                stack.append(a)
+                continue
+            if len(args) == 1:
+                val = int(done[id(a)] == 0)
+            else:
+                b = args[1]
+                if id(b) not in done:
+                    stack.append(b)
+                    continue
+                val = _apply(n.op, done[id(a)], done[id(b)])
+        elif n.op == "const":
+            val = n.value
         else:
-            val = _apply(n.op, _eval(args[0], bindings, done), _eval(args[1], bindings, done))
+            key = render(n)
+            if key not in bindings:
+                raise UnboundLeaf(key)
+            val = bindings[key] % WORD
         done[id(n)] = val
-    return val
+        stack.pop()
+    return done[id(e)]

@@ -83,7 +83,7 @@ def flip_dependence(fn: IrFunction) -> dict[str, set[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Random loop-free programs over the full statement vocabulary
+# Random programs over the full statement vocabulary, loop-free unless asked
 
 
 def random_program(
@@ -91,8 +91,11 @@ def random_program(
     max_stmts: int = 30,
     with_calls: bool = True,
     with_private: bool = True,
+    with_loops: bool = False,
 ) -> IrProgram:
-    return parse_ir(random_program_text(rng, max_stmts, with_calls, with_private))
+    return parse_ir(
+        random_program_text(rng, max_stmts, with_calls, with_private, with_loops)
+    )
 
 
 def random_program_text(
@@ -100,8 +103,12 @@ def random_program_text(
     max_stmts: int = 30,
     with_calls: bool = True,
     with_private: bool = True,
+    with_loops: bool = False,
 ) -> str:
-    """A loop-free public function (optionally calling one private helper)."""
+    """A public function (optionally calling one private helper).  It is
+    loop-free unless with_loops, which allows up to 5 blocks instead of 3
+    and may send an arm of a branch through a loop of a constant trip count
+    of 1 to 6 before its target."""
     counter = [0]
 
     def fresh() -> str:
@@ -129,7 +136,7 @@ def random_program_text(
 
     defined: list[str] = list(params)
     budget = rng.randint(1, max_stmts)
-    n_blocks = rng.randint(1, 3)
+    n_blocks = rng.randint(1, 5 if with_loops else 3)
     per_block = max(1, budget // n_blocks)
 
     def emit_stmt(i: int) -> str:
@@ -199,6 +206,7 @@ def random_program_text(
         defined.append(v)
         return line
 
+    loops: list[str] = []
     for b in range(n_blocks):
         lines.append(f"  block B{b}:")
         for i in range(per_block):
@@ -208,11 +216,25 @@ def random_program_text(
             ret = rng.choice(defined) if defined and rng.random() < 0.7 else None
             lines.append(f"    return {ret}" if ret else "    stop")
         elif defined and rng.random() < 0.5:
-            t = rng.randint(b + 1, n_blocks - 1)
-            e = rng.randint(b + 1, n_blocks - 1)
-            lines.append(f"    jumpi {rng.choice(defined)} B{t} B{e}")
+            arms = [f"B{rng.randint(b + 1, n_blocks - 1)}" for _ in range(2)]
+            if with_loops and rng.random() < 0.5:
+                # The loop's variables stay out of `defined`: only the
+                # paths through the loop define them.
+                arm = rng.randrange(2)
+                start, i, n, go = fresh(), fresh(), fresh(), fresh()
+                lines.append(f"    {per_block}: {start} = CONST 0")
+                loops += [
+                    f"  block L{b}:",
+                    f"    0: {i} = PHI {n} {start}",
+                    f"    1: {n} = ADD {i} 1",
+                    f"    2: {go} = LT {n} {rng.randint(1, 6)}",
+                    f"    jumpi {go} L{b} {arms[arm]}",
+                ]
+                arms[arm] = f"L{b}"
+            lines.append(f"    jumpi {rng.choice(defined)} {arms[0]} {arms[1]}")
         else:
             lines.append(f"    jump B{b + 1}")
+    lines += loops
     lines.append("}")
     return "\n".join(lines) + "\n"
 

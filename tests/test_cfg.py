@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import random
 
-from dappaudit.cfg import control_dependence
+from dappaudit.cfg import branch_structure
 from dappaudit.parser import parse_ir
 from helpers import ADDR, flip_dependence, random_cfg_text
 
 
 def _fn(text: str):
     return parse_ir(text).functions[0]
+
+
+def control_dependence(fn):
+    return branch_structure(fn)[0]
 
 
 def test_single_block():
@@ -228,6 +232,131 @@ function f public sig 0x00000001 params () {{
     assert deps["f.X.0"] == frozenset({("vc", True), ("vd", True)})
     assert deps["f.Y.0"] == frozenset({("vc", True), ("vd", False)})
     assert deps["f.M.0"] == frozenset({("vc", True)})
+
+
+def _short_arms(text: str) -> dict[str, str | None]:
+    return {b: arm and arm[0] for b, arm in branch_structure(_fn(text))[1].items()}
+
+
+def test_short_arm_has_the_fewest_blocks_to_the_post_dominator():
+    # The diamond's arms tie, so the then-successor is taken.
+    assert branch_structure(_fn(DIAMOND))[1] == {"B0": ("B1", {"B1", "B2"})}
+    # From A, X meets E after one block and B after two; B's arms tie.
+    assert _short_arms(NESTED) == {"A": "X", "B": "X"}
+    # The loop's exit arm is the post-dominator itself.
+    assert _short_arms(LOOP) == {"L": "X"}
+
+
+def test_short_arm_skips_an_arm_that_never_meets_the_post_dominator():
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: vc = CALLVALUE
+    jumpi vc B1 B2
+  block B1:
+    0: vx = CONST 1
+    jump B1
+  block B2:
+    0: vy = CONST 2
+    stop
+}}
+"""
+    assert _short_arms(text) == {"B0": "B2"}
+
+
+def test_branch_without_a_real_post_dominator_has_no_short_arm():
+    # vd's branch cannot reach the exit; ve's arms meet only at the
+    # synthetic exit; the constant branch is not recorded.  vc's branch
+    # still has B2 as its post-dominator, and its dead-end arm is longer.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: vc = CALLVALUE
+    1: vd = CALLVALUE
+    2: ve = CALLVALUE
+    jumpi vc B1 B2
+  block B1:
+    jumpi vd B3 B4
+  block B3:
+    jump B3
+  block B4:
+    jump B4
+  block B2:
+    jumpi ve B5 B6
+  block B5:
+    jumpi 1 B7 B6
+  block B6:
+    revert
+  block B7:
+    stop
+}}
+"""
+    assert _short_arms(text) == {"B0": "B2", "B1": None, "B2": None}
+
+
+def test_short_arm_that_loops_is_no_short_arm():
+    # H is one block from P and A1 two, but H loops; H's own exit arm is
+    # P itself.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params (vx) {{
+  block L0:
+    0: vc = LT vx 10
+    jumpi vc H A1
+  block H:
+    0: vi = PHI vn 0
+    1: vn = ADD vi 1
+    2: vl = LT vn 10
+    jumpi vl H P
+  block A1:
+    jump A2
+  block A2:
+    jump P
+  block P:
+    stop
+}}
+"""
+    assert _short_arms(text) == {"L0": None, "H": "P"}
+
+
+def test_short_arm_must_cross_no_more_blocks_than_the_other_arm():
+    # A and O tie at one block to P, but A can also cross X and X2.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params (vc, vd) {{
+  block B0:
+    jumpi vc A O
+  block A:
+    jumpi vd X P
+  block X:
+    jump X2
+  block X2:
+    jump P
+  block O:
+    jump P
+  block P:
+    stop
+}}
+"""
+    assert _short_arms(text) == {"B0": None, "A": "P"}
+    # With the arms swapped the tie goes to O, whose one path is as short.
+    assert _short_arms(text.replace("jumpi vc A O", "jumpi vc O A")) == {
+        "B0": "O",
+        "A": "P",
+    }
+
+
+def test_unreachable_branch_has_no_record():
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    jump B2
+  block B1:
+    0: vc = CALLVALUE
+    jumpi vc B2 B2
+  block B2:
+    stop
+}}
+"""
+    assert _short_arms(text) == {}
 
 
 def test_control_dependence_matches_flip_oracle():

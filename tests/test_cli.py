@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from dappaudit import cli
 from dappaudit.chain import MockChain, RpcChain
 from dappaudit.cli import main
 from dappaudit.executor import MAX_EXPR_NODES, Limits
@@ -227,6 +228,46 @@ def test_symexec_keeps_values_under_the_expression_budget(workdir, capsys):
     assert sel["budget_exceeded"] is False
     (cp,) = sel["checkpoints"]
     assert cp["args"][1].count("callvalue") == 2**15
+
+
+def test_audit_guard_over_a_long_linear_chain(workdir, capsys):
+    # The guard's constraint is a 1200-deep ADD chain; checking it
+    # concretely must not exhaust the interpreter's recursion limit.
+    n = 1200
+    lines = [
+        f"contract {ADDR}",
+        "function pay public sig 0x01020304 params (vx) {",
+        "  block P0:",
+        "    0: v0 = CALLVALUE",
+    ]
+    lines += [f"    {i}: v{i} = ADD v{i - 1} 1" for i in range(1, n + 1)]
+    lines += [
+        f"    {n + 1}: vlt = LT v{n} 5",
+        "    jumpi vlt P1 P2",
+        "  block P1:",
+        "    0: vw = CALLER",
+        "    1: CALL vw vx",
+        "    stop",
+        "  block P2:",
+        "    revert",
+        "}",
+    ]
+    (workdir / "contract.ir").write_text("\n".join(lines) + "\n")
+    assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
+    out = capsys.readouterr()
+    assert json.loads(out.out)["contract"] == ADDR
+    assert out.err == ""
+
+
+def test_unexpected_exception_exits_two_with_one_line(workdir, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("layer\nfault")
+
+    monkeypatch.setitem(cli._COMMANDS, "audit", broken)
+    assert main(_audit_args(workdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "RuntimeError" in err and "layer fault" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_audit_runs_as_a_module(workdir):

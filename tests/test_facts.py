@@ -290,3 +290,92 @@ def test_fact_dump_is_deterministic(tmp_path):
     assert first == second
     assert "external_call.tsv" in first
     assert first["external_call.tsv"] == "f.B0.1\tvT\tv1\n"
+
+
+def test_controls_indexes_agree_with_the_relation():
+    rng = random.Random(31)
+    for _ in range(60):
+        db = build_facts(random_program(rng))
+        by_sid: dict[str, set[str]] = {}
+        by_cond: dict[str, set[str]] = {}
+        for cond, sid, _ in db.controls:
+            by_sid.setdefault(sid, set()).add(cond)
+            by_cond.setdefault(cond, set()).add(sid)
+        assert db.controlled_by == by_sid
+        assert db.region == by_cond
+        for _, _, s in db.program.statements():
+            assert db.conditions_controlling(s.sid) == by_sid.get(s.sid, set())
+
+
+def test_region_sets_the_loads_its_stores_may_feed():
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params (vx, vk) {{
+  block B0:
+    0: vc = LT vx 5
+    1: vd = LT vx 9
+    jumpi vc B1 B2
+  block B1:
+    0: SSTORE 1 vx
+    jump B2
+  block B2:
+    jumpi vd B3 B4
+  block B3:
+    0: SSTORE vk vx
+    jump B4
+  block B4:
+    0: va = SLOAD 1
+    1: vb = SLOAD 2
+    2: vu = SLOAD vk
+    stop
+}}
+"""
+    sets = {b.cond: b.sets for b in build_facts(parse_ir(text)).branches["0x00000001"]}
+    # A store to slot 1 may feed the load of slot 1 and the load whose slot
+    # has no constant; a store to an unnamed slot may feed every load.
+    assert sets == {"vc": {"va", "vu"}, "vd": {"va", "vb", "vu"}}
+
+
+def test_branches_are_listed_under_every_selector_that_reaches_them(tmp_path):
+    text = f"""contract {ADDR}
+function helper private params (vp) {{
+  block H0:
+    0: vq = LT vp 5
+    jumpi vq H1 H2
+  block H1:
+    0: vr = ADD vp 1
+    jump H2
+  block H2:
+    returnprivate vp vp
+}}
+function f public sig 0x00000001 params (va) {{
+  block B0:
+    0: vx = CALLPRIVATE helper va
+    1: vg = GT va 9
+    jumpi vg B1 B2
+  block B1:
+    stop
+  block B2:
+    revert
+}}
+function g public sig 0x00000002 params (vb) {{
+  block G0:
+    0: vy = CALLPRIVATE helper vb
+    stop
+}}
+"""
+    db = build_facts(parse_ir(text))
+    brs = {
+        sel: [(b.function, b.block, b.cond, b.short_arm, b.sets) for b in v]
+        for sel, v in db.branches.items()
+    }
+    assert brs == {
+        "0x00000001": [("helper", "H0", "vq", "H2", {"vr"}), ("f", "B0", "vg", None, None)],
+        "0x00000002": [("helper", "H0", "vq", "H2", {"vr"})],
+    }
+    # The record is not a relation, so the dumps leave it out.
+    names = {p.name for p in dump_facts(db, tmp_path)}
+    assert names == {
+        f"{r}.tsv"
+        for r in ("constant", "external_call", "call_arg", "math_op", "func_arg",
+                  "controls", "stmt_func", "comp", "dataflow")
+    }

@@ -290,6 +290,7 @@ def test_withdraw_all_graphs_golden():
             privileged_owner=0,
             amount_from_self_balance=True,
             shared_fee_ancestor=False,
+            follow=frozenset(),
         ),
     )
     assert sdg.nodes == ((0, "owner"),)
@@ -304,3 +305,72 @@ def test_graphs_ignore_function_declaration_order():
     a = build_graphs(build_facts(parse_ir(base)))
     b = build_graphs(build_facts(parse_ir(swapped)))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Branches a checkpoint does not depend on
+
+
+REFUND_BEHIND_BRANCH = f"""contract {ADDR}
+function helper private params (vp) {{
+  block H0:
+    returnprivate vp vp
+}}
+function pay public sig 0x00000007 params (vx) {{
+  block B0:
+    0: vc = LT vx 10
+    jumpi vc B1 B2
+  block B1:
+    0: vh = ADD vx 1
+    jump B2
+  block B2:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
+def test_branch_deciding_nothing_is_followed():
+    ftg, _, plan = _graphs(REFUND_BEHIND_BRANCH)
+    (edge,) = ftg.edges
+    assert edge.follow == {("pay", "B0", "B2")}
+    assert plan.entry("0x00000007").follow == edge.follow
+
+
+def test_region_making_a_private_call_decides():
+    text = REFUND_BEHIND_BRANCH.replace("vh = ADD vx 1", "vh = CALLPRIVATE helper vx")
+    ftg, _, plan = _graphs(text)
+    assert ftg.edges[0].follow == frozenset()
+    assert plan.entry("0x00000007").follow == frozenset()
+
+
+def test_region_feeding_a_deciding_condition_decides():
+    # vh flows into the guard vg, which the transfer is control-dependent
+    # on, so the branch that defines vh decides too.
+    text = REFUND_BEHIND_BRANCH.replace(
+        """  block B2:
+    0: vw = CALLER""",
+        """  block B2:
+    0: vg = GT vh 3
+    jumpi vg B3 B4
+  block B4:
+    revert
+  block B3:
+    0: vw = CALLER""",
+    )
+    ftg, _, plan = _graphs(text)
+    assert ftg.edges[0].follow == frozenset()
+    assert plan.entry("0x00000007").follow == frozenset()
+
+
+def test_plan_follows_only_branches_no_checkpoint_depends_on():
+    text = REFUND_BEHIND_BRANCH.replace(
+        "    2: CALL vw vv\n",
+        "    2: CALL vw vv\n    3: vo = CONST 0xbeef\n    4: CALL vo vh\n",
+    )
+    ftg, _, plan = _graphs(text)
+    follows = {e.call_site: e.follow for e in ftg.edges}
+    assert follows == {"pay.B2.2": {("pay", "B0", "B2")}, "pay.B2.4": frozenset()}
+    assert plan.entry("0x00000007").follow == frozenset()

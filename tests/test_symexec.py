@@ -6,6 +6,7 @@ reference interpreter in helpers.py.
 """
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -89,6 +90,19 @@ def test_eval_concrete_raises_on_missing_binding():
     with pytest.raises(UnboundLeaf) as err:
         eval_concrete(binop("add", callvalue(), store(2)), {"callvalue": 1})
     assert err.value.name == "store(2)"
+
+
+def test_eval_concrete_walks_a_deep_chain_without_recursion():
+    # Far deeper than the interpreter's recursion limit; the unbound leaf
+    # sits at the bottom, on the right.
+    e = callvalue()
+    for _ in range(5000):
+        e = binop("add", e, binop("mul", const(2), store(1)))
+    value = eval_concrete(e, {"callvalue": 7, "store(1)": 3})
+    assert value == 7 + 5000 * 6
+    with pytest.raises(UnboundLeaf) as err:
+        eval_concrete(e, {"callvalue": 7})
+    assert err.value.name == "store(1)"
 
 
 def _ref_eval(e, bindings):
@@ -992,3 +1006,390 @@ def test_feasible_checkpoints_have_concrete_witness():
         _, _, plan = build_graphs(build_facts(program))
         check(program, plan)
     assert exercised >= 80
+
+
+# ---------------------------------------------------------------------------
+# Executor: dataflow-guided pruning
+
+
+def _unpruned(plan):
+    """The same plan with every branch forking again."""
+    return dataclasses.replace(
+        plan,
+        entries=tuple(dataclasses.replace(e, follow=frozenset()) for e in plan.entries),
+    )
+
+
+def _kept(res):
+    """Distinct (checkpoint, rendered args) of the checkpoints semantics reads."""
+    return {
+        (cp.checkpoint, tuple(render(a) for a in cp.args))
+        for cp in res.feasible_checkpoints()
+    }
+
+
+ARM_FEEDS_AMOUNT = f"""\
+contract {ADDR}
+function pay public sig 0x00000101 params (vx) {{
+  block A0:
+    0: vc = LT vx 10
+    jumpi vc A1 A2
+  block A1:
+    0: va = ADD vx 1
+    jump A3
+  block A2:
+    0: vb = SUB vx 1
+    jump A3
+  block A3:
+    0: vm = PHI va vb
+    1: vw = CALLER
+    2: CALL vw vm
+    stop
+}}
+"""
+
+
+def test_branch_whose_arm_feeds_the_amount_runs_both_arms():
+    program, plan = _prog_and_plan(ARM_FEEDS_AMOUNT)
+    assert plan.entry("0x00000101").follow == frozenset()
+    res = execute_function(program, "0x00000101", plan)
+    assert res.states_explored == 2
+    x = "calldata(0x00000101,0)"
+    assert {render(cp.args[1]) for cp in res.checkpoints} == {f"add({x}, 1)", f"sub({x}, 1)"}
+
+
+ARM_STORES_LOADED_SLOT = f"""\
+contract {ADDR}
+function pay public sig 0x00000102 params (vx) {{
+  block S0:
+    0: vc = LT vx 10
+    jumpi vc S1 S2
+  block S1:
+    0: SSTORE 7 vx
+    jump S2
+  block S2:
+    0: vy = SLOAD 7
+    1: vw = CALLER
+    2: CALL vw vy
+    stop
+}}
+"""
+
+
+def test_arm_storing_a_slot_the_amount_loads_forks():
+    program, plan = _prog_and_plan(ARM_STORES_LOADED_SLOT)
+    assert plan.entry("0x00000102").follow == frozenset()
+    res = execute_function(program, "0x00000102", plan)
+    assert res.states_explored == 2
+    assert {render(cp.args[1]) for cp in res.checkpoints} == {
+        "calldata(0x00000102,0)",
+        "store(7)",
+    }
+    # Without the load the store decides nothing, and one arm is followed.
+    program, plan = _prog_and_plan(
+        ARM_STORES_LOADED_SLOT.replace("vy = SLOAD 7", "vy = CALLVALUE")
+    )
+    assert plan.entry("0x00000102").follow == {("pay", "S0", "S2")}
+    res = execute_function(program, "0x00000102", plan)
+    assert res.states_explored == 1
+    assert [render(cp.args[1]) for cp in res.checkpoints] == ["callvalue"]
+
+
+UNNAMED_SLOT = f"""\
+contract {ADDR}
+function pay public sig 0x00000105 params (vx) {{
+  block S0:
+    0: vk = MOD 7 4
+    1: vc = LT vx 10
+    jumpi vc S1 S2
+  block S1:
+    0: SSTORE STORED vx
+    jump S2
+  block S2:
+    0: vy = SLOAD LOADED
+    1: vw = CALLER
+    2: CALL vw vy
+    stop
+}}
+"""
+
+
+@pytest.mark.parametrize("stored, loaded", [("vk", "3"), ("3", "vk")])
+def test_slot_the_facts_cannot_name_counts_as_any_slot(stored, loaded):
+    # MOD does not fold in the facts, but the executor folds vk to 3.
+    text = UNNAMED_SLOT.replace("STORED", stored).replace("LOADED", loaded)
+    program, plan = _prog_and_plan(text)
+    assert plan.entry("0x00000105").follow == frozenset()
+    res = execute_function(program, "0x00000105", plan)
+    assert {render(cp.args[1]) for cp in res.checkpoints} == {
+        "calldata(0x00000105,0)",
+        "store(3)",
+    }
+
+
+IRRELEVANT_LOOP = f"""\
+contract {ADDR}
+function pay public sig 0x00000103 params (vx) {{
+  block L0:
+    0: vc = LT vx 10
+    jumpi vc L1 L3
+  block L1:
+    0: v0 = CONST 0
+    jump L2
+  block L2:
+    0: vi = PHI vn v0
+    1: vn = ADD vi 1
+    2: vl = LT vn vx
+    jumpi vl L2 L3
+  block L3:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
+def test_irrelevant_region_with_a_loop_follows_the_exit_arm():
+    program, plan = _prog_and_plan(IRRELEVANT_LOOP)
+    # Both the branch into the loop and the loop's own branch exit to L3.
+    assert plan.entry("0x00000103").follow == {("pay", "L0", "L3"), ("pay", "L2", "L3")}
+    res = execute_function(program, "0x00000103", plan)
+    assert res.states_explored == 1
+    (cp,) = res.checkpoints
+    assert cp.checkpoint == "pay.L3.2"
+    assert [render(a) for a in cp.args] == ["caller", "callvalue"]
+    assert cp.path == ()
+    assert cp.feasibility is Feasibility.FEASIBLE
+    full = execute_function(program, "0x00000103", _unpruned(plan))
+    assert full.states_explored > 1
+    assert _kept(full) == _kept(res)
+
+
+def _diamond_refund(k: int) -> str:
+    """A refund of CALLVALUE to CALLER behind k independent diamonds."""
+    params = ", ".join(f"vp{i}" for i in range(k))
+    lines = [f"contract {ADDR}", f"function refund public sig 0x00000104 params ({params}) {{"]
+    for i in range(k):
+        lines += [
+            f"  block B{i}:",
+            f"    0: vc{i} = LT vp{i} {i + 3}",
+            f"    jumpi vc{i} T{i} E{i}",
+            f"  block T{i}:",
+            f"    0: vt{i} = ADD vp{i} 1",
+            f"    jump B{i + 1}",
+            f"  block E{i}:",
+            f"    0: ve{i} = SUB vp{i} 1",
+            f"    jump B{i + 1}",
+        ]
+    lines += [
+        f"  block B{k}:",
+        "    0: vwho = CALLER",
+        "    1: vamt = CALLVALUE",
+        "    2: CALL vwho vamt",
+        "    stop",
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_diamond_refund_runs_one_state_within_budget():
+    analysis = analyze_ir(_diamond_refund(10))
+    (res,) = analysis.executions
+    assert res.states_explored == 1
+    assert not res.budget_exceeded
+    assert not analysis.semantics.budget_exceeded
+    (cp,) = res.checkpoints
+    assert [render(a) for a in cp.args] == ["caller", "callvalue"]
+    # Forking on every diamond would need 1024 states.
+    full = execute_function(analysis.program, "0x00000104", _unpruned(analysis.plan))
+    assert full.budget_exceeded
+    assert _kept(full) == _kept(res)
+
+
+LOOP_ON_THE_SHORTER_ARM = f"""\
+contract {ADDR}
+function pay public sig 0x00000106 params (vx) {{
+  block L0:
+    0: vc = LT vx 10
+    jumpi vc H A1
+  block H:
+    0: vi = PHI vn 0
+    1: vn = ADD vi 1
+    2: vl = LT vn 10
+    jumpi vl H P
+  block A1:
+    jump A2
+  block A2:
+    jump P
+  block P:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
+def test_branch_whose_fewer_blocks_loop_forks():
+    # H is one block from P against two through A1, but the loop's trip
+    # count outlasts loop_bound, so every path through H is cut; following
+    # H would lose the transfer that the path through A1 reaches.
+    program, plan = _prog_and_plan(LOOP_ON_THE_SHORTER_ARM)
+    assert ("pay", "L0", "H") not in plan.entry("0x00000106").follow
+    res = execute_function(program, "0x00000106", plan)
+    full = execute_function(program, "0x00000106", _unpruned(plan))
+    assert _kept(res) == _kept(full) == {("pay.P.2", ("caller", "callvalue"))}
+
+
+LONGER_NESTED_ARM = f"""\
+contract {ADDR}
+function pay public sig 0x00000107 params (vx) {{
+  block B0:
+    0: vc = LT vx 10
+    1: vd = CONST 1
+    jumpi vc A O
+  block A:
+    jumpi vd X P
+  block X:
+    jump X2
+  block X2:
+    jump P
+  block O:
+    jump P
+  block P:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
+def test_branch_whose_tied_arm_can_run_longer_forks():
+    # A and O both reach P after one block, but the constant vd sends the
+    # path through A across three, past max_depth.
+    program, plan = _prog_and_plan(LONGER_NESTED_ARM)
+    assert ("pay", "B0", "A") not in plan.entry("0x00000107").follow
+    limits = Limits(max_depth=3)
+    res = execute_function(program, "0x00000107", plan, limits)
+    full = execute_function(program, "0x00000107", _unpruned(plan), limits)
+    assert _kept(res) == _kept(full) == {("pay.P.2", ("caller", "callvalue"))}
+
+
+ARM_SETS_A_LATER_TRIP_COUNT = f"""\
+contract {ADDR}
+function pay public sig 0x00000108 params (vx) {{
+  block B0:
+    0: vc = LT vx 10
+    jumpi vc T E
+  block T:
+    0: vk = CONST 9
+    jump P
+  block E:
+    0: vj = CONST 1
+    jump P
+  block P:
+    0: vm = PHI vk vj
+    1: v0 = CONST 0
+    jump H
+  block H:
+    0: vi = PHI vn v0
+    1: vn = ADD vi 1
+    2: vl = LT vn vm
+    jumpi vl H X
+  block X:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
+def test_branch_whose_arm_sets_a_later_loop_bound_forks():
+    # Through T the loop runs past loop_bound and the path is cut; through
+    # E it exits at once.  The loop decides nothing, but vk and vj reach its
+    # condition, which is constant on each path, so B0 must fork.
+    program, plan = _prog_and_plan(ARM_SETS_A_LATER_TRIP_COUNT)
+    assert plan.entry("0x00000108").follow == {("pay", "H", "X")}
+    res = execute_function(program, "0x00000108", plan)
+    full = execute_function(program, "0x00000108", _unpruned(plan))
+    assert _kept(res) == _kept(full) == {("pay.X.2", ("caller", "callvalue"))}
+
+
+BRANCH_IN_A_COUNTED_LOOP = f"""\
+contract {ADDR}
+function pay public sig 0x00000109 params (vx) {{
+  block B0:
+    0: v0 = CONST 0
+    jump H
+  block H:
+    0: vi = PHI vn v0
+    1: vl = LT vi 2
+    jumpi vl B X
+  block B:
+    0: vc = LT vx 10
+    jumpi vc T E
+  block T:
+    0: vt = ADD vx 1
+    jump P
+  block E:
+    0: ve = SUB vx 1
+    jump P
+  block P:
+    0: vn = ADD vi 1
+    jump H
+  block X:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
+def test_branch_inside_a_counted_loop_is_followed_on_every_iteration():
+    program, plan = _prog_and_plan(BRANCH_IN_A_COUNTED_LOOP)
+    assert ("pay", "B", "T") in plan.entry("0x00000109").follow
+    res = execute_function(program, "0x00000109", plan)
+    full = execute_function(program, "0x00000109", _unpruned(plan))
+    assert (res.states_explored, full.states_explored) == (1, 4)
+    assert _kept(res) == _kept(full) == {("pay.X.2", ("caller", "callvalue"))}
+
+
+def _pruned_against_full(rng, limits, **program_args):
+    """(pruned run, full run) pairs per plan entry of random programs, and
+    how many entries follow some branch."""
+    runs = []
+    pruned = 0
+    for _ in range(400):
+        program = random_program(rng, **program_args)
+        _, _, plan = build_graphs(build_facts(program))
+        full_plan = _unpruned(plan)
+        for entry in plan.entries:
+            res = execute_function(program, entry.selector, plan, limits)
+            full = execute_function(program, entry.selector, full_plan, limits)
+            assert res.states_explored <= full.states_explored
+            runs.append((res, full))
+            pruned += bool(entry.follow)
+    return runs, pruned
+
+
+def test_pruned_plans_keep_the_checkpoints_of_full_exploration():
+    runs, pruned = _pruned_against_full(random.Random(2024), Limits())
+    for res, full in runs:
+        assert _kept(res) == _kept(full)
+    assert pruned >= 20
+
+
+@pytest.mark.parametrize("limits", [Limits(), Limits(max_depth=5, loop_bound=1)])
+def test_pruning_loses_no_checkpoint_when_bounds_cut_paths(limits):
+    # Loops whose trip count outlasts loop_bound, and max_depth, cut paths.
+    # The followed arm is never cut earlier than the other; when the other
+    # is cut, the full search keeps only the followed arm's states, whose
+    # extra constraint may make them infeasible, so pruning can keep more.
+    runs, pruned = _pruned_against_full(random.Random(2024), limits, with_loops=True)
+    for res, full in runs:
+        assert _kept(full) <= _kept(res)
+    assert pruned >= 20
