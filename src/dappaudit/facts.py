@@ -2,10 +2,14 @@
 
 The stored relations: constants (with folding), external calls, call
 arguments, math ops, function arguments, control dependence, statement
-ownership by public selector, syntactic comparisons, the
-reflexive-transitive dataflow closure, and the storage and environment
-relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP, own-address
-BALANCE, plain CALL).  All are collected once, when the database is built.
+ownership by public selector, syntactic comparisons, and the storage and
+environment relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP,
+own-address BALANCE, plain CALL).  All are collected once, when the
+database is built.
+
+The reflexive-transitive dataflow closure is kept as one reach set per
+variable (the variables it influences, itself included).  Every dataflow
+query is a lookup in them, answered here; `dataflow` derives the pairs.
 
 Besides the relations, the database keeps two indexes of `controls` (by
 statement and by condition) and, per public selector, the branches its
@@ -82,8 +86,9 @@ class FactDb:
     stmt_func: dict[str, frozenset[str]]
     # (sid, operator, lhs, rhs, def var) for LT/GT/EQ statements
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
-    # Reflexive-transitive influence closure over variables.
-    dataflow: frozenset[tuple[str, str]]
+    # Variable -> the variables it influences, itself included: the
+    # reflexive-transitive dataflow closure, for every program variable.
+    reach: dict[str, frozenset[str]]
     # Constant-slot storage operations, in program order.
     sloads: tuple[StorageOp, ...]
     sstores: tuple[StorageOp, ...]
@@ -102,16 +107,29 @@ class FactDb:
     # Public selector -> branches in the functions its entry point reaches.
     branches: dict[str, tuple[Branch, ...]]
 
+    @property
+    def dataflow(self) -> frozenset[tuple[str, str]]:
+        """The closure as (src, dst) pairs."""
+        return frozenset((a, b) for a, seen in self.reach.items() for b in seen)
+
     # -- queries ------------------------------------------------------------
 
     def const_of(self, operand: Operand) -> int | None:
         return _const_of(self.constant, operand)
 
+    def influenced(self, x: Operand) -> frozenset[str]:
+        """The variables x influences, itself included; none for a literal."""
+        if not isinstance(x, str):
+            return frozenset()
+        return self.reach.get(x) or frozenset((x,))
+
+    def influencers(self, v: Operand) -> frozenset[str]:
+        """The variables that influence v in the closure, v included."""
+        return frozenset(w for w, seen in self.reach.items() if v in seen)
+
     def df(self, src: Operand, dst: Operand) -> bool:
         """Does src influence dst?  Literal operands influence nothing."""
-        if not (isinstance(src, str) and isinstance(dst, str)):
-            return False
-        return src == dst or (src, dst) in self.dataflow
+        return dst in self.influenced(src)
 
     def df_any(self, sources, dst: Operand) -> bool:
         return any(self.df(s, dst) for s in sources)
@@ -125,17 +143,16 @@ class FactDb:
     def value_controls(self, x: Operand, sid: str) -> bool:
         """x determines whether sid runs: x flows into a branch condition
         the CFG says the statement depends on."""
-        return any(self.df(x, c) for c in self.conditions_controlling(sid))
+        return not self.influenced(x).isdisjoint(self.conditions_controlling(sid))
 
     def compared(self, a: Operand, b: Operand) -> tuple[str, ...]:
         """Comparison sites where a and b flow into the two operands."""
-        hits = []
-        for sid, _, lhs, rhs, _ in self.comp:
-            if (self.df(a, lhs) and self.df(b, rhs)) or (
-                self.df(a, rhs) and self.df(b, lhs)
-            ):
-                hits.append(sid)
-        return tuple(hits)
+        ra, rb = self.influenced(a), self.influenced(b)
+        return tuple(
+            sid
+            for sid, _, lhs, rhs, _ in self.comp
+            if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb)
+        )
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
@@ -264,7 +281,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
             s.sid: fn_selectors[fn.name] for fn, _, s in program.statements()
         },
         comp=tuple(sorted(comp, key=repr)),
-        dataflow=frozenset(),
+        reach={},
         sloads=tuple(sloads),
         sstores=tuple(sstores),
         slot_loads={slot: tuple(vs) for slot, vs in slot_loads.items()},
@@ -279,19 +296,26 @@ def derive_base_facts(program: IrProgram) -> FactDb:
 
 
 def dataflow_closure(db: FactDb) -> FactDb:
-    """Fill in the reflexive-transitive dataflow relation."""
-    succ: dict[str, set[str]] = {}
+    """Fill in the reach sets of the reflexive-transitive dataflow closure."""
+    program = db.program
+    # Every program variable is a node, so its reach set holds at least itself.
+    succ: dict[str, set[str]] = {p: set() for fn in program.functions for p in fn.params}
 
     def edge(src: Operand, dst: str | None) -> None:
         if isinstance(src, str) and dst is not None:
             succ.setdefault(src, set()).add(dst)
 
-    program = db.program
+    defs_by_callee: dict[str, list[str]] = {}
     for _, _, s in program.statements():
+        for v in (s.defvar, *s.var_operands()):
+            if v is not None:
+                succ.setdefault(v, set())
         if s.opcode is Opcode.CALLPRIVATE:
             callee = program.function(s.callee)
             for actual, formal in zip(s.args[1:], callee.params):
                 edge(actual, formal)
+            if s.defvar is not None:
+                defs_by_callee.setdefault(s.callee, []).append(s.defvar)
         elif s.opcode is Opcode.CALL:
             # External call results are fresh, unconstrained sources.
             continue
@@ -300,10 +324,6 @@ def dataflow_closure(db: FactDb) -> FactDb:
                 edge(v, s.defvar)
 
     # Returned values flow to the def at every site calling the function.
-    defs_by_callee: dict[str, list[str]] = {}
-    for _, _, s in program.statements():
-        if s.opcode is Opcode.CALLPRIVATE and s.defvar is not None:
-            defs_by_callee.setdefault(s.callee, []).append(s.defvar)
     for fn in program.functions:
         for b in fn.blocks:
             if b.terminator.kind is TermKind.RETURNPRIVATE:
@@ -311,25 +331,17 @@ def dataflow_closure(db: FactDb) -> FactDb:
                     for d in defs_by_callee.get(fn.name, []):
                         edge(v, d)
 
-    closure: set[tuple[str, str]] = set()
-    for start in sorted(succ):
+    reach: dict[str, frozenset[str]] = {}
+    for start in succ:
         seen = {start}
         work = [start]
         while work:
-            for nxt in succ.get(work.pop(), ()):
+            for nxt in succ[work.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     work.append(nxt)
-        closure.update((start, v) for v in seen)
-    # Reflexive over every variable in the program.
-    for fn in program.functions:
-        closure.update((p, p) for p in fn.params)
-    for _, _, s in program.statements():
-        if s.defvar is not None:
-            closure.add((s.defvar, s.defvar))
-        closure.update((v, v) for v in s.var_operands())
-
-    return replace(db, dataflow=frozenset(closure))
+        reach[start] = frozenset(seen)
+    return replace(db, reach=reach)
 
 
 def build_facts(program: IrProgram) -> FactDb:

@@ -16,12 +16,12 @@ when
 - (a) the checkpoint is control-dependent on its condition;
 - (b) its region (the statements its condition controls) makes a private
   call;
-- (c) a variable its region sets reaches (in `dataflow`) an operand of the
-  checkpoint, or the condition of any branch, itself included, outside
-  the blocks its arms reach before they meet.  A region sets the
-  variables it defines, and a store in it sets every load that may read
-  the stored slot: the loads of the same constant slot, and every load
-  when either slot is not a constant the facts can name;
+- (c) a variable its region sets influences (in the dataflow closure) an
+  operand of the checkpoint, or the condition of any branch, itself
+  included, outside the blocks its arms reach before they meet.  A region
+  sets the variables it defines, and a store in it sets every load that
+  may read the stored slot: the loads of the same constant slot, and
+  every load when either slot is not a constant the facts can name;
 - (d) it has no short arm: its arms meet only at the synthetic exit, or
   the short arm loops or can run more blocks than the other arm.
 
@@ -213,21 +213,13 @@ def _shared_amount_edges(
 ) -> set[tuple[str, str]]:
     """Edges whose amount shares a non-constant source with another edge
     of the same selector."""
-
-    def ancestors(amount: Operand) -> set[str]:
-        if not isinstance(amount, str):
-            return set()
-        return {
-            w for w, d in db.dataflow if d == amount and w not in db.constant
-        }
-
     by_selector: dict[str, list[TransferFact]] = defaultdict(list)
     for t in transfers:
         by_selector[t.selector].append(t)
 
     flagged: set[tuple[str, str]] = set()
     for selector, group in by_selector.items():
-        anc = [ancestors(t.amount) for t in group]
+        anc = [db.influencers(t.amount).difference(db.constant) for t in group]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 if group[i].call_site == group[j].call_site:
@@ -328,15 +320,15 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
     for br in branches:
         if br.sets is None or br.cond in controlling:
             continue
-        reads = [
+        reads = {
             *operands,
             *(
                 other.cond
                 for other in branches
                 if other.function != br.function or other.block not in br.blocks
             ),
-        ]
-        if not any(db.df(v, r) for v in br.sets for r in reads):
+        }
+        if all(db.influenced(v).isdisjoint(reads) for v in br.sets):
             free.append((br.function, br.block, br.short_arm))
     return frozenset(free)
 

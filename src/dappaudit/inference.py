@@ -84,8 +84,8 @@ def infer_transfers(db: FactDb) -> tuple[TransferFact, ...]:
         if shape is None:
             continue
         r_idx, a_idx, kind = shape
-        args = {i: a for c, a, i in db.call_arg if c == cs}
-        if r_idx not in args or a_idx not in args:
+        args = db.program.statement(cs).args[3:]
+        if max(r_idx, a_idx) >= len(args):
             continue
         for selector in sorted(db.selectors_of(cs)):
             out.append(
@@ -209,18 +209,13 @@ def _flows_to_return(db: FactDb, x: str, selector: str) -> bool:
 
 
 def _controls_anything(db: FactDb, x: str) -> bool:
-    return any(db.df(x, c) for c in db.region)
+    return not db.influenced(x).isdisjoint(db.region)
 
 
 def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:
     """stored is ADD-derived from a load of the same slot."""
-    if not isinstance(stored, str):
-        return False
-    loads_of_slot = db.slot_loads.get(slot, ())
-    for r, op, operands in db.math_op:
-        if op != "add" or not db.df(r, stored):
-            continue
-        for v in operands:
-            if isinstance(v, str) and any(db.df(x, v) for x in loads_of_slot):
-                return True
-    return False
+    loaded = frozenset().union(*map(db.influenced, db.slot_loads.get(slot, ())))
+    return any(
+        op == "add" and not loaded.isdisjoint(operands) and db.df(r, stored)
+        for r, op, operands in db.math_op
+    )

@@ -296,16 +296,14 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?"""
-    load_vars = db.slot_loads.get(slot, ())
+    loaded = frozenset().union(*map(db.influenced, db.slot_loads.get(slot, ())))
     before = False
     after = False
     for w in writes:
-        involved = list(load_vars)
-        if isinstance(w.value, str):
-            involved.append(w.value)
+        reached = loaded | db.influenced(w.value)
         write_sels = db.selectors_of(w.store_site)
         for sid, _, lhs, rhs, defvar in db.comp:
-            if not any(db.df(x, lhs) or db.df(x, rhs) for x in involved):
+            if lhs not in reached and rhs not in reached:
                 continue
             if db.selectors_of(sid).isdisjoint(write_sels):
                 continue

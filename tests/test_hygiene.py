@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-so is every module-level private name."""
+"""Source hygiene: every module-level import in the package is used, so
+is every module-level private name, and only `facts.py` touches the
+storage of the dataflow closure."""
 from __future__ import annotations
 
 import ast
@@ -74,6 +75,21 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     return [(m, line, name) for m, line, name in defined if name not in used]
 
 
+# Attributes holding the dataflow closure; their format is private to
+# facts.py, which answers every dataflow query.
+CLOSURE_ATTRIBUTES = ("dataflow", "reach")
+
+
+def closure_accesses(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) for each access to a closure attribute of any
+    object, in source order."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in CLOSURE_ATTRIBUTES
+    )
+
+
 def test_unused_imports_are_detected():
     source = (
         "from __future__ import annotations\n"
@@ -130,3 +146,26 @@ def test_package_has_no_dead_private_names():
     assert sources
     dead = [f"{m}:{line}: {name}" for m, line, name in dead_private_names(sources)]
     assert dead == [], "private names nothing uses:\n" + "\n".join(dead)
+
+
+def test_closure_accesses_are_detected():
+    source = (
+        "def f(db, analysis):\n"
+        "    n = len(db.dataflow)\n"
+        "    if db.df('va', 'vb'):\n"
+        "        return analysis.db.reach.get('va')\n"
+        "    reach = dataflow = n\n"
+        "    return reach, dataflow\n"
+    )
+    assert closure_accesses(source) == [(2, "dataflow"), (4, "reach")]
+
+
+def test_only_facts_touches_the_closure():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "facts.py")
+    assert modules
+    leaks = [
+        f"{path.name}:{line}: .{attr}"
+        for path in modules
+        for line, attr in closure_accesses(path.read_text())
+    ]
+    assert leaks == [], "dataflow closure read outside facts.py:\n" + "\n".join(leaks)
