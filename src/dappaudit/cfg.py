@@ -1,22 +1,32 @@
 """Per-function control dependence.
 
-Post-dominators are computed by an iterative set fixpoint over the
-control-flow graph augmented with a synthetic exit node. Control
-dependence takes the region form of Ferrante, Ottenstein & Warren (1987):
-a branch at block A with immediate post-dominator P controls, under an
-outcome, every block that the successor for that outcome reaches before
-P. The relation is transitive by construction: a statement depends on
-every branch whose outcome can change whether the statement executes,
-including statements in a region that never reaches the exit.
+Immediate post-dominators come from the iterative algorithm of Cooper,
+Harvey & Kennedy ("A Simple, Fast Dominance Algorithm", 2001) run on the
+reversed control-flow graph from a synthetic exit node: one depth-first
+walk over predecessor edges ranks the blocks that can reach the exit in
+postorder, and a block's immediate post-dominator is the nearest common
+post-dominator of its successors, found by climbing both by rank. They
+are built only for a function with a reachable branch: most functions
+have none, and without one no statement has a controlling branch.
+
+Control dependence takes the region form of Ferrante, Ottenstein &
+Warren (1987): a branch at block A with immediate post-dominator P
+controls, under an outcome, every block that the successor for that
+outcome reaches before P. The relation is transitive by construction: a
+statement depends on every branch whose outcome can change whether the
+statement executes, including statements in a region that never reaches
+the exit.
 
 A branch from which no path reaches the exit has no immediate
 post-dominator in that graph. Its post-dominators are taken instead over
 the graph augmented with a virtual exit edge from each sink region (a
 strongly connected set of blocks that cannot reach the exit and has no
 edge out), so it controls the blocks each outcome leads to before the two
-paths meet or settle in their sink regions. Branches that can reach the
-exit keep the post-dominators of the unaugmented graph, in which a path
-into a dead end never passes a post-dominator.
+paths meet or settle in their sink regions. The regions are still walked
+on the unaugmented graph: no walk enters the exit, so the virtual edges
+add no block to one. Branches that can reach the exit keep the
+post-dominators of the unaugmented graph, in which a path into a dead end
+never passes a post-dominator.
 
 The same walk over each branch's arms measures how many blocks the
 shortest path from each successor crosses before the immediate
@@ -70,7 +80,7 @@ def branch_structure(
     # Built on the first reachable branch, and on the first that cannot
     # reach the exit: most functions have neither.
     ipdom: dict[str, str] | None = None
-    sink_exits: tuple[dict, dict[str, str]] | None = None
+    sink_ipdom: dict[str, str] | None = None
 
     deps: dict[str, set[tuple[Operand, bool]]] = {n: set() for n in order}
     arms: dict[str, tuple[str, frozenset[str]] | None] = {}
@@ -81,23 +91,23 @@ def branch_structure(
             continue
         if ipdom is None:
             ipdom = _post_dominators(order, succ)
-        graph, post = succ, ipdom
+        post = ipdom
         if b.bid not in ipdom:
-            if sink_exits is None:
+            if sink_ipdom is None:
                 aug = _with_sink_exits(order, succ, ipdom)
-                sink_exits = aug, _post_dominators(order, aug)
-            graph, post = sink_exits
+                sink_ipdom = _post_dominators(order, aug)
+            post = sink_ipdom
         regions: list[set[str]] = []
         dist: list[float] = []
-        for dst, branch in graph[b.bid]:
-            region, steps = _reach(dst, graph, stop=post[b.bid])
+        for dst, branch in succ[b.bid]:
+            region, steps = _reach(dst, succ, stop=post[b.bid])
             for n in region:
                 deps[n].add((t.cond, branch))
             regions.append(region)
             dist.append(float("inf") if steps is None else steps)
         if isinstance(t.cond, str):
             arms[b.bid] = None
-            if graph is succ and post[b.bid] != EXIT:
+            if post is ipdom and post[b.bid] != EXIT:
                 arm = _short_arm(t.targets, regions, dist, post[b.bid], succ)
                 if arm is not None:
                     arms[b.bid] = arm, frozenset(regions[0] | regions[1])
@@ -197,41 +207,51 @@ def _post_dominators(
     order: list[str], succ: dict[str, list[tuple[str, bool | None]]]
 ) -> dict[str, str]:
     """Immediate post-dominator of each block that can reach the exit."""
-    universe = set(order) | {EXIT}
-    pdom: dict[str, set[str]] = {n: set(universe) for n in order}
-    pdom[EXIT] = {EXIT}
-
-    changed = True
-    while changed:
-        changed = False
-        for n in reversed(order):
-            succs = [d for d, _ in succ[n]]
-            sets = [pdom[d] for d in succs]
-            new = set.intersection(*sets) | {n} if sets else {n}
-            if new != pdom[n]:
-                pdom[n] = new
-                changed = True
-
-    # A block that cannot reach the exit has no defined ipdom.
-    reaches_exit = {EXIT}
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            if n not in reaches_exit and any(d in reaches_exit for d, _ in succ[n]):
-                reaches_exit.add(n)
-                changed = True
-    ipdom: dict[str, str] = {}
+    preds: dict[str, list[str]] = {n: [] for n in order}
+    preds[EXIT] = []
     for n in order:
-        if n not in reaches_exit:
-            continue
-        strict = pdom[n] - {n}
-        # The immediate post-dominator is the strict post-dominator that is
-        # post-dominated by all the others.
-        for c in strict:
-            others = strict - {c}
-            cpd = pdom.get(c, {EXIT}) if c != EXIT else {EXIT}
-            if all(o in cpd for o in others):
-                ipdom[n] = c
+        for d, _ in succ[n]:
+            preds[d].append(n)
+
+    # Postorder of a depth-first walk from the exit over predecessor edges;
+    # it holds exactly the blocks that can reach the exit, the exit last.
+    post: list[str] = []
+    seen = {EXIT}
+    walk = [(EXIT, iter(preds[EXIT]))]
+    while walk:
+        n, rest = walk[-1]
+        for p in rest:
+            if p not in seen:
+                seen.add(p)
+                walk.append((p, iter(preds[p])))
                 break
-    return ipdom
+        else:
+            walk.pop()
+            post.append(n)
+    rank = {n: i for i, n in enumerate(post)}
+
+    # A block's walk parent comes before it in reverse postorder, so every
+    # block meets at least one successor with a post-dominator already set.
+    ipdom = {EXIT: EXIT}
+    changed = True
+    while changed:
+        changed = False
+        for n in reversed(post[:-1]):
+            new = None
+            for d, _ in succ[n]:
+                if d not in ipdom:
+                    continue
+                if new is None:
+                    new = d
+                    continue
+                # Climb both chains to their nearest common post-dominator.
+                a = d
+                while a != new:
+                    while rank[a] < rank[new]:
+                        a = ipdom[a]
+                    while rank[new] < rank[a]:
+                        new = ipdom[new]
+            if ipdom.get(n) != new:
+                ipdom[n] = new
+                changed = True
+    return {n: ipdom[n] for n in order if n in ipdom}

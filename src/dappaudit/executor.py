@@ -32,7 +32,8 @@ statements take the in-loop operand (first) while the counter is at most
 loop_bound, falling back to the out-loop operand (second) when the in-loop
 variable is not yet bound, and take the out-loop operand on the visit
 after loop_bound full iterations; edges that would push a counter past
-that final visit are pruned, as are paths past max_depth blocks.
+that final visit are pruned, as are paths past max_depth blocks, and
+either cut makes the run report budget_exceeded.
 
 Modeling conventions: external call results and loads from non-constant
 slots are fresh unknowns (named by site and occurrence); stores to
@@ -46,10 +47,10 @@ definition (no returned values bind zero).
 Expression-size budget: an operator statement whose value, read as a tree,
 has more than MAX_EXPR_NODES nodes binds an opaque unknown named after its
 site and occurrence instead (``opaque(<sid>#<n>)``), and the run reports
-budget_exceeded, as it does when max_states cuts the search short.  The
-value's DAG stays small however large its tree grows, but the rendered
-checkpoint operands grow with the tree, so the budget keeps reports and
-`symexec` dumps bounded.
+budget_exceeded, as it does when max_states, loop_bound or max_depth cuts
+the search short.  The value's DAG stays small however large its tree
+grows, but the rendered checkpoint operands grow with the tree, so the
+budget keeps reports and `symexec` dumps bounded.
 """
 from __future__ import annotations
 
@@ -145,7 +146,8 @@ class _State:
     counts: dict[tuple[str, str], int]
     stack: list[_Frame]
     occ: dict[str, int]
-    expr_budget_hit: bool = False
+    # A budget cut this path, a fork of it, or a value it bound.
+    budget_hit: bool = False
 
     def clone(self) -> "_State":
         return _State(
@@ -159,7 +161,7 @@ class _State:
             counts=dict(self.counts),
             stack=[replace(f) for f in self.stack],
             occ=dict(self.occ),
-            expr_budget_hit=self.expr_budget_hit,
+            budget_hit=self.budget_hit,
         )
 
 
@@ -203,7 +205,7 @@ def execute_function(
         st = stack.pop()
         processed += 1
         _run_path(program, st, selector, targets, follow, limits, captured, stack)
-        budget_exceeded = budget_exceeded or st.expr_budget_hit
+        budget_exceeded = budget_exceeded or st.budget_hit
     return ExecutionResult(tuple(captured), budget_exceeded, processed)
 
 
@@ -218,12 +220,12 @@ def _resolve(st: _State, op: Operand) -> SymExpr:
 
 
 def _transition(st: _State, limits: Limits, target: str) -> bool:
-    """Move st to the target block; False when the edge is pruned."""
-    if st.depth + 1 > limits.max_depth:
-        return False
+    """Move st to the target block; False, with the budget hit, when the
+    edge is pruned."""
     key = (st.fn.name, target)
     count = st.counts.get(key, 0) + 1
-    if count > limits.loop_bound + 1:
+    if st.depth + 1 > limits.max_depth or count > limits.loop_bound + 1:
+        st.budget_hit = True
         return False
     st.counts[key] = count
     st.depth += 1
@@ -282,6 +284,8 @@ def _run_path(
             other.path = other.path + (iszero(cond),)
             if _transition(other, limits, t.targets[1]):
                 stack.append(other)
+            else:
+                st.budget_hit = True
             st.path = st.path + (cond,)
             if not _transition(st, limits, t.targets[0]):
                 return
@@ -306,7 +310,7 @@ def _bind_op(st: _State, s: IrStatement, value: SymExpr) -> bool:
     """Bind an operator's value, or an opaque leaf past the size budget."""
     if value.size > MAX_EXPR_NODES:
         value = fresh(f"opaque({s.sid}#{_occ(st, s.sid)})")
-        st.expr_budget_hit = True
+        st.budget_hit = True
     st.env[s.defvar] = value
     return True
 

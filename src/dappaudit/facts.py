@@ -4,8 +4,7 @@ The stored relations: constants (with folding), external calls, call
 arguments, math ops, function arguments, control dependence, statement
 ownership by public selector, syntactic comparisons, and the storage and
 environment relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP,
-own-address BALANCE, plain CALL).  All are collected once, when the
-database is built.
+plain CALL).  All are collected once, when the database is built.
 
 The reflexive-transitive dataflow closure is kept as one reach set per
 variable (the variables it influences, itself included).  Every dataflow
@@ -96,8 +95,6 @@ class FactDb:
     slot_loads: dict[int, tuple[str, ...]]
     caller_defs: tuple[str, ...]
     timestamp_defs: tuple[str, ...]
-    # Variables holding the contract's own balance.
-    self_balance_defs: tuple[str, ...]
     # CALL statements without ABI arguments: ether sends.
     plain_calls: tuple[IrStatement, ...]
     # Indexes of `controls`: sid -> conditions controlling it, and
@@ -167,11 +164,9 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     sstores: list[StorageOp] = []
     caller_defs: list[str] = []
     timestamp_defs: list[str] = []
-    self_balance_defs: list[str] = []
     plain_calls: list[IrStatement] = []
     # Loads whose slot the constant folding cannot name.
     unnamed_loads: list[str] = []
-    own = program.address_int()
 
     def call(s: IrStatement) -> None:
         if len(s.args) >= 3:
@@ -194,10 +189,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         if (slot := _const_of(constant, s.args[0])) is not None:
             sstores.append(StorageOp(s.sid, slot, s.args[1]))
 
-    def balance(s: IrStatement) -> None:
-        if _const_of(constant, s.args[0]) == own:
-            self_balance_defs.append(s.defvar)
-
     # Opcodes missing here add to no relation.
     record = {
         Opcode.CALL: call,
@@ -209,7 +200,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         Opcode.SSTORE: sstore,
         Opcode.CALLER: lambda s: caller_defs.append(s.defvar),
         Opcode.TIMESTAMP: lambda s: timestamp_defs.append(s.defvar),
-        Opcode.BALANCE: balance,
     }.get
     for _, _, s in program.statements():
         if (f := record(s.opcode)) is not None:
@@ -287,7 +277,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         slot_loads={slot: tuple(vs) for slot, vs in slot_loads.items()},
         caller_defs=tuple(caller_defs),
         timestamp_defs=tuple(timestamp_defs),
-        self_balance_defs=tuple(self_balance_defs),
         plain_calls=tuple(plain_calls),
         controlled_by={sid: frozenset(c) for sid, c in controlled_by.items()},
         region={cond: frozenset(sids) for cond, sids in region.items()},

@@ -87,8 +87,6 @@ class FtgEdge:
     kind: TransferKind
     # Slot guarding this selector, when that slot also carries the owner role.
     privileged_owner: int | None
-    # Amount derives from the contract's own balance (withdraw-all shape).
-    amount_from_self_balance: bool
     # Another transfer under the same selector splits a common source value.
     shared_fee_ancestor: bool
     # Branches the transfer's checkpoint does not depend on.
@@ -199,7 +197,6 @@ def build_ftg(
             selector=t.selector,
             kind=t.kind,
             privileged_owner=privileged.get(t.selector),
-            amount_from_self_balance=db.df_any(db.self_balance_defs, t.amount),
             shared_fee_ancestor=(t.call_site, t.selector) in shared,
             follow=_free_branches(db, t.call_site, t.selector),
         )

@@ -27,7 +27,7 @@ from .claims import (
 from .detector import InconsistencyReport, detect_all
 from .executor import ExecutionResult, Limits, execute_function
 from .facts import FactDb, build_facts, dump_facts
-from .graphs import AnalysisPlan, FundTransferGraph, StateDependencyGraph, build_graphs
+from .graphs import AnalysisPlan, build_graphs
 from .llm import LlmClient
 from .parser import IrProgram, parse_ir
 from .prompts import build_prompts
@@ -72,8 +72,6 @@ class ContractAnalysis:
 
     program: IrProgram
     db: FactDb
-    ftg: FundTransferGraph
-    sdg: StateDependencyGraph
     plan: AnalysisPlan
     executions: tuple[ExecutionResult, ...]
     semantics: ContractSemantics
@@ -87,7 +85,7 @@ def analyze_ir(text: str, limits: Limits = Limits()) -> ContractAnalysis:
         execute_function(program, sel, plan, limits) for sel in plan.selectors()
     )
     semantics = summarize_semantics(executions, db, ftg, sdg)
-    return ContractAnalysis(program, db, ftg, sdg, plan, executions, semantics)
+    return ContractAnalysis(program, db, plan, executions, semantics)
 
 
 def chain_backend(cfg: RunConfig) -> ChainState | None:

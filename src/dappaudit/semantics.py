@@ -18,10 +18,9 @@ from typing import Sequence
 
 from .executor import CheckpointState, ExecutionResult
 from .facts import FactDb
-from .feasibility import Feasibility
 from .graphs import FtgEdge, FundTransferGraph, RecipientClass, StateDependencyGraph
 from .inference import StorageRole, TransferKind
-from .symexpr import SymExpr, const, contains_op, leaves, render
+from .symexpr import SymExpr, const, leaves, render
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class TransferSummary:
     dynamic: DynamicFlags
     owner_gated: bool
     shares_amount_source: bool
-    feasibility: Feasibility
 
 
 @dataclass(frozen=True)
@@ -165,32 +163,27 @@ def summarize_semantics(
         edge_index.setdefault((edge.call_site, edge.selector), []).append((edge, idx))
 
     transfers: list[TransferSummary] = []
-    seen: dict[tuple[str, str, str], int] = {}
+    seen: set[tuple[str, str, str]] = set()
     for cp in cps:
         for edge, idx in edge_index.get((cp.checkpoint, cp.selector), ()):
             amount_expr = cp.args[idx]
-            summary = TransferSummary(
-                call_site=edge.call_site,
-                selector=edge.selector,
-                kind=edge.kind,
-                recipient_class=edge.recipient_class,
-                amount=render(amount_expr),
-                amount_expr=amount_expr,
-                dynamic=_dynamic_flags(amount_expr, written_slots),
-                owner_gated=edge.privileged_owner is not None,
-                shares_amount_source=edge.shared_fee_ancestor,
-                feasibility=cp.feasibility,
+            key = (edge.call_site, edge.selector, render(amount_expr))
+            if key in seen:
+                continue
+            seen.add(key)
+            transfers.append(
+                TransferSummary(
+                    call_site=edge.call_site,
+                    selector=edge.selector,
+                    kind=edge.kind,
+                    recipient_class=edge.recipient_class,
+                    amount=key[2],
+                    amount_expr=amount_expr,
+                    dynamic=_dynamic_flags(amount_expr, written_slots),
+                    owner_gated=edge.privileged_owner is not None,
+                    shares_amount_source=edge.shared_fee_ancestor,
+                )
             )
-            key = (summary.call_site, summary.selector, summary.amount)
-            prior = seen.get(key)
-            if prior is None:
-                seen[key] = len(transfers)
-                transfers.append(summary)
-            elif (
-                transfers[prior].feasibility is not Feasibility.FEASIBLE
-                and summary.feasibility is Feasibility.FEASIBLE
-            ):
-                transfers[prior] = summary
     transfers.sort(key=lambda t: (t.selector, t.call_site, t.amount))
 
     payout_leaves: dict[str, frozenset[str]] = {}
@@ -212,7 +205,7 @@ def summarize_semantics(
             leaves(t.amount_expr) & payout_leaves.get(t.selector, frozenset())
         )
         if not (
-            contains_op(base, "callvalue")
+            "callvalue" in leaves(base)
             or t.shares_amount_source
             or shares_payout
         ):

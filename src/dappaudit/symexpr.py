@@ -16,8 +16,8 @@ therefore describes a DAG, and the queries here visit each distinct node
 once however often it is shared:
 
 - the tree size is computed at construction as ``1 + sum(child sizes)``;
-- the rendered text, the leaf set and the operator set are computed on
-  first use, children first and without recursion, then stored on the node;
+- the rendered text and the leaf set are computed on first use, children
+  first and without recursion, then stored on the node;
 - ``eval_concrete`` evaluates each distinct node once per call, also
   without recursion.
 
@@ -53,7 +53,7 @@ class SymExpr:
 
     __slots__ = (
         "op", "args", "value", "name", "size",
-        "_hash", "_text", "_leaves", "_ops", "__weakref__",
+        "_hash", "_text", "_leaves", "__weakref__",
     )
 
     def __init__(
@@ -72,7 +72,6 @@ class SymExpr:
         self._hash = hash((op, args, value, name))
         self._text: str | None = None
         self._leaves: frozenset[str] | None = None
-        self._ops: frozenset[str] | None = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -253,10 +252,6 @@ def _leaves_of(n: SymExpr) -> frozenset[str]:
     return _union(a._leaves for a in n.args)
 
 
-def _ops_of(n: SymExpr) -> frozenset[str]:
-    return _union([frozenset((n.op,)), *(a._ops for a in n.args)])
-
-
 def render(e: SymExpr) -> str:
     text = e._text
     return text if text is not None else _fill(e, "_text", _text_of)
@@ -266,13 +261,6 @@ def leaves(e: SymExpr) -> frozenset[str]:
     """Rendered names of all non-constant leaves."""
     found = e._leaves
     return found if found is not None else _fill(e, "_leaves", _leaves_of)
-
-
-def contains_op(e: SymExpr, op: str) -> bool:
-    ops = e._ops
-    if ops is None:
-        ops = _fill(e, "_ops", _ops_of)
-    return op in ops
 
 
 def eval_concrete(e: SymExpr, bindings: dict[str, int]) -> int:

@@ -14,6 +14,28 @@ from dappaudit.parser import parse_ir
 ADDR = "0x00000000000000000000000000000000000000aa"
 
 
+def counted_loop_text(k: int) -> str:
+    """A loop whose header runs until its counter reaches k, then a refund
+    of CALLVALUE to the caller; selector 0x0000000f."""
+    return f"""contract {ADDR}
+function refund public sig 0x0000000f params () {{
+  block L0:
+    0: v0 = CONST 0
+    jump H
+  block H:
+    0: vi = PHI vn v0
+    1: vn = ADD vi 1
+    2: vl = LT vn {k}
+    jumpi vl H P
+  block P:
+    0: vw = CALLER
+    1: vv = CALLVALUE
+    2: CALL vw vv
+    stop
+}}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Random branchy CFGs (acyclic, one fresh condition per branch)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from dappaudit.cfg import branch_structure
+from dappaudit.cfg import EXIT, _post_dominators, _with_sink_exits, branch_structure
 from dappaudit.parser import parse_ir
 from helpers import ADDR, flip_dependence, random_cfg_text
 
@@ -370,3 +370,70 @@ def test_control_dependence_matches_flip_oracle():
         for b in fn.blocks:
             got = {c for c, _ in deps[b.statements[0].sid]}
             assert got == oracle[b.bid], f"instance {i}, block {b.bid}"
+
+
+def _random_graph(rng: random.Random) -> tuple[list[str], dict]:
+    """A random CFG of up to 12 blocks: any block may exit, jump or branch
+    to any block, itself included."""
+    order = [f"B{i}" for i in range(rng.randint(1, 12))]
+    succ = {}
+    for n in order:
+        r = rng.random()
+        if r < 0.2:
+            succ[n] = [(EXIT, None)]
+        elif r < 0.5:
+            succ[n] = [(rng.choice(order), None)]
+        else:
+            succ[n] = [(rng.choice(order), True), (rng.choice(order), False)]
+    return order, succ
+
+
+def _reference_post_dominators(order, succ) -> dict[str, str]:
+    """Immediate post-dominators from the definition: d post-dominates n
+    when n cannot reach the exit once d is removed, and the immediate one
+    is the strict post-dominator that all the others post-dominate."""
+    preds = {n: [] for n in [*order, EXIT]}
+    for n in order:
+        for d, _ in succ[n]:
+            preds[d].append(n)
+
+    def reaching_exit(removed):
+        seen, work = set(), [EXIT]
+        while work:
+            n = work.pop()
+            if n != removed and n not in seen:
+                seen.add(n)
+                work.extend(preds[n])
+        return seen
+
+    live = reaching_exit(None)
+    avoiding = {d: reaching_exit(d) for d in order}
+    pdom = {EXIT: {EXIT}}
+    for n in live - {EXIT}:
+        pdom[n] = {n, EXIT} | {d for d in order if n not in avoiding[d]}
+    ipdom = {}
+    for n in order:
+        if n in live:
+            strict = pdom[n] - {n}
+            (ipdom[n],) = [c for c in strict if strict - {c} <= pdom[c]]
+    return ipdom
+
+
+def test_post_dominators_match_the_definition_on_cyclic_graphs():
+    rng = random.Random(20261018)
+    seen = {"back edge": 0, "self-loop": 0, "dead end": 0}
+    for i in range(2000):
+        order, succ = _random_graph(rng)
+        want = _reference_post_dominators(order, succ)
+        assert _post_dominators(order, succ) == want, f"graph {i}: {succ}"
+        aug = _with_sink_exits(order, succ, want)
+        want_aug = _reference_post_dominators(order, aug)
+        assert set(want_aug) == set(order), f"graph {i}"
+        assert _post_dominators(order, aug) == want_aug, f"graph {i}: {aug}"
+        rank = {n: j for j, n in enumerate(order)}
+        edges = [(n, d) for n in order for d, _ in succ[n] if d != EXIT]
+        seen["back edge"] += any(rank[d] < rank[n] for n, d in edges)
+        seen["self-loop"] += any(d == n for n, d in edges)
+        seen["dead end"] += len(want) < len(order)
+    # The generator covers every shape the test is for.
+    assert all(count > 200 for count in seen.values()), seen

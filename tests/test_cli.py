@@ -26,7 +26,7 @@ from dappaudit.pipeline import (
     expand_directory,
 )
 
-from helpers import ADDR
+from helpers import ADDR, counted_loop_text
 
 
 AUDIT_IR = f"""contract {ADDR}
@@ -193,6 +193,16 @@ function pay public sig 0x01020304 params (vamt) {{
     doc = json.loads(capsys.readouterr().out)
     assert doc["findings"] == []
     assert doc["metadata"] == {"symbolic_budget_exceeded": True}
+
+
+@pytest.mark.parametrize("k, flagged", [(3, False), (4, True)])
+def test_audit_loop_bound_cut_lands_in_metadata(workdir, capsys, k, flagged):
+    # For k = 4 loop bounding cuts the only path before the transfer.
+    (workdir / "contract.ir").write_text(counted_loop_text(k))
+    assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    want = {"symbolic_budget_exceeded": True} if flagged else None
+    assert doc.get("metadata") == want
 
 
 def _doubling_chain_ir(n: int) -> str:

@@ -279,7 +279,6 @@ function f public sig 0x00000001 params (vK, vV) {{
     assert [(o.sid, o.slot, o.value) for o in db.sloads] == [("f.B0.3", 4, "v2")]
     assert [(o.sid, o.slot, o.value) for o in db.sstores] == [("f.B0.4", 4, "v2")]
     assert db.slot_loads == {4: ("v2",)}
-    assert db.self_balance_defs == ("vmine",)
 
 
 def test_fact_dump_is_deterministic(tmp_path):

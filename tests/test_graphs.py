@@ -63,7 +63,6 @@ def test_guarded_withdraw_all_edge():
     ftg, _, _ = _graphs(WITHDRAW_ALL)
     (e,) = ftg.edges
     assert e.privileged_owner == 0
-    assert e.amount_from_self_balance
     assert not e.shared_fee_ancestor
     assert e.recipient_class is RecipientClass.CALLER
 
@@ -80,7 +79,6 @@ function f public sig 0x00000001 params (vto) {{
     )
     (e,) = ftg.edges
     assert e.privileged_owner is None
-    assert not e.amount_from_self_balance
 
 
 def test_guard_on_non_owner_slot_is_not_privileged():
@@ -288,7 +286,6 @@ def test_withdraw_all_graphs_golden():
             selector="0x00000002",
             kind=TransferKind.ETHER,
             privileged_owner=0,
-            amount_from_self_balance=True,
             shared_fee_ancestor=False,
             follow=frozenset(),
         ),

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package is used, so
-is every module-level private name, and only `facts.py` touches the
-storage of the dataflow closure."""
+is every module-level private name and every dataclass field, and only
+`facts.py` touches the storage of the dataflow closure."""
 from __future__ import annotations
 
 import ast
@@ -75,6 +75,49 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     return [(m, line, name) for m, line, name in defined if name not in used]
 
 
+# Fields kept although nothing reads them yet: role provenance for the
+# trace (ROADMAP, standing decisions).
+UNREAD_FIELDS_KEPT = {("SenderGuardFact", "load_site")}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with `@dataclass` or `@dataclass(...)`."""
+    for d in node.decorator_list:
+        if isinstance(d, ast.Call):
+            d = d.func
+        if isinstance(d, ast.Name) and d.id == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str, str]]:
+    """(module, line, class, field) for each field of a `@dataclass` class
+    that no module reads as an attribute.
+
+    A read is an attribute load of the field's name on any object; the
+    match is by name alone, so a field that shares its name with another
+    attribute some module reads passes.
+    """
+    fields: list[tuple[str, int, str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [
+                    (module, item.lineno, node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    return [
+        f
+        for f in fields
+        if f[3] not in read and (f[2], f[3]) not in UNREAD_FIELDS_KEPT
+    ]
+
+
 # Attributes holding the dataflow closure; their format is private to
 # facts.py, which answers every dataflow query.
 CLOSURE_ATTRIBUTES = ("dataflow", "reach")
@@ -146,6 +189,39 @@ def test_package_has_no_dead_private_names():
     assert sources
     dead = [f"{m}:{line}: {name}" for m, line, name in dead_private_names(sources)]
     assert dead == [], "private names nothing uses:\n" + "\n".join(dead)
+
+
+def test_unread_dataclass_fields_are_detected():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Edge:\n"
+            "    site: str\n"
+            "    planted: bool\n"
+            "    shared: int = 0\n"
+            "@dataclass\n"
+            "class SenderGuardFact:\n"
+            "    load_site: str\n"
+            "class Plain:\n"
+            "    unread: int\n"
+        ),
+        "b.py": (
+            "def f(edge, other):\n"
+            "    edge.planted = True\n"
+            "    return edge.site, other.shared\n"
+        ),
+    }
+    assert unread_dataclass_fields(sources) == [("a.py", 5, "Edge", "planted")]
+
+
+def test_package_has_no_unread_dataclass_fields():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    unread = [
+        f"{m}:{line}: {cls}.{name}" for m, line, cls, name in unread_dataclass_fields(sources)
+    ]
+    assert unread == [], "dataclass fields nothing reads:\n" + "\n".join(unread)
 
 
 def test_closure_accesses_are_detected():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dappaudit.executor import execute_function
 from dappaudit.facts import build_facts
-from dappaudit.feasibility import Feasibility
 from dappaudit.graphs import RecipientClass, build_graphs
 from dappaudit.inference import TransferKind
 from dappaudit.parser import parse_ir
@@ -53,7 +52,6 @@ def test_fee_and_payout_transfers():
     assert fee.amount == "div(mul(callvalue, store(1)), 100)"
     assert payout.amount == "sub(callvalue, div(mul(callvalue, store(1)), 100))"
     assert fee.kind is TransferKind.ETHER
-    assert fee.feasibility is Feasibility.FEASIBLE
     assert not fee.owner_gated
 
 
@@ -144,7 +142,6 @@ def test_forked_paths_with_equal_amounts_merge():
     sem = _semantics(CALLDATA_AMOUNT_MERGE)
     (t,) = sem.transfers
     assert t.amount == "calldata(0x0000000b,0)"
-    assert t.feasibility is Feasibility.FEASIBLE
 
 
 # ---------------------------------------------------------------------------

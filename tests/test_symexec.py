@@ -39,7 +39,6 @@ from dappaudit.symexpr import (
     callvalue,
     caller,
     const,
-    contains_op,
     eval_concrete,
     fresh,
     iszero,
@@ -48,7 +47,7 @@ from dappaudit.symexpr import (
     store,
     timestamp,
 )
-from helpers import ADDR, concrete_execute, random_program
+from helpers import ADDR, concrete_execute, counted_loop_text, random_program
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +199,6 @@ def _ref_leaves(e):
     return set().union(*(_ref_leaves(a) for a in e.args))
 
 
-def _ref_contains_op(e, op):
-    return e.op == op or any(_ref_contains_op(a, op) for a in e.args)
-
-
 def _ref_size(e):
     return 1 + sum(_ref_size(a) for a in e.args)
 
@@ -284,8 +279,6 @@ def test_cached_queries_match_tree_walks_on_shared_dags(steps, order):
         assert e.size == _ref_size(e)
         assert render(e) == _ref_render(e)
         assert leaves(e) == _ref_leaves(e)
-        for op in (*_DAG_OPS, "const", "callvalue", "fresh"):
-            assert contains_op(e, op) == _ref_contains_op(e, op)
         bindings = {k: order.choice((0, 1, 2, 1 << 255, MASK)) for k in _ref_leaves(e)}
         assert eval_concrete(e, bindings) == _ref_eval(e, bindings)
 
@@ -327,7 +320,6 @@ def test_doubling_chain_queries_stay_linear():
     assert v.size == 2**41 - 1
     assert hash(v) == hash(SymExpr(v.op, v.args, v.value, v.name))
     assert leaves(v) == frozenset({"callvalue"})
-    assert contains_op(v, "callvalue") and not contains_op(v, "mul")
     assert eval_concrete(v, {"callvalue": 3}) == (3 << 40) % (MASK + 1)
     # The text itself doubles per level, so render a 14-level prefix of the
     # same chain: 32,767 tree nodes through 15 cached strings.
@@ -691,6 +683,20 @@ def test_concrete_loop_checkpoint_is_stable_under_larger_bounds():
     # A bound below the trip count prunes the path before its exit.
     narrow = execute_function(program, "0x0000000d", plan, Limits(loop_bound=2))
     assert narrow.checkpoints == ()
+    assert narrow.budget_exceeded
+    assert not base.budget_exceeded and not wide.budget_exceeded
+
+
+@pytest.mark.parametrize("k, captured", [(3, 1), (4, 0)])
+def test_loop_bound_cut_is_reported(k, captured):
+    # For k = 4 the visit after loop_bound (3) iterations takes the PHI's
+    # out-loop operand, which restarts the count, and the next entry of H
+    # is cut: no path reaches the transfer, and the run says so.
+    program, plan = _prog_and_plan(counted_loop_text(k))
+    res = execute_function(program, "0x0000000f", plan)
+    assert res.states_explored == 1
+    assert len(res.checkpoints) == captured
+    assert res.budget_exceeded is (captured == 0)
 
 
 SYMBOLIC_LOOP = f"""\
@@ -824,6 +830,7 @@ def test_depth_limit_prunes_long_paths():
     assert len(execute_function(program, "0x00000011", plan).checkpoints) == 1
     shallow = execute_function(program, "0x00000011", plan, Limits(max_depth=2))
     assert shallow.checkpoints == ()
+    assert shallow.budget_exceeded
 
 
 MINT = f"""\
