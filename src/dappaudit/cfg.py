@@ -22,7 +22,10 @@ post-dominator in that graph. Its post-dominators are taken instead over
 the graph augmented with a virtual exit edge from each sink region (a
 strongly connected set of blocks that cannot reach the exit and has no
 edge out), so it controls the blocks each outcome leads to before the two
-paths meet or settle in their sink regions. The regions are still walked
+paths meet or settle in their sink regions. The sink regions are the
+strongly connected components with no edge out among the blocks that
+cannot reach the exit, found in one iterative pass of Tarjan's algorithm;
+the first block of each, in function order, takes the virtual edge. The regions are still walked
 on the unaugmented graph: no walk enters the exit, so the virtual edges
 add no block to one. Branches that can reach the exit keep the
 post-dominators of the unaugmented graph, in which a path into a dead end
@@ -39,6 +42,8 @@ each of those blocks once and reaches P with no more blocks behind it than
 any path through the other arm. Any other branch has no short arm.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 from .model import IrFunction, Operand, TermKind
 
@@ -169,13 +174,50 @@ def _with_sink_exits(
 ) -> dict[str, list[tuple[str, bool | None]]]:
     """succ plus a virtual exit edge from the first block of each sink
     region; `live` holds the blocks that can reach the exit."""
-    reach = {n: _reach(n, succ)[0] for n in order if n not in live}
+    # One iterative pass of Tarjan's algorithm over the blocks that cannot
+    # reach the exit (their successors cannot either).
+    rank = {n: i for i, n in enumerate(order)}
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    walk: list[tuple[str, Iterator[tuple[str, bool | None]]]] = []
     aug = dict(succ)
-    covered: set[str] = set()
-    for n in order:
-        if n in reach and n not in covered and all(n in reach[m] for m in reach[n]):
-            covered |= reach[n]
-            aug[n] = succ[n] + [(EXIT, None)]
+
+    def visit(n: str) -> None:
+        index[n] = low[n] = len(index)
+        stack.append(n)
+        on_stack.add(n)
+        walk.append((n, iter(succ[n])))
+
+    for root in order:
+        if root in live or root in index:
+            continue
+        visit(root)
+        while walk:
+            n, rest = walk[-1]
+            for d, _ in rest:
+                if d not in index:
+                    visit(d)
+                    break
+                if d in on_stack:
+                    low[n] = min(low[n], index[d])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[n])
+                if low[n] != index[n]:
+                    continue
+                # n roots a component; it is a sink region when no edge
+                # leaves it.
+                component: set[str] = set()
+                while n not in component:
+                    component.add(stack.pop())
+                on_stack -= component
+                if all(d in component for m in component for d, _ in succ[m]):
+                    first = min(component, key=rank.__getitem__)
+                    aug[first] = succ[first] + [(EXIT, None)]
     return aug
 
 

@@ -11,10 +11,12 @@ variable (the variables it influences, itself included).  Every dataflow
 query is a lookup in them, answered here; `dataflow` derives the pairs.
 
 Besides the relations, the database keeps two indexes of `controls` (by
-statement and by condition) and, per public selector, the branches its
+statement and by condition), the operands of each ADD by its def, the
+`comp` rows by operand, and, per public selector, the branches its
 execution can meet with their short arms (see `cfg`) and what their
 regions may set.  These are not relations and are left out of the TSV
-dumps.
+dumps.  The statement pass of the closure reads each statement's
+variable operands as the parser recorded them (`IrStatement.uses`).
 """
 from __future__ import annotations
 
@@ -85,6 +87,10 @@ class FactDb:
     stmt_func: dict[str, frozenset[str]]
     # (sid, operator, lhs, rhs, def var) for LT/GT/EQ statements
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
+    # Indexes: ADD def var -> its operands (the `add` rows of `math_op`),
+    # and variable -> positions in `comp` of the rows it is an operand of.
+    add_operands: dict[str, tuple[Operand, ...]]
+    comp_rows: dict[str, tuple[int, ...]]
     # Variable -> the variables it influences, itself included: the
     # reflexive-transitive dataflow closure, for every program variable.
     reach: dict[str, frozenset[str]]
@@ -143,13 +149,19 @@ class FactDb:
         return not self.influenced(x).isdisjoint(self.conditions_controlling(sid))
 
     def compared(self, a: Operand, b: Operand) -> tuple[str, ...]:
-        """Comparison sites where a and b flow into the two operands."""
+        """Comparison sites where a and b flow into the two operands, in
+        `comp` order."""
         ra, rb = self.influenced(a), self.influenced(b)
-        return tuple(
-            sid
-            for sid, _, lhs, rhs, _ in self.comp
-            if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb)
-        )
+        # A matching row has an operand in each set, so in the smaller one.
+        rows = set()
+        for v in ra if len(ra) <= len(rb) else rb:
+            rows.update(self.comp_rows.get(v, ()))
+        out = []
+        for i in sorted(rows):
+            sid, _, lhs, rhs, _ = self.comp[i]
+            if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb):
+                out.append(sid)
+        return tuple(out)
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
@@ -259,6 +271,13 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         for selector in fn_selectors[fn.name]:
             branches.setdefault(selector, []).append(br)
 
+    comp.sort(key=repr)
+    comp_rows: dict[str, list[int]] = {}
+    for i, (_, _, lhs, rhs, _) in enumerate(comp):
+        for v in {lhs, rhs}:
+            if isinstance(v, str):
+                comp_rows.setdefault(v, []).append(i)
+
     return FactDb(
         program=program,
         constant=constant,
@@ -270,7 +289,9 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         stmt_func={
             s.sid: fn_selectors[fn.name] for fn, _, s in program.statements()
         },
-        comp=tuple(sorted(comp, key=repr)),
+        comp=tuple(comp),
+        add_operands={d: ops for d, op, ops in math_op if op == "add"},
+        comp_rows={v: tuple(rows) for v, rows in comp_rows.items()},
         reach={},
         sloads=tuple(sloads),
         sstores=tuple(sstores),
@@ -295,22 +316,25 @@ def dataflow_closure(db: FactDb) -> FactDb:
             succ.setdefault(src, set()).add(dst)
 
     defs_by_callee: dict[str, list[str]] = {}
+    CALLPRIVATE, CALL = Opcode.CALLPRIVATE, Opcode.CALL
     for _, _, s in program.statements():
-        for v in (s.defvar, *s.var_operands()):
-            if v is not None:
-                succ.setdefault(v, set())
-        if s.opcode is Opcode.CALLPRIVATE:
+        d = s.defvar
+        if d is not None:
+            succ.setdefault(d, set())
+        for v in s.uses:
+            succ.setdefault(v, set())
+        if s.opcode is CALLPRIVATE:
             callee = program.function(s.callee)
             for actual, formal in zip(s.args[1:], callee.params):
                 edge(actual, formal)
-            if s.defvar is not None:
-                defs_by_callee.setdefault(s.callee, []).append(s.defvar)
-        elif s.opcode is Opcode.CALL:
+            if d is not None:
+                defs_by_callee.setdefault(s.callee, []).append(d)
+        elif s.opcode is CALL:
             # External call results are fresh, unconstrained sources.
             continue
-        elif s.defvar is not None:
-            for v in s.var_operands():
-                edge(v, s.defvar)
+        elif d is not None:
+            for v in s.uses:
+                succ[v].add(d)
 
     # Returned values flow to the def at every site calling the function.
     for fn in program.functions:

@@ -311,7 +311,7 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
     """The branches under `selector` that do not decide the checkpoint at
     `site`, each with its short arm (module docstring)."""
     controlling = db.conditions_controlling(site)
-    operands = db.program.statement(site).var_operands()
+    operands = db.program.statement(site).uses
     branches = db.branches.get(selector, ())
     free = []
     for br in branches:

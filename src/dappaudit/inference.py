@@ -215,7 +215,9 @@ def _controls_anything(db: FactDb, x: str) -> bool:
 def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:
     """stored is ADD-derived from a load of the same slot."""
     loaded = frozenset().union(*map(db.influenced, db.slot_loads.get(slot, ())))
+    # An ADD with an operand in `loaded` is in `loaded` itself.
     return any(
-        op == "add" and not loaded.isdisjoint(operands) and db.df(r, stored)
-        for r, op, operands in db.math_op
+        not loaded.isdisjoint(ops) and db.df(r, stored)
+        for r in loaded
+        if (ops := db.add_operands.get(r)) is not None
     )

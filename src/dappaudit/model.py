@@ -64,38 +64,14 @@ class Opcode(Enum):
     CALLPRIVATE = "CALLPRIVATE"
     CALL = "CALL"
 
+    # Members are singletons compared by identity; the inherited Enum
+    # hash is a Python-level call on every dict or set lookup.
+    __hash__ = object.__hash__
+
 
 ARITH_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.MOD})
 COMPARE_OPS = frozenset({Opcode.LT, Opcode.GT, Opcode.EQ})
 LOGIC_OPS = frozenset({Opcode.AND, Opcode.OR})
-
-# opcode -> (min operands, max operands or None, def required?, def allowed?)
-_ARITY: dict[Opcode, tuple[int, int | None, bool, bool]] = {
-    Opcode.CONST: (1, 1, True, True),
-    Opcode.SLOAD: (1, 1, True, True),
-    Opcode.SSTORE: (2, 2, False, False),
-    Opcode.CALLER: (0, 0, True, True),
-    Opcode.CALLVALUE: (0, 0, True, True),
-    Opcode.TIMESTAMP: (0, 0, True, True),
-    Opcode.BALANCE: (1, 1, True, True),
-    Opcode.ADD: (2, 2, True, True),
-    Opcode.SUB: (2, 2, True, True),
-    Opcode.MUL: (2, 2, True, True),
-    Opcode.DIV: (2, 2, True, True),
-    Opcode.MOD: (2, 2, True, True),
-    Opcode.LT: (2, 2, True, True),
-    Opcode.GT: (2, 2, True, True),
-    Opcode.EQ: (2, 2, True, True),
-    Opcode.ISZERO: (1, 1, True, True),
-    Opcode.AND: (2, 2, True, True),
-    Opcode.OR: (2, 2, True, True),
-    Opcode.PHI: (2, 2, True, True),
-    # CALLPRIVATE: callee name + actuals; may bind one return value.
-    Opcode.CALLPRIVATE: (0, None, False, True),
-    # CALL: target, value [, sig, abi args...]; may bind a return value.
-    Opcode.CALL: (2, None, False, True),
-}
-
 
 @unique
 class TermKind(Enum):
@@ -105,6 +81,8 @@ class TermKind(Enum):
     RETURNPRIVATE = "returnprivate"
     REVERT = "revert"
     STOP = "stop"
+
+    __hash__ = object.__hash__  # as for Opcode
 
 
 @dataclass(frozen=True)
@@ -126,16 +104,13 @@ class IrStatement:
     opcode: Opcode
     defvar: str | None
     args: tuple[Operand, ...]
+    # The variable operands, skipping literals and the callee name.
+    uses: tuple[str, ...]
 
     @property
     def callee(self) -> str:
         assert self.opcode is Opcode.CALLPRIVATE
         return str(self.args[0])
-
-    def var_operands(self) -> tuple[str, ...]:
-        """Variable operands, skipping literals and callee names."""
-        start = 1 if self.opcode is Opcode.CALLPRIVATE else 0
-        return tuple(a for a in self.args[start:] if isinstance(a, str))
 
 
 @dataclass(frozen=True)
@@ -218,8 +193,8 @@ class IrProgram:
 
 def validate(program: IrProgram) -> None:
     """Check program-wide invariants; raises on the first violation."""
-    names = [f.name for f in program.functions]
-    if len(names) != len(set(names)):
+    names = {f.name for f in program.functions}
+    if len(names) != len(program.functions):
         raise SsaViolation("duplicate function name")
 
     defined: dict[str, str] = {}
@@ -229,35 +204,33 @@ def validate(program: IrProgram) -> None:
             raise SsaViolation(f"{var} defined at {defined[var]} and {where}")
         defined[var] = where
 
+    # The variables each function defines, its parameters included.
+    local_of: list[set[str]] = []
     for fn in program.functions:
         if not fn.blocks:
             raise DanglingTarget(f"function {fn.name} has no blocks")
-        bids = [b.bid for b in fn.blocks]
-        if len(bids) != len(set(bids)):
+        if len(fn._block_index) != len(fn.blocks):
             raise SsaViolation(f"duplicate block id in {fn.name}")
         for p in fn.params:
             _define(p, f"params of {fn.name}")
-        for b in fn.blocks:
-            for s in b.statements:
-                if s.defvar is not None:
-                    _define(s.defvar, s.sid)
-
-    for fn in program.functions:
-        bids = {b.bid for b in fn.blocks}
         local = set(fn.params)
         for b in fn.blocks:
             for s in b.statements:
                 if s.defvar is not None:
+                    _define(s.defvar, s.sid)
                     local.add(s.defvar)
+        local_of.append(local)
+
+    CALLPRIVATE = Opcode.CALLPRIVATE
+    for fn, local in zip(program.functions, local_of):
+        bids = fn._block_index
         for b in fn.blocks:
             for s in b.statements:
-                if s.opcode is Opcode.CALLPRIVATE:
-                    callee = s.callee
-                    if callee not in {f.name for f in program.functions}:
-                        raise DanglingTarget(
-                            f"{s.sid}: CALLPRIVATE to unknown function {callee}"
-                        )
-                for v in s.var_operands():
+                if s.opcode is CALLPRIVATE and s.callee not in names:
+                    raise DanglingTarget(
+                        f"{s.sid}: CALLPRIVATE to unknown function {s.callee}"
+                    )
+                for v in s.uses:
                     if v not in local:
                         raise UndefinedVariable(f"{s.sid}: {v} is not defined in {fn.name}")
             t = b.terminator

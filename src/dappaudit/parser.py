@@ -15,6 +15,15 @@ Operands are `v`-prefixed variable names, decimal or 0x literals, or the
 `slot(<n>)` sugar for a literal storage slot.  Textual statement labels are
 accepted but discarded; statements are identified positionally as
 `function.block.index`, which is what the printer emits.
+
+The parser is the one place where per-statement facts are computed: each
+statement records its variable operands (`IrStatement.uses`), which
+validation, the dataflow closure and the graphs read.  Within one
+`parse_ir` call each statement operand token is converted once and looked
+up afterwards (a defined variable's name is entered with its definition);
+a token that fails to convert is never remembered, so each occurrence
+raises with its own line and message.  Validation runs once the whole
+text has parsed, so a syntax error anywhere wins over a validation error.
 """
 from __future__ import annotations
 
@@ -31,14 +40,44 @@ from .model import (
     TermKind,
     Terminator,
     UnknownOpcode,
-    _ARITY,
     validate,
 )
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 _VAR_RE = re.compile(r"^v[A-Za-z0-9_]*$")
 _SLOT_RE = re.compile(r"^slot\((0x[0-9a-fA-F]+|\d+)\)$")
-_TERMINATORS = {k.value for k in TermKind}
+_TERMINATORS = {k.value: k for k in TermKind}
+
+# Opcode text -> (opcode, min operands, max operands or None, def required?,
+# def allowed?)
+_OPCODES: dict[str, tuple[Opcode, int, int | None, bool, bool]] = {
+    op.value: (op, *row)
+    for op, row in {
+        Opcode.CONST: (1, 1, True, True),
+        Opcode.SLOAD: (1, 1, True, True),
+        Opcode.SSTORE: (2, 2, False, False),
+        Opcode.CALLER: (0, 0, True, True),
+        Opcode.CALLVALUE: (0, 0, True, True),
+        Opcode.TIMESTAMP: (0, 0, True, True),
+        Opcode.BALANCE: (1, 1, True, True),
+        Opcode.ADD: (2, 2, True, True),
+        Opcode.SUB: (2, 2, True, True),
+        Opcode.MUL: (2, 2, True, True),
+        Opcode.DIV: (2, 2, True, True),
+        Opcode.MOD: (2, 2, True, True),
+        Opcode.LT: (2, 2, True, True),
+        Opcode.GT: (2, 2, True, True),
+        Opcode.EQ: (2, 2, True, True),
+        Opcode.ISZERO: (1, 1, True, True),
+        Opcode.AND: (2, 2, True, True),
+        Opcode.OR: (2, 2, True, True),
+        Opcode.PHI: (2, 2, True, True),
+        # CALLPRIVATE: callee name + actuals; may bind one return value.
+        Opcode.CALLPRIVATE: (0, None, False, True),
+        # CALL: target, value [, sig, abi args...]; may bind a return value.
+        Opcode.CALL: (2, None, False, True),
+    }.items()
+}
 
 
 def _operand(tok: str, line: int) -> str | int:
@@ -64,8 +103,14 @@ def parse_ir(text: str) -> IrProgram:
     fn_blocks: list[IrBlock] = []
 
     blk_id: str | None = None
+    blk_sid: str = ""  # "function.block." of the open block
     blk_stmts: list[IrStatement] = []
     blk_term: Terminator | None = None
+
+    # Statement operand token -> its operand, for this call only; a defined
+    # variable's name is entered when its definition is read.
+    operands: dict[str, str | int] = {}
+    CALLPRIVATE, CONST = Opcode.CALLPRIVATE, Opcode.CONST
 
     def close_block(line: int) -> None:
         nonlocal blk_id, blk_stmts, blk_term
@@ -132,6 +177,7 @@ def parse_ir(text: str) -> IrProgram:
             if not m:
                 raise IrSyntaxError(lineno, f"bad block header: {line!r}")
             blk_id = m.group(1)
+            blk_sid = f"{fn_name}.{blk_id}."
             continue
 
         if blk_id is None:
@@ -152,37 +198,37 @@ def parse_ir(text: str) -> IrProgram:
         if len(body) >= 2 and body[1] == "=":
             if not _VAR_RE.match(body[0]):
                 raise IrSyntaxError(lineno, f"bad def variable {body[0]!r}")
-            defvar = body[0]
+            defvar = operands[body[0]] = body[0]
             body = body[2:]
         if not body:
             raise IrSyntaxError(lineno, "empty statement")
-        try:
-            opcode = Opcode(body[0])
-        except ValueError:
-            raise UnknownOpcode(lineno, f"unknown opcode {body[0]!r}") from None
+        row = _OPCODES.get(body[0])
+        if row is None:
+            raise UnknownOpcode(lineno, f"unknown opcode {body[0]!r}")
+        opcode, lo, hi, need_def, may_def = row
 
-        if opcode is Opcode.CALLPRIVATE:
-            if len(body) < 2:
-                raise ArityMismatch(lineno, "CALLPRIVATE needs a callee")
-            args: tuple[str | int, ...] = (body[1],) + tuple(
-                _operand(t, lineno) for t in body[2:]
-            )
-        else:
-            args = tuple(_operand(t, lineno) for t in body[1:])
+        if opcode is CALLPRIVATE and len(body) < 2:
+            raise ArityMismatch(lineno, "CALLPRIVATE needs a callee")
+        ops: list[str | int] = []
+        for tok in body[2:] if opcode is CALLPRIVATE else body[1:]:
+            op = operands.get(tok)
+            if op is None:
+                op = operands[tok] = _operand(tok, lineno)
+            ops.append(op)
+        args = (body[1], *ops) if opcode is CALLPRIVATE else tuple(ops)
 
-        lo, hi, need_def, may_def = _ARITY[opcode]
-        n = len(args) - (1 if opcode is Opcode.CALLPRIVATE else 0)
+        n = len(ops)
         if n < lo or (hi is not None and n > hi):
             raise ArityMismatch(lineno, f"{opcode.value} takes {lo}..{hi} operands, got {n}")
-        if opcode is Opcode.CONST and not isinstance(args[0], int):
+        if opcode is CONST and not isinstance(args[0], int):
             raise ArityMismatch(lineno, "CONST takes a literal")
         if need_def and defvar is None:
             raise ArityMismatch(lineno, f"{opcode.value} must define a variable")
         if defvar is not None and not may_def:
             raise ArityMismatch(lineno, f"{opcode.value} cannot define a variable")
 
-        sid = f"{fn_name}.{blk_id}.{len(blk_stmts)}"
-        blk_stmts.append(IrStatement(sid, opcode, defvar, args))
+        uses = tuple([a for a in ops if isinstance(a, str)])
+        blk_stmts.append(IrStatement(f"{blk_sid}{len(blk_stmts)}", opcode, defvar, args, uses))
 
     if fn_name is not None:
         raise IrSyntaxError(len(text.splitlines()), "unterminated function")
@@ -195,7 +241,7 @@ def parse_ir(text: str) -> IrProgram:
 
 
 def _parse_terminator(toks: list[str], line: int) -> Terminator:
-    kind = TermKind(toks[0])
+    kind = _TERMINATORS[toks[0]]
     rest = toks[1:]
     if kind is TermKind.JUMP:
         if len(rest) != 1:

@@ -280,7 +280,7 @@ def seed_dataflow_edges(program: IrProgram) -> set[tuple[str, str]]:
         elif s.opcode in (Opcode.CALL, Opcode.SSTORE, Opcode.CONST):
             continue
         elif s.defvar is not None:
-            for v in s.var_operands():
+            for v in s.uses:
                 edges.add((v, s.defvar))
     for fn in program.functions:
         for b in fn.blocks:
@@ -301,7 +301,7 @@ def floyd_warshall_dataflow(program: IrProgram) -> set[tuple[str, str]]:
     for _, _, s in program.statements():
         if s.defvar:
             variables.add(s.defvar)
-        variables.update(s.var_operands())
+        variables.update(s.uses)
     idx = sorted(variables)
     reach = {(a, b): False for a in idx for b in idx}
     for a in idx:

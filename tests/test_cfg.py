@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 from dappaudit.cfg import EXIT, _post_dominators, _with_sink_exits, branch_structure
 from dappaudit.parser import parse_ir
@@ -437,3 +438,65 @@ def test_post_dominators_match_the_definition_on_cyclic_graphs():
         seen["dead end"] += len(want) < len(order)
     # The generator covers every shape the test is for.
     assert all(count > 200 for count in seen.values()), seen
+
+
+def _reference_sink_exits(order, succ, live):
+    """succ plus an exit edge from the first block of each sink region, from
+    the definition: a strongly connected set of blocks that cannot reach
+    the exit and has no edge out."""
+    dead = [n for n in order if n not in live]
+    reach = {n: _reach_all(n, succ) for n in dead}
+    aug = dict(succ)
+    for n in dead:
+        component = {m for m in reach[n] if n in reach[m]}
+        out = {d for m in component for d, _ in succ[m]} - component
+        if not out and n == min(component, key=order.index):
+            aug[n] = succ[n] + [(EXIT, None)]
+    return aug
+
+
+def _reach_all(start, succ):
+    seen, work = set(), [start]
+    while work:
+        n = work.pop()
+        if n not in seen:
+            seen.add(n)
+            work.extend(d for d, _ in succ[n] if d != EXIT)
+    return seen
+
+
+def test_sink_exits_match_the_definition_on_random_graphs():
+    rng = random.Random(20261018)
+    for i in range(2000):
+        order, succ = _random_graph(rng)
+        live = _post_dominators(order, succ)
+        want = _reference_sink_exits(order, succ, live)
+        assert _with_sink_exits(order, succ, live) == want, f"graph {i}: {succ}"
+
+
+def test_long_dead_end_region_is_linear():
+    # A branch into a dead-end chain of n blocks whose last block branches
+    # back to its head: every block of the chain is a sink-region member.
+    n = 2000
+    lines = [
+        f"contract {ADDR}",
+        "function f public sig 0x00000001 params () {",
+        "  block B0:",
+        "    0: vc = CALLVALUE",
+        "    jumpi vc D0 X",
+        "  block X:",
+        "    stop",
+    ]
+    for i in range(n):
+        lines += [f"  block D{i}:", f"    0: vd{i} = CONST {i}", f"    jump D{i + 1}"]
+    lines[-1] = "    jumpi vc D0 D1"
+    fn = _fn("\n".join([*lines, "}"]) + "\n")
+    start = time.perf_counter()
+    deps, arms = branch_structure(fn)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    # The region's own branch controls the blocks its else-arm runs
+    # before the head, which takes the virtual exit edge.
+    assert deps["f.D0.0"] == {("vc", True)}
+    assert deps[f"f.D{n - 1}.0"] == {("vc", True), ("vc", False)}
+    assert arms["B0"][0] == "X" and arms[f"D{n - 1}"] is None

@@ -34,7 +34,7 @@ def variables(text: str) -> set[str]:
             t = b.terminator
             out.update(v for v in (t.cond, *t.values) if isinstance(v, str))
     for _, _, s in program.statements():
-        out.update(s.var_operands())
+        out.update(s.uses)
         if s.defvar is not None:
             out.add(s.defvar)
     return out

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,25 @@ def test_round_trip_random_programs():
         assert parser.parse_ir(parser.print_ir(p)) == p
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _uses_texts():
+    for path in [*sorted((FIXTURES / "corpus").glob("*.ir")), FIXTURES / "mixed_utilities.ir"]:
+        yield path.name, path.read_text()
+    rng = random.Random(20261021)
+    for i in range(200):
+        yield f"random {i}", random_program_text(rng)
+
+
+def test_uses_are_the_variable_operands():
+    for name, text in _uses_texts():
+        for _, _, s in parser.parse_ir(text).statements():
+            args = s.args[1:] if s.opcode is Opcode.CALLPRIVATE else s.args
+            want = tuple(a for a in args if isinstance(a, str) and a.startswith("v"))
+            assert s.uses == want, f"{name}: {s.sid}"
+
+
 def test_private_function_and_callprivate():
     text = f"""contract {ADDR}
 function helper private params (vp0) {{
@@ -88,7 +108,7 @@ function f public sig 0x00000001 params (va) {{
     assert not helper.is_public and helper.selector is None
     call = p.statement("f.B0.0")
     assert call.callee == "helper"
-    assert call.var_operands() == ("va",)
+    assert call.uses == ("va",)
 
 
 @pytest.mark.parametrize(
@@ -193,3 +213,50 @@ function f public sig 0x00000001 params () {{
 def test_contract_with_no_functions_parses():
     p = parser.parse_ir(f"contract {ADDR}\n")
     assert p.functions == ()
+
+
+# With several faults the first one met wins: syntax over validation, then
+# the validation checks in their order.
+
+
+def test_later_syntax_error_wins_over_earlier_ssa_violation():
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params (v0) {{
+  block B0:
+    0: v0 = CONST 1
+    1: v2 = ADD v0
+    stop
+}}
+"""
+    with pytest.raises(ArityMismatch, match="line 5: ADD takes 2..2 operands, got 1"):
+        parser.parse_ir(text)
+
+
+def test_duplicate_definition_wins_over_earlier_undefined_variable():
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: v1 = ISZERO vmissing
+    jump B1
+  block B1:
+    0: v2 = CONST 1
+    1: v2 = CONST 2
+    stop
+}}
+"""
+    with pytest.raises(SsaViolation, match="^v2 defined at f.B1.0 and f.B1.1$"):
+        parser.parse_ir(text)
+
+
+def test_unknown_callee_wins_over_undefined_operand_in_the_same_statement():
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params () {{
+  block B0:
+    0: v1 = CALLPRIVATE nothere vmissing
+    stop
+}}
+"""
+    with pytest.raises(
+        DanglingTarget, match="^f.B0.0: CALLPRIVATE to unknown function nothere$"
+    ):
+        parser.parse_ir(text)
