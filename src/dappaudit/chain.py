@@ -3,16 +3,16 @@ served by a live JSON-RPC endpoint or a file-backed mock.
 
 Both backends expose the same two reads and are interchangeable behind
 the interface; responses are cached per address/slot for the duration of a
-run, so concurrent readers are safe.
+run, so concurrent readers are safe.  The RPC transport is
+`urllib.request`, and it opens only `http` and `https` URLs.
 """
 from __future__ import annotations
 
 import json
 import threading
 import time
+import urllib.request
 from typing import Protocol
-
-import requests
 
 from .keccak import keccak_256
 
@@ -158,9 +158,17 @@ class MockChain:
 
 
 def _default_post(url: str, payload: dict, timeout: float) -> dict:
-    resp = requests.post(url, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    request = urllib.request.Request(
+        url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
+    )
+    if request.type not in ("http", "https"):
+        raise ValueError(f"unsupported URL scheme: {url!r}")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return json.load(resp)
+    except urllib.request.HTTPError as err:
+        with err:  # the error holds the open reply
+            raise
 
 
 RPC_ATTEMPTS = 3

@@ -13,7 +13,7 @@ numeric raises a ConflictingClaims warning but never overwrites.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from math import isfinite
@@ -124,16 +124,7 @@ class FrontendAttributes:
                 return int(v) if v.denominator == 1 else float(v)
             return v
 
-        return {
-            "reward_rate_percent": plain(self.reward_rate_percent),
-            "fee_rate_percent": plain(self.fee_rate_percent),
-            "fee_claimed": self.fee_claimed,
-            "lock_time_seconds": self.lock_time_seconds,
-            "total_supply": self.total_supply,
-            "pause_disclosed": self.pause_disclosed,
-            "fund_flow_disclosed": self.fund_flow_disclosed,
-            "nft_permanence_claimed": self.nft_permanence_claimed,
-        }
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -247,13 +238,5 @@ def extract_attributes(responses: Sequence[LabeledResponse]) -> FrontendAttribut
     if "fee_claimed" not in values and values.get("fee_rate_percent") is not None:
         # A stated fee rate is itself a fee disclosure.
         values["fee_claimed"] = True
-    return FrontendAttributes(
-        reward_rate_percent=values.get("reward_rate_percent"),
-        fee_rate_percent=values.get("fee_rate_percent"),
-        fee_claimed=bool(values.get("fee_claimed", False)),
-        lock_time_seconds=values.get("lock_time_seconds"),
-        total_supply=values.get("total_supply"),
-        pause_disclosed=bool(values.get("pause_disclosed", False)),
-        fund_flow_disclosed=bool(values.get("fund_flow_disclosed", False)),
-        nft_permanence_claimed=values.get("nft_permanence_claimed"),
-    )
+    # Attributes no response stated keep the dataclass defaults.
+    return FrontendAttributes(**values)

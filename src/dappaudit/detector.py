@@ -76,14 +76,6 @@ def _rational_json(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _slot_hex(slot: int) -> str:
-    return hex(slot)
-
-
 def resolve_rate(
     candidate: FeeCandidate, chain: ChainState | None, address: str
 ) -> tuple[int, int]:
@@ -155,12 +147,10 @@ def _hidden_fee(
         return None
     # A rate alongside an explicit "no fee" denial is contradictory input;
     # the denial wins and the False branch below fires regardless.
-    claimed_fraction = None
+    claimed_fraction = claimed_rate = None
     if attrs.fee_claimed is not False and attrs.fee_rate_percent is not None:
         claimed_fraction = attrs.fee_rate_percent / 100
-    claimed_rate = (
-        _fraction_str(claimed_fraction) if claimed_fraction is not None else None
-    )
+        claimed_rate = f"{claimed_fraction.numerator}/{claimed_fraction.denominator}"
 
     fired: list[tuple[FeeCandidate, int, int]] = []
     unresolved: list[FeeCandidate] = []
@@ -206,7 +196,7 @@ def _fee_evidence(cands: list[FeeCandidate]) -> dict[str, Any]:
     first = cands[0]
     return {
         "call_sites": [c.call_site for c in cands],
-        "fee_slot": _slot_hex(first.fee_slot) if first.fee_slot is not None else None,
+        "fee_slot": hex(first.fee_slot) if first.fee_slot is not None else None,
         "amount_expr": first.amount,
         "fee_slot_modifiable": first.fee_slot_modifiable,
     }
@@ -224,7 +214,7 @@ def _adjustable_lock(
         type="AL",
         detail={"claimed_lock_seconds": _rational_json(attrs.lock_time_seconds)},
         evidence={
-            "slots": [_slot_hex(l.slot) for l in hits],
+            "slots": [hex(l.slot) for l in hits],
             "store_sites": [s for l in hits for s in l.write_sites],
         },
     )
@@ -250,7 +240,7 @@ def _unrestricted_supply(
         type="UTS",
         detail={"claimed_supply": claimed},
         evidence={
-            "slots": [_slot_hex(s.slot) for s in hits],
+            "slots": [hex(s.slot) for s in hits],
             "store_sites": [site for s in hits for site in s.store_sites],
         },
     )
@@ -295,7 +285,7 @@ def _concealed_pause(
         type="CDS",
         detail={"pause_disclosed": False},
         evidence={
-            "slots": [_slot_hex(p.slot) for p in hits],
+            "slots": [hex(p.slot) for p in hits],
             "store_sites": [s for p in hits for s in p.write_sites],
             "gated_call_sites": [s for p in hits for s in p.gated_call_sites],
         },
@@ -321,7 +311,7 @@ def _volatile_uri(
     # An explicit centralized-storage disclosure is the only suppressor.
     if attrs.nft_permanence_claimed is False:
         return None
-    slot_hex = _slot_hex(sem.token_uri_slot)
+    slot_hex = hex(sem.token_uri_slot)
     detail = {"nft_permanence_claimed": attrs.nft_permanence_claimed}
     if chain is None:
         return Finding(

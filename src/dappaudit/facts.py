@@ -126,6 +126,10 @@ class FactDb:
             return frozenset()
         return self.reach.get(x) or frozenset((x,))
 
+    def slot_influenced(self, slot: int) -> frozenset[str]:
+        """The variables the loads of `slot` influence, the loads included."""
+        return frozenset().union(*map(self.influenced, self.slot_loads.get(slot, ())))
+
     def influencers(self, v: Operand) -> frozenset[str]:
         """The variables that influence v in the closure, v included."""
         return frozenset(w for w, seen in self.reach.items() if v in seen)
@@ -148,16 +152,17 @@ class FactDb:
         the CFG says the statement depends on."""
         return not self.influenced(x).isdisjoint(self.conditions_controlling(sid))
 
+    def comp_rows_of(self, variables) -> set[int]:
+        """Positions in `comp` of the rows with an operand in `variables`."""
+        return {i for v in variables for i in self.comp_rows.get(v, ())}
+
     def compared(self, a: Operand, b: Operand) -> tuple[str, ...]:
         """Comparison sites where a and b flow into the two operands, in
         `comp` order."""
         ra, rb = self.influenced(a), self.influenced(b)
         # A matching row has an operand in each set, so in the smaller one.
-        rows = set()
-        for v in ra if len(ra) <= len(rb) else rb:
-            rows.update(self.comp_rows.get(v, ()))
         out = []
-        for i in sorted(rows):
+        for i in sorted(self.comp_rows_of(ra if len(ra) <= len(rb) else rb)):
             sid, _, lhs, rhs, _ = self.comp[i]
             if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb):
                 out.append(sid)
@@ -365,40 +370,44 @@ def _const_of(constant: dict[str, int], operand: Operand) -> int | None:
     return operand if isinstance(operand, int) else constant.get(operand)
 
 
+_FOLD = {
+    Opcode.ADD: lambda a, b: (a + b) % WORD,
+    Opcode.SUB: lambda a, b: (a - b) % WORD,
+    Opcode.MUL: lambda a, b: (a * b) % WORD,
+    Opcode.DIV: lambda a, b: a // b if b else None,
+}
+
+
 def _fold_constants(program: IrProgram) -> dict[str, int]:
     """CONST defs plus ADD/SUB/MUL/DIV folded to fixpoint; division by zero
-    leaves the result non-constant."""
+    leaves the result non-constant.  A worklist folds each statement once:
+    a newly constant variable queues the foldable statements using it."""
     out: dict[str, int] = {}
+    users: dict[str, list[IrStatement]] = {}
+    work: list[IrStatement] = []
     for _, _, s in program.statements():
         if s.opcode is Opcode.CONST:
             out[s.defvar] = s.args[0] % WORD
+        elif s.opcode in _FOLD:
+            work.append(s)
+            for v in s.uses:
+                users.setdefault(v, []).append(s)
 
     def val(op: Operand) -> int | None:
         if isinstance(op, int):
             return op % WORD
         return out.get(op)
 
-    foldable = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV}
-    changed = True
-    while changed:
-        changed = False
-        for _, _, s in program.statements():
-            if s.opcode not in foldable or s.defvar in out:
-                continue
-            a, b = val(s.args[0]), val(s.args[1])
-            if a is None or b is None:
-                continue
-            if s.opcode is Opcode.ADD:
-                out[s.defvar] = (a + b) % WORD
-            elif s.opcode is Opcode.SUB:
-                out[s.defvar] = (a - b) % WORD
-            elif s.opcode is Opcode.MUL:
-                out[s.defvar] = (a * b) % WORD
-            elif b == 0:
-                continue
-            else:
-                out[s.defvar] = a // b
-            changed = True
+    while work:
+        s = work.pop()
+        if s.defvar in out:
+            continue
+        a, b = val(s.args[0]), val(s.args[1])
+        if a is None or b is None:
+            continue
+        if (value := _FOLD[s.opcode](a, b)) is not None:
+            out[s.defvar] = value
+            work += users.get(s.defvar, ())
     return out
 
 

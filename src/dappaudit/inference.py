@@ -214,7 +214,7 @@ def _controls_anything(db: FactDb, x: str) -> bool:
 
 def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:
     """stored is ADD-derived from a load of the same slot."""
-    loaded = frozenset().union(*map(db.influenced, db.slot_loads.get(slot, ())))
+    loaded = db.slot_influenced(slot)
     # An ADD with an operand in `loaded` is in `loaded` itself.
     return any(
         not loaded.isdisjoint(ops) and db.df(r, stored)

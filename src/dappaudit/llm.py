@@ -3,14 +3,16 @@
 The model sits behind an HTTP endpoint: POST {"prompt": ...} returns
 {"text": ...}. The transport is injectable so tests run against canned
 responses; the endpoint URL comes from the argument or LLM_ENDPOINT_URL.
+The default transport is `urllib.request`, and it opens only `http` and
+`https` URLs.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-
-import requests
 
 from .prompts import PromptBundle
 
@@ -23,9 +25,17 @@ class LlmError(Exception):
 
 
 def _default_post(url: str, payload: dict, timeout: float) -> dict:
-    resp = requests.post(url, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    request = urllib.request.Request(
+        url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
+    )
+    if request.type not in ("http", "https"):
+        raise ValueError(f"unsupported URL scheme: {url!r}")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return json.load(resp)
+    except urllib.request.HTTPError as err:
+        with err:  # the error holds the open reply
+            raise
 
 
 class LlmClient:

@@ -289,15 +289,13 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?"""
-    loaded = frozenset().union(*map(db.influenced, db.slot_loads.get(slot, ())))
+    loaded = db.slot_influenced(slot)
     before = False
     after = False
     for w in writes:
-        reached = loaded | db.influenced(w.value)
         write_sels = db.selectors_of(w.store_site)
-        for sid, _, lhs, rhs, defvar in db.comp:
-            if lhs not in reached and rhs not in reached:
-                continue
+        for i in db.comp_rows_of(loaded | db.influenced(w.value)):
+            sid, _, _, _, defvar = db.comp[i]
             if db.selectors_of(sid).isdisjoint(write_sels):
                 continue
             if db.value_controls(defvar, w.store_site):

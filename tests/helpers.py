@@ -1,4 +1,5 @@
-"""Shared generators and reference oracles for the test suite.
+"""Shared generators, reference oracles and a loopback HTTP endpoint for
+the test suite.
 
 Everything here is deliberately independent of the package internals: the
 oracles re-derive results from the IR text/model by brute force so the
@@ -7,11 +8,44 @@ implementation under test cannot share bugs with them.
 from __future__ import annotations
 
 import random
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from dappaudit.model import IrFunction, IrProgram, Opcode, TermKind
 from dappaudit.parser import parse_ir
 
 ADDR = "0x00000000000000000000000000000000000000aa"
+
+
+@contextmanager
+def local_endpoint(reply):
+    """Serve POSTs on a loopback port; `reply(body)` gives the status and
+    the bytes of each answer.  Yields the URL and a list that gets one
+    (Content-Type, body) pair per request received."""
+    log: list[tuple[str, bytes]] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            log.append((self.headers["Content-Type"], body))
+            status, data = reply(body)
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    # A short poll interval lets shutdown() return promptly.
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", log
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def counted_loop_text(k: int) -> str:

@@ -8,6 +8,7 @@ import string
 import pytest
 
 from dappaudit.chain import (
+    RPC_ATTEMPTS,
     ChainUnavailable,
     MalformedResponse,
     MockChain,
@@ -19,8 +20,7 @@ from dappaudit.chain import (
     encode_string_at,
 )
 from dappaudit.keccak import keccak_256, selector_of
-
-ADDR = "0x00000000000000000000000000000000000000aa"
+from helpers import ADDR, local_endpoint
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,44 @@ def test_rpc_malformed_responses():
     with pytest.raises(MalformedResponse):
         RpcChain("http://node.invalid", post=non_hex).get_storage(ADDR, 0)
     assert isinstance(MalformedResponse("x"), ChainUnavailable)
+
+
+# ---------------------------------------------------------------------------
+# RPC backend over its real transport, against a loopback server
+
+
+def test_rpc_default_transport_reads_word():
+    reply = json.dumps({"jsonrpc": "2.0", "id": 1, "result": "0x2a"}).encode()
+    with local_endpoint(lambda body: (200, reply)) as (url, log):
+        assert RpcChain(url).get_storage(ADDR, 1) == 42
+    ((content_type, body),) = log
+    assert content_type == "application/json"
+    assert json.loads(body) == {
+        "jsonrpc": "2.0",
+        "id": 1,
+        "method": "eth_getStorageAt",
+        "params": [ADDR, "0x1", "latest"],
+    }
+
+
+@pytest.mark.parametrize(
+    "status, reply", [(500, b'{"result": "0x05"}'), (200, b"not json")]
+)
+def test_rpc_default_transport_retries_then_fails(status, reply):
+    naps: list[float] = []
+    with local_endpoint(lambda body: (status, reply)) as (url, log):
+        with pytest.raises(RpcError):
+            RpcChain(url, sleep=naps.append).get_storage(ADDR, 0)
+    assert len(log) == RPC_ATTEMPTS
+    assert naps == [0.5, 1.0]
+
+
+def test_rpc_default_transport_opens_no_file_url(tmp_path):
+    reply = tmp_path / "reply.json"
+    reply.write_text('{"result": "0x05"}')
+    chain = RpcChain(reply.as_uri(), sleep=lambda s: None)
+    with pytest.raises(RpcError, match="unsupported URL scheme"):
+        chain.get_storage(ADDR, 0)
 
 
 def test_backends_are_interchangeable():

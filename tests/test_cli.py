@@ -7,9 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -26,7 +24,7 @@ from dappaudit.pipeline import (
     expand_directory,
 )
 
-from helpers import ADDR, counted_loop_text
+from helpers import ADDR, counted_loop_text, local_endpoint
 
 
 AUDIT_IR = f"""contract {ADDR}
@@ -429,29 +427,15 @@ def test_symexec_selector_filter(workdir, capsys):
 # extract command
 
 
-class _CannedEndpoint(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        doc = json.loads(self.rfile.read(length))
-        assert "prompt" in doc
-        body = json.dumps({"text": "Answer: no."}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+def _answer_no(body: bytes):
+    assert "prompt" in json.loads(body)
+    return 200, json.dumps({"text": "Answer: no."}).encode()
 
 
 @pytest.fixture
 def llm_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _CannedEndpoint)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
+    with local_endpoint(_answer_no) as (url, _):
+        yield url
 
 
 def test_extract_command_queries_endpoint(tmp_path, llm_server, capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 from dappaudit.facts import build_facts, derive_base_facts, dump_facts
 from dappaudit.model import Opcode
@@ -257,6 +258,63 @@ def test_base_fact_naive_rederivation():
         assert list(db.caller_defs) == callers
         assert list(db.timestamp_defs) == stamps
         assert list(db.plain_calls) == plain
+        assert db.constant == _naive_constants(program)
+
+
+def _naive_constants(program) -> dict[str, int]:
+    """CONST defs, then ADD/SUB/MUL/DIV folded by whole passes until one
+    folds nothing; a zero divisor folds nothing."""
+    word = 1 << 256
+    const: dict[str, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        for _, _, s in program.statements():
+            if s.defvar in const:
+                continue
+            vals = [a % word if isinstance(a, int) else const.get(a) for a in s.args]
+            op = s.opcode.value
+            if op == "CONST":
+                const[s.defvar] = vals[0]
+            elif op not in ("ADD", "SUB", "MUL", "DIV") or None in vals:
+                continue
+            elif op == "ADD":
+                const[s.defvar] = (vals[0] + vals[1]) % word
+            elif op == "SUB":
+                const[s.defvar] = (vals[0] - vals[1]) % word
+            elif op == "MUL":
+                const[s.defvar] = (vals[0] * vals[1]) % word
+            elif vals[1] == 0:
+                continue
+            else:
+                const[s.defvar] = vals[0] // vals[1]
+            changed = True
+    return const
+
+
+def test_constant_chain_folds_in_linear_time():
+    # Listed against execution order, a pass over the statements folds one
+    # link of the chain, so folding to fixpoint by passes costs n passes.
+    n = 1000
+    for order in (range(n, 0, -1), range(1, n + 1)):
+        lines = [
+            f"contract {ADDR}",
+            "function f public sig 0x00000001 params () {",
+            "  block E:",
+            "    0: va0 = CONST 1",
+            "    jump C1",
+        ]
+        for i in order:
+            lines += [
+                f"  block C{i}:",
+                f"    0: va{i} = ADD va{i - 1} 1",
+                "    stop" if i == n else f"    jump C{i + 1}",
+            ]
+        program = parse_ir("\n".join(lines + ["}", ""]))
+        start = time.perf_counter()
+        db = derive_base_facts(program)
+        assert time.perf_counter() - start < 0.25
+        assert db.constant == {f"va{i}": i + 1 for i in range(n + 1)}
 
 
 def test_storage_and_balance_relations_keep_only_resolved_rows():

@@ -24,6 +24,7 @@ from dappaudit.prompts import (
     segment_text,
 )
 from dappaudit.tokens import DEFAULT_TOKENIZER, Tokenizer
+from helpers import local_endpoint
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -177,6 +178,20 @@ def test_client_rejects_malformed_bodies():
     )
     with pytest.raises(LlmError):
         failing.complete("x")
+
+
+def test_default_transport_http_error_is_llm_error():
+    with local_endpoint(lambda body: (500, b'{"text": "ok"}')) as (url, log):
+        with pytest.raises(LlmError):
+            LlmClient(url=url).complete("x")
+    assert len(log) == 1
+
+
+def test_default_transport_opens_no_file_url(tmp_path):
+    reply = tmp_path / "reply.json"
+    reply.write_text('{"text": "ok"}')
+    with pytest.raises(LlmError, match="unsupported URL scheme"):
+        LlmClient(url=reply.as_uri()).complete("x")
 
 
 def test_run_bundle_keeps_segment_order_regardless_of_jobs():

@@ -1,32 +1,48 @@
-"""Source hygiene: every module-level import in the package is used, so
-is every module-level private name and every dataclass field, and only
-`facts.py` touches the storage of the dataflow closure."""
+"""Source hygiene: every module-level import in the package is used and
+comes from the standard library or the package itself, every module-level
+private name and every dataclass field is used, and only `facts.py`
+touches the storage of the dataflow closure."""
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dappaudit"
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """(line, name) for each imported name the module never references.
+def _foreign(line: int, module: str) -> list[tuple[int, str]]:
+    root = module.split(".")[0]
+    if root in sys.stdlib_module_names or root == "dappaudit":
+        return []
+    return [(line, module)]
+
+
+def check_imports(source: str) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
+    """Two lists of (line, name): each imported name the module never
+    references, and each imported module that is neither in the standard
+    library nor `dappaudit` (a relative import is the package itself).
 
     A reference is a bare name or the root of a dotted access.  A quoted
     annotation counts too, so a forward reference keeps its import.
     """
     tree = ast.parse(source)
     imported: list[tuple[int, str]] = []
+    foreign: list[tuple[int, str]] = []
     used: set[str] = set()
     annotations: list[ast.expr] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                if alias.name != "*":
-                    imported.append((node.lineno, alias.asname or alias.name))
+                foreign += _foreign(node.lineno, alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                foreign += _foreign(node.lineno, node.module)
+            if node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported.append((node.lineno, alias.asname or alias.name))
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
@@ -38,7 +54,8 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
                 used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
-    return [(line, name) for line, name in imported if name not in used]
+    unused = [(line, name) for line, name in imported if name not in used]
+    return unused, foreign
 
 
 def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
@@ -143,7 +160,7 @@ def test_unused_imports_are_detected():
         "    return os.getpid('Opcode')\n"
         "y: 'list[Operand]' = []\n"
     )
-    assert unused_imports(source) == [(2, "sys"), (3, "Protocol"), (4, "Opcode")]
+    assert check_imports(source)[0] == [(2, "sys"), (3, "Protocol"), (4, "Opcode")]
 
 
 def test_package_has_no_unused_imports():
@@ -152,9 +169,38 @@ def test_package_has_no_unused_imports():
     orphans = [
         f"{path.name}:{line}: {name}"
         for path in modules
-        for line, name in unused_imports(path.read_text())
+        for line, name in check_imports(path.read_text())[0]
     ]
     assert orphans == [], "unused imports:\n" + "\n".join(orphans)
+
+
+def test_third_party_imports_are_detected():
+    source = (
+        "import json, requests.adapters\n"
+        "import urllib.request as u\n"
+        "from urllib3.util import Retry\n"
+        "from dappaudit.model import Opcode\n"
+        "from . import chain\n"
+        "from .llm import LlmClient\n"
+        "def f():\n"
+        "    import certifi\n"
+    )
+    assert check_imports(source)[1] == [
+        (1, "requests.adapters"),
+        (3, "urllib3.util"),
+        (8, "certifi"),
+    ]
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    foreign = [
+        f"{path.name}:{line}: {module}"
+        for path in modules
+        for line, module in check_imports(path.read_text())[1]
+    ]
+    assert foreign == [], "imports from outside the standard library:\n" + "\n".join(foreign)
 
 
 def test_dead_private_names_are_detected():
