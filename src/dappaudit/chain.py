@@ -158,16 +158,20 @@ class MockChain:
 
 
 def _default_post(url: str, payload: dict, timeout: float) -> dict:
+    """POST `payload` as JSON and decode the reply.  RpcError marks what no
+    retry mends: an unsupported scheme, an HTTP 4xx other than 408 or 429."""
     request = urllib.request.Request(
         url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
     )
     if request.type not in ("http", "https"):
-        raise ValueError(f"unsupported URL scheme: {url!r}")
+        raise RpcError(f"unsupported URL scheme: {url!r}")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:
             return json.load(resp)
     except urllib.request.HTTPError as err:
         with err:  # the error holds the open reply
+            if 400 <= err.code < 500 and err.code not in (408, 429):
+                raise RpcError(f"HTTP {err.code} from {url}") from None
             raise
 
 
@@ -179,9 +183,9 @@ RPC_TIMEOUT_S = 10.0
 class RpcChain:
     """JSON-RPC backend (eth_getStorageAt, latest block).
 
-    `post` and `sleep` are injectable for tests; a request is tried up to
-    RPC_ATTEMPTS times, with exponential backoff after each transport
-    failure, before RpcError is raised.  Reads are cached per address/slot.
+    `post` and `sleep` are injectable; a request is tried up to RPC_ATTEMPTS
+    times, with exponential backoff, unless the transport raises RpcError
+    itself.  Reads are cached per address/slot.
     """
 
     def __init__(self, url: str, post=_default_post, sleep=time.sleep):
@@ -201,6 +205,8 @@ class RpcChain:
         for attempt in range(RPC_ATTEMPTS):
             try:
                 body = self._post(self.url, payload, RPC_TIMEOUT_S)
+            except RpcError as err:
+                raise RpcError(f"{method}: {err}") from None
             except Exception as err:  # transport failure: retry
                 last_err = err
                 if attempt + 1 < RPC_ATTEMPTS:

@@ -313,22 +313,18 @@ def _volatile_uri(
         return None
     slot_hex = hex(sem.token_uri_slot)
     detail = {"nft_permanence_claimed": attrs.nft_permanence_claimed}
+    indeterminate = Finding(
+        type="VNA",
+        detail=detail,
+        evidence={"token_uri_slot": slot_hex, "token_uri": None},
+        status=INDETERMINATE,
+    )
     if chain is None:
-        return Finding(
-            type="VNA",
-            detail=detail,
-            evidence={"token_uri_slot": slot_hex, "token_uri": None},
-            status=INDETERMINATE,
-        )
+        return indeterminate
     try:
         uri = chain.read_string_at(sem.address, sem.token_uri_slot)
     except ChainUnavailable:
-        return Finding(
-            type="VNA",
-            detail=detail,
-            evidence={"token_uri_slot": slot_hex, "token_uri": None},
-            status=INDETERMINATE,
-        )
+        return indeterminate
     except NotAString:
         return None
     storage_class = _classify_uri(uri)

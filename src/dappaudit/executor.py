@@ -54,7 +54,7 @@ budget keeps reports and `symexec` dumps bounded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .feasibility import Feasibility, check_feasible
 from .graphs import AnalysisPlan
@@ -126,7 +126,7 @@ class ExecutionResult:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Frame:
     fn_name: str
     bid: str
@@ -159,7 +159,7 @@ class _State:
             path=self.path,
             depth=self.depth,
             counts=dict(self.counts),
-            stack=[replace(f) for f in self.stack],
+            stack=list(self.stack),
             occ=dict(self.occ),
             budget_hit=self.budget_hit,
         )

@@ -6,17 +6,20 @@ ownership by public selector, syntactic comparisons, and the storage and
 environment relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP,
 plain CALL).  All are collected once, when the database is built.
 
-The reflexive-transitive dataflow closure is kept as one reach set per
-variable (the variables it influences, itself included).  Every dataflow
-query is a lookup in them, answered here; `dataflow` derives the pairs.
+The same pass records the dataflow graph, one step in both directions:
+operands flow into the def (a CALL's result is a fresh source), actuals
+into formals at CALLPRIVATE, and returned values into the def at each call
+site.  Two walks of it answer every dataflow query here:
+`dataflow_closure` keeps each variable's reach set (the variables it
+influences, itself included), from which `dataflow` derives the pairs,
+and `influencers` walks the predecessors of one variable.
 
 Besides the relations, the database keeps two indexes of `controls` (by
 statement and by condition), the operands of each ADD by its def, the
 `comp` rows by operand, and, per public selector, the branches its
 execution can meet with their short arms (see `cfg`) and what their
 regions may set.  These are not relations and are left out of the TSV
-dumps.  The statement pass of the closure reads each statement's
-variable operands as the parser recorded them (`IrStatement.uses`).
+dumps.
 """
 from __future__ import annotations
 
@@ -91,6 +94,10 @@ class FactDb:
     # and variable -> positions in `comp` of the rows it is an operand of.
     add_operands: dict[str, tuple[Operand, ...]]
     comp_rows: dict[str, tuple[int, ...]]
+    # The dataflow graph: variable -> the variables it flows into in one
+    # step, and the reverse.
+    succ: dict[str, list[str]]
+    pred: dict[str, list[str]]
     # Variable -> the variables it influences, itself included: the
     # reflexive-transitive dataflow closure, for every program variable.
     reach: dict[str, frozenset[str]]
@@ -131,8 +138,8 @@ class FactDb:
         return frozenset().union(*map(self.influenced, self.slot_loads.get(slot, ())))
 
     def influencers(self, v: Operand) -> frozenset[str]:
-        """The variables that influence v in the closure, v included."""
-        return frozenset(w for w, seen in self.reach.items() if v in seen)
+        """The variables that influence v, v included; none for a literal."""
+        return _walk(self.pred, v) if v in self.pred else frozenset()
 
     def df(self, src: Operand, dst: Operand) -> bool:
         """Does src influence dst?  Literal operands influence nothing."""
@@ -218,9 +225,43 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         Opcode.CALLER: lambda s: caller_defs.append(s.defvar),
         Opcode.TIMESTAMP: lambda s: timestamp_defs.append(s.defvar),
     }.get
-    for _, _, s in program.statements():
-        if (f := record(s.opcode)) is not None:
-            f(s)
+    # The dataflow graph.  A PHI may use a variable before its definition,
+    # so a node is made when first met and never reset.
+    succ: dict[str, list[str]] = {p: [] for fn in program.functions for p in fn.params}
+    pred: dict[str, list[str]] = {p: [] for p in succ}
+    private_calls: list[tuple[str, str, str | None]] = []  # (caller, callee, def)
+    returned: dict[str, list[Operand]] = {}  # function -> values it returns
+    CALLPRIVATE, CALL = Opcode.CALLPRIVATE, Opcode.CALL
+    for fn in program.functions:
+        for b in fn.blocks:
+            for s in b.statements:
+                op, d = s.opcode, s.defvar
+                if (f := record(op)) is not None:
+                    f(s)
+                if d is not None:
+                    succ.setdefault(d, [])
+                    pred.setdefault(d, [])
+                if op is CALLPRIVATE:
+                    private_calls.append((fn.name, s.callee, d))
+                    formals = program.function(s.callee).params
+                    for actual, formal in zip(s.args[1:], formals):
+                        if isinstance(actual, str):
+                            succ.setdefault(actual, []).append(formal)
+                            pred[formal].append(actual)
+                elif d is not None and op is not CALL:
+                    # External call results are fresh, unconstrained sources.
+                    pred[d] += s.uses
+                    for v in s.uses:
+                        succ.setdefault(v, []).append(d)
+            t = b.terminator
+            if t.kind is TermKind.RETURNPRIVATE:
+                returned.setdefault(fn.name, []).extend(t.values)
+    # Returned values flow to the def at every site calling the function.
+    for _, callee, d in private_calls:
+        for v in returned.get(callee, ()):
+            if d is not None and isinstance(v, str):
+                succ[v].append(d)
+                pred[d].append(v)
     slot_loads: dict[int, list[str]] = {}
     for load in sloads:
         slot_loads.setdefault(load.slot, []).append(load.value)
@@ -238,7 +279,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         controls += [
             (cond, sid, outcome)
             for sid, conds in deps.items()
-            for cond, outcome in sorted(conds, key=repr)
+            for cond, outcome in conds
             if isinstance(cond, str)
         ]
         arms += [(fn, bid, arm) for bid, arm in fn_arms.items()]
@@ -265,7 +306,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
                     out.update(unnamed_loads)
         return frozenset(out)
 
-    fn_selectors = _function_selectors(program)
+    fn_selectors = _function_selectors(program, private_calls)
     branches: dict[str, list[Branch]] = {}
     for fn, bid, arm in arms:
         cond = fn.block(bid).terminator.cond
@@ -297,6 +338,8 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         comp=tuple(comp),
         add_operands={d: ops for d, op, ops in math_op if op == "add"},
         comp_rows={v: tuple(rows) for v, rows in comp_rows.items()},
+        succ=succ,
+        pred=pred,
         reach={},
         sloads=tuple(sloads),
         sstores=tuple(sstores),
@@ -311,55 +354,21 @@ def derive_base_facts(program: IrProgram) -> FactDb:
 
 
 def dataflow_closure(db: FactDb) -> FactDb:
-    """Fill in the reach sets of the reflexive-transitive dataflow closure."""
-    program = db.program
-    # Every program variable is a node, so its reach set holds at least itself.
-    succ: dict[str, set[str]] = {p: set() for fn in program.functions for p in fn.params}
+    """Fill in the reach sets of the reflexive-transitive dataflow closure: a
+    walk of the graph's successors from each variable (see the module)."""
+    return replace(db, reach={v: _walk(db.succ, v) for v in db.succ})
 
-    def edge(src: Operand, dst: str | None) -> None:
-        if isinstance(src, str) and dst is not None:
-            succ.setdefault(src, set()).add(dst)
 
-    defs_by_callee: dict[str, list[str]] = {}
-    CALLPRIVATE, CALL = Opcode.CALLPRIVATE, Opcode.CALL
-    for _, _, s in program.statements():
-        d = s.defvar
-        if d is not None:
-            succ.setdefault(d, set())
-        for v in s.uses:
-            succ.setdefault(v, set())
-        if s.opcode is CALLPRIVATE:
-            callee = program.function(s.callee)
-            for actual, formal in zip(s.args[1:], callee.params):
-                edge(actual, formal)
-            if d is not None:
-                defs_by_callee.setdefault(s.callee, []).append(d)
-        elif s.opcode is CALL:
-            # External call results are fresh, unconstrained sources.
-            continue
-        elif d is not None:
-            for v in s.uses:
-                succ[v].add(d)
-
-    # Returned values flow to the def at every site calling the function.
-    for fn in program.functions:
-        for b in fn.blocks:
-            if b.terminator.kind is TermKind.RETURNPRIVATE:
-                for v in b.terminator.values:
-                    for d in defs_by_callee.get(fn.name, []):
-                        edge(v, d)
-
-    reach: dict[str, frozenset[str]] = {}
-    for start in succ:
-        seen = {start}
-        work = [start]
-        while work:
-            for nxt in succ[work.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
-        reach[start] = frozenset(seen)
-    return replace(db, reach=reach)
+def _walk(graph: dict[str, list[str]], start: str) -> frozenset[str]:
+    """The nodes reachable from start in graph, start included."""
+    seen = {start}
+    work = [start]
+    while work:
+        for nxt in graph[work.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return frozenset(seen)
 
 
 def build_facts(program: IrProgram) -> FactDb:
@@ -411,22 +420,19 @@ def _fold_constants(program: IrProgram) -> dict[str, int]:
     return out
 
 
-def _function_selectors(program: IrProgram) -> dict[str, frozenset[str]]:
+def _function_selectors(
+    program: IrProgram, calls: list[tuple[str, str, str | None]]
+) -> dict[str, frozenset[str]]:
     """Function name -> public selectors whose entry points reach it,
-    propagated through private call chains (monotone)."""
+    propagated through the (caller, callee, def) private calls (monotone)."""
     reach: dict[str, set[str]] = {fn.name: set() for fn in program.functions}
     for fn in program.public_functions():
         reach[fn.name].add(fn.selector)
 
-    calls: list[tuple[str, str]] = [
-        (fn.name, s.callee)
-        for fn, _, s in program.statements()
-        if s.opcode is Opcode.CALLPRIVATE
-    ]
     changed = True
     while changed:
         changed = False
-        for caller, callee in calls:
+        for caller, callee, _ in calls:
             if not reach[caller] <= reach[callee]:
                 reach[callee] |= reach[caller]
                 changed = True

@@ -18,9 +18,6 @@ from typing import Sequence
 
 from .symexpr import MASK, SymExpr, eval_concrete, leaves
 
-_LEAF_OPS = ("fresh", "caller", "callvalue", "timestamp", "balance_self", "store", "calldata")
-
-
 @unique
 class Feasibility(Enum):
     FEASIBLE = "feasible"
@@ -46,7 +43,7 @@ class _Contradiction(Exception):
 
 
 def _is_leaf(e: SymExpr) -> bool:
-    return e.op in _LEAF_OPS
+    return not e.args and not e.is_const
 
 
 def _assert_nonzero(e: SymExpr, neg: bool, ivs: dict[str, _Interval]) -> bool:

@@ -123,20 +123,15 @@ def _fee_shape(e: SymExpr) -> tuple[SymExpr, SymExpr, int] | None:
         return None
     d = e.args[1].value
     num = e.args[0]
-    if num.op == "mul":
-        a, b = num.args
-
-        def factor(x: SymExpr) -> bool:
-            return x.op in ("const", "store")
-
-        if factor(b) and not factor(a):
-            return a, b, d
-        if factor(a) and not factor(b):
-            return b, a, d
-        if factor(a) and factor(b):
-            return a, b, d
-        return None
-    return num, const(1), d
+    if num.op != "mul":
+        return num, const(1), d
+    # The factor is the constant or storage side, the right one if both are.
+    a, b = num.args
+    if b.op in ("const", "store"):
+        return a, b, d
+    if a.op in ("const", "store"):
+        return b, a, d
+    return None
 
 
 def summarize_semantics(

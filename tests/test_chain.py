@@ -16,6 +16,7 @@ from dappaudit.chain import (
     NotAString,
     RpcChain,
     RpcError,
+    _default_post,
     decode_string,
     encode_string_at,
 )
@@ -227,7 +228,8 @@ def test_rpc_default_transport_reads_word():
 
 
 @pytest.mark.parametrize(
-    "status, reply", [(500, b'{"result": "0x05"}'), (200, b"not json")]
+    "status, reply",
+    [(500, b'{"result": "0x05"}'), (200, b"not json"), (408, b"{}"), (429, b"{}")],
 )
 def test_rpc_default_transport_retries_then_fails(status, reply):
     naps: list[float] = []
@@ -244,6 +246,33 @@ def test_rpc_default_transport_opens_no_file_url(tmp_path):
     chain = RpcChain(reply.as_uri(), sleep=lambda s: None)
     with pytest.raises(RpcError, match="unsupported URL scheme"):
         chain.get_storage(ADDR, 0)
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 405])
+def test_rpc_default_transport_gives_up_at_once_on_client_errors(status):
+    naps: list[float] = []
+    with local_endpoint(lambda body: (status, b"{}")) as (url, log):
+        with pytest.raises(RpcError, match=f"HTTP {status}"):
+            RpcChain(url, sleep=naps.append).get_storage(ADDR, 0)
+    assert len(log) == 1
+    assert naps == []
+
+
+def test_rpc_default_transport_gives_up_at_once_on_a_file_url(tmp_path):
+    reply = tmp_path / "reply.json"
+    reply.write_text('{"result": "0x05"}')
+    naps: list[float] = []
+    sent: list[str] = []
+
+    def post(url, payload, timeout):
+        sent.append(url)
+        return _default_post(url, payload, timeout)
+
+    chain = RpcChain(reply.as_uri(), post=post, sleep=naps.append)
+    with pytest.raises(RpcError, match="unsupported URL scheme"):
+        chain.get_storage(ADDR, 0)
+    assert sent == [reply.as_uri()]
+    assert naps == []
 
 
 def test_backends_are_interchangeable():

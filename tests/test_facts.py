@@ -1,6 +1,7 @@
 """Base-relation derivation against brute-force oracles."""
 from __future__ import annotations
 
+import gc
 import random
 import time
 
@@ -213,6 +214,55 @@ def test_dataflow_matches_floyd_warshall_oracle():
         }
         want = floyd_warshall_dataflow(program)
         assert got == want, f"instance {i}"
+
+
+def test_influencers_match_reversed_floyd_warshall_oracle():
+    rng = random.Random(99)
+    for i in range(210):
+        program = random_program(rng)
+        db = build_facts(program)
+        closure = floyd_warshall_dataflow(program)
+        for v in {a for a, _ in closure}:
+            want = frozenset(a for a, b in closure if b == v)
+            assert db.influencers(v) == want, f"instance {i}, {v}"
+        assert db.influencers(7) == frozenset()
+
+
+def test_influencers_of_a_star_grow_linearly():
+    # n leaves `vi = ADD v0 i` over one CALLVALUE; each leaf's influencers
+    # are itself and v0, so asking for all of them should cost O(n).
+    def star(n: int):
+        lines = [
+            f"contract {ADDR}",
+            "function f public sig 0x00000001 params () {",
+            "  block B0:",
+            "    0: v0 = CALLVALUE",
+            *(f"    {i}: v{i} = ADD v0 {i}" for i in range(1, n + 1)),
+            "    stop",
+            "}",
+        ]
+        db = build_facts(parse_ir("\n".join(lines) + "\n"))
+        assert db.influencers(f"v{n}") == {"v0", f"v{n}"}
+        return db, [f"v{i}" for i in range(1, n + 1)]
+
+    def wall(db, leaves) -> float:
+        start = time.perf_counter()
+        for v in leaves:
+            db.influencers(v)
+        return time.perf_counter() - start
+
+    small, large = star(2000), star(4000)
+    best_small = best_large = float("inf")
+    # Best of 5.  The sizes alternate, so a slow spell of the machine hits
+    # both, and the collector is off, so its pauses land in neither.
+    gc.disable()
+    try:
+        for _ in range(5):
+            best_small = min(best_small, wall(*small))
+            best_large = min(best_large, wall(*large))
+    finally:
+        gc.enable()
+    assert best_large <= 3 * best_small, (best_small, best_large)
 
 
 def test_base_fact_naive_rederivation():

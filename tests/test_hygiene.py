@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
 private name and every dataclass field is used, and only `facts.py`
-touches the storage of the dataflow closure."""
+touches the storage of the dataflow graph and its closure."""
 from __future__ import annotations
 
 import ast
@@ -135,9 +135,9 @@ def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str
     ]
 
 
-# Attributes holding the dataflow closure; their format is private to
-# facts.py, which answers every dataflow query.
-CLOSURE_ATTRIBUTES = ("dataflow", "reach")
+# Attributes holding the dataflow graph and its closure; their format is
+# private to facts.py, which answers every dataflow query.
+CLOSURE_ATTRIBUTES = ("dataflow", "reach", "succ", "pred")
 
 
 def closure_accesses(source: str) -> list[tuple[int, str]]:
@@ -276,10 +276,10 @@ def test_closure_accesses_are_detected():
         "    n = len(db.dataflow)\n"
         "    if db.df('va', 'vb'):\n"
         "        return analysis.db.reach.get('va')\n"
-        "    reach = dataflow = n\n"
-        "    return reach, dataflow\n"
+        "    reach = dataflow = succ = n + len(db.pred)\n"
+        "    return reach, dataflow, succ\n"
     )
-    assert closure_accesses(source) == [(2, "dataflow"), (4, "reach")]
+    assert closure_accesses(source) == [(2, "dataflow"), (4, "reach"), (5, "pred")]
 
 
 def test_only_facts_touches_the_closure():
