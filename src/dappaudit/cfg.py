@@ -117,9 +117,9 @@ def branch_structure(
                 if arm is not None:
                     arms[b.bid] = arm, frozenset(regions[0] | regions[1])
 
-    deps_of = {
-        s.sid: frozenset(deps[b.bid]) for b in fn.blocks for s in b.statements
-    }
+    # One frozen set per block, shared by its statements.
+    frozen = {bid: frozenset(d) for bid, d in deps.items()}
+    deps_of = {s.sid: frozen[b.bid] for b in fn.blocks for s in b.statements}
     return deps_of, arms
 
 

@@ -46,40 +46,32 @@ def _is_leaf(e: SymExpr) -> bool:
     return not e.args and not e.is_const
 
 
-def _assert_nonzero(e: SymExpr, neg: bool, ivs: dict[str, _Interval]) -> bool:
-    """Fold `e != 0` (or `e == 0` when neg) into the interval system.
-    Returns False when some part of the constraint was not representable."""
-    if e.op == "const":
-        truthy = e.value != 0
-        if truthy == neg:
-            raise _Contradiction
-        return True
-    if e.op == "iszero":
-        return _assert_nonzero(e.args[0], not neg, ivs)
-    if e.op == "and" and not neg:
-        # A bitwise conjunction is nonzero only if both sides are.
-        a = _assert_nonzero(e.args[0], False, ivs)
-        b = _assert_nonzero(e.args[1], False, ivs)
-        return a and b
-    if e.op == "or" and neg:
-        # A bitwise disjunction is zero only if both sides are.
-        a = _assert_nonzero(e.args[0], True, ivs)
-        b = _assert_nonzero(e.args[1], True, ivs)
-        return a and b
-    if e.op in ("lt", "gt", "eq"):
-        lhs, rhs = e.args
-        if _is_leaf(lhs) and rhs.is_const:
-            _apply_atom(ivs, lhs.render(), e.op, rhs.value, neg)
-            return True
-        if _is_leaf(rhs) and lhs.is_const:
-            flip = {"lt": "gt", "gt": "lt", "eq": "eq"}[e.op]
-            _apply_atom(ivs, rhs.render(), flip, lhs.value, neg)
-            return True
-        return False
-    if _is_leaf(e):
-        _apply_atom(ivs, e.render(), "eq", 0, not neg)
-        return True
-    return False
+def _assert_nonzero(e: SymExpr, ivs: dict[str, _Interval]) -> None:
+    """Fold `e != 0` into the interval system, keeping only the parts that
+    are representable.  A worklist of (expression, negated) pairs, so a
+    long chain of iszero, and or or nodes needs no recursion."""
+    work = [(e, False)]
+    while work:
+        e, neg = work.pop()
+        op = e.op
+        if op == "const":
+            if (e.value != 0) == neg:
+                raise _Contradiction
+        elif op == "iszero":
+            work.append((e.args[0], not neg))
+        elif (op == "and" and not neg) or (op == "or" and neg):
+            # A bitwise conjunction is nonzero only if both sides are; a
+            # bitwise disjunction is zero only if both sides are.
+            work += ((e.args[1], neg), (e.args[0], neg))
+        elif op in ("lt", "gt", "eq"):
+            lhs, rhs = e.args
+            if _is_leaf(lhs) and rhs.is_const:
+                _apply_atom(ivs, lhs.render(), op, rhs.value, neg)
+            elif _is_leaf(rhs) and lhs.is_const:
+                flip = {"lt": "gt", "gt": "lt", "eq": "eq"}[op]
+                _apply_atom(ivs, rhs.render(), flip, lhs.value, neg)
+        elif _is_leaf(e):
+            _apply_atom(ivs, e.render(), "eq", 0, not neg)
 
 
 def _apply_atom(ivs: dict[str, _Interval], key: str, op: str, c: int, neg: bool) -> None:
@@ -115,7 +107,7 @@ def check_feasible(path: Sequence[SymExpr]) -> Feasibility:
     ivs: dict[str, _Interval] = {}
     try:
         for c in path:
-            _assert_nonzero(c, False, ivs)
+            _assert_nonzero(c, ivs)
     except _Contradiction:
         return Feasibility.INFEASIBLE
 

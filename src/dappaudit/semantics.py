@@ -101,10 +101,11 @@ class ContractSemantics:
     budget_exceeded: bool
 
 
-def _dynamic_flags(e: SymExpr, written_slots: frozenset[int]) -> DynamicFlags:
+def _dynamic_flags(found: frozenset[str], written_slots: frozenset[int]) -> DynamicFlags:
+    """Flags from the rendered leaves `found` of an amount."""
     balance = False
     store_written = False
-    for leaf in leaves(e):
+    for leaf in found:
         if leaf == "balance(self)":
             balance = True
         elif leaf.startswith("store("):
@@ -157,39 +158,42 @@ def summarize_semantics(
         idx = db.program.statement(edge.call_site).args.index(edge.amount)
         edge_index.setdefault((edge.call_site, edge.selector), []).append((edge, idx))
 
-    transfers: list[TransferSummary] = []
-    seen: set[tuple[str, str, str]] = set()
+    # Each kept transfer with the leaves of its amount.
+    kept: list[tuple[TransferSummary, frozenset[str]]] = []
+    seen: set[tuple[str, str, SymExpr]] = set()
     for cp in cps:
         for edge, idx in edge_index.get((cp.checkpoint, cp.selector), ()):
             amount_expr = cp.args[idx]
-            key = (edge.call_site, edge.selector, render(amount_expr))
+            key = (edge.call_site, edge.selector, amount_expr)
             if key in seen:
                 continue
             seen.add(key)
-            transfers.append(
+            amount_leaves = leaves(amount_expr)
+            kept.append((
                 TransferSummary(
                     call_site=edge.call_site,
                     selector=edge.selector,
                     kind=edge.kind,
                     recipient_class=edge.recipient_class,
-                    amount=key[2],
+                    amount=render(amount_expr),
                     amount_expr=amount_expr,
-                    dynamic=_dynamic_flags(amount_expr, written_slots),
+                    dynamic=_dynamic_flags(amount_leaves, written_slots),
                     owner_gated=edge.privileged_owner is not None,
                     shares_amount_source=edge.shared_fee_ancestor,
-                )
-            )
-    transfers.sort(key=lambda t: (t.selector, t.call_site, t.amount))
+                ),
+                amount_leaves,
+            ))
+    kept.sort(key=lambda k: (k[0].selector, k[0].call_site, k[0].amount))
 
     payout_leaves: dict[str, frozenset[str]] = {}
-    for t in transfers:
+    for t, amount_leaves in kept:
         if t.recipient_class is RecipientClass.CALLER:
             payout_leaves[t.selector] = payout_leaves.get(
                 t.selector, frozenset()
-            ) | leaves(t.amount_expr)
+            ) | amount_leaves
 
     fee_candidates: list[FeeCandidate] = []
-    for t in transfers:
+    for t, amount_leaves in kept:
         if t.recipient_class is RecipientClass.CALLER:
             continue
         shape = _fee_shape(t.amount_expr)
@@ -197,7 +201,7 @@ def summarize_semantics(
             continue
         base, k, d = shape
         shares_payout = bool(
-            leaves(t.amount_expr) & payout_leaves.get(t.selector, frozenset())
+            amount_leaves & payout_leaves.get(t.selector, frozenset())
         )
         if not (
             "callvalue" in leaves(base)
@@ -271,7 +275,7 @@ def summarize_semantics(
 
     return ContractSemantics(
         address=address,
-        transfers=tuple(transfers),
+        transfers=tuple(t for t, _ in kept),
         fee_candidates=tuple(fee_candidates),
         supplies=tuple(supplies),
         pauses=tuple(pauses),

@@ -12,22 +12,23 @@ ML 2006).  Every constructor below looks its node up in one table keyed on
 the operator, the identities of the already-interned arguments, the value
 and the name, so equal expressions built on different paths are one object
 and a value like ``add(v, v)`` shares ``v`` instead of copying it.  A node
-therefore describes a DAG, and the queries here visit each distinct node
-once however often it is shared:
+is a plain value: its constructor sets every field, its tree size among
+them (``1 + sum(child sizes)``), and nothing writes it afterwards.  The
+queries keep no state on the nodes; each handles every distinct node once
+per pass, without recursion:
 
-- the tree size is computed at construction as ``1 + sum(child sizes)``;
-- the rendered text and the leaf set are computed on first use, children
-  first and without recursion, then stored on the node;
-- ``eval_concrete`` evaluates each distinct node once per call, also
-  without recursion.
+- ``render`` first counts the uses of each operator node inside the
+  expression, then writes the text into one list.  A subterm used more
+  than once is rendered once and its text reused; every other node is
+  written inline, so the cost is linear in the text produced;
+- ``leaves`` walks the DAG with a seen-set;
+- ``eval_concrete`` evaluates each distinct node once.
 
 Interning is an optimisation, not an invariant: ``==`` and ``hash`` stay
 structural, so two equal nodes built by threads racing on the same table
-entry still compare equal; the race only costs a cache miss.  The table
-holds its nodes weakly, so an entry lives exactly as long as some
-expression still uses its node and the table does not grow from one audit
-to the next.  Nodes are immutable by convention: only this module writes
-their fields.
+entry still compare equal.  The table holds its nodes weakly, so an entry
+lives exactly as long as some expression still uses its node and the
+table does not grow from one audit to the next.
 """
 from __future__ import annotations
 
@@ -37,7 +38,20 @@ from functools import partial
 WORD = 1 << 256
 MASK = WORD - 1
 
-_BINARY = ("add", "sub", "mul", "div", "mod", "lt", "gt", "eq", "and", "or")
+# Each binary operator under 256-bit wrapping semantics: division and
+# modulo by zero yield 0, comparisons yield 0 or 1.
+_BINARY = {
+    "add": lambda a, b: (a + b) % WORD,
+    "sub": lambda a, b: (a - b) % WORD,
+    "mul": lambda a, b: (a * b) % WORD,
+    "div": lambda a, b: a // b if b else 0,
+    "mod": lambda a, b: a % b if b else 0,
+    "lt": lambda a, b: int(a < b),
+    "gt": lambda a, b: int(a > b),
+    "eq": lambda a, b: int(a == b),
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+}
 
 
 class UnboundLeaf(KeyError):
@@ -51,10 +65,7 @@ class UnboundLeaf(KeyError):
 class SymExpr:
     """One interned expression node; build it with the constructors below."""
 
-    __slots__ = (
-        "op", "args", "value", "name", "size",
-        "_hash", "_text", "_leaves", "__weakref__",
-    )
+    __slots__ = ("op", "args", "value", "name", "size", "_hash", "__weakref__")
 
     def __init__(
         self, op: str, args: tuple[SymExpr, ...], value: int | None, name: str | None
@@ -70,8 +81,6 @@ class SymExpr:
             size += a.size
         self.size = size
         self._hash = hash((op, args, value, name))
-        self._text: str | None = None
-        self._leaves: frozenset[str] | None = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -157,37 +166,13 @@ def calldata(selector: str, index: int) -> SymExpr:
     return _intern("calldata", value=index, name=selector)
 
 
-def _apply(op: str, a: int, b: int) -> int:
-    if op == "add":
-        return (a + b) % WORD
-    if op == "sub":
-        return (a - b) % WORD
-    if op == "mul":
-        return (a * b) % WORD
-    if op == "div":
-        return a // b if b else 0
-    if op == "mod":
-        return a % b if b else 0
-    if op == "lt":
-        return int(a < b)
-    if op == "gt":
-        return int(a > b)
-    if op == "eq":
-        return int(a == b)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def binop(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
     """Build an operator node, folding constants.  Division or modulo by a
     constant zero folds to 0 outright, so such a node is never built."""
     if op not in _BINARY:
         raise ValueError(f"unknown operator {op!r}")
     if lhs.is_const and rhs.is_const:
-        return const(_apply(op, lhs.value, rhs.value))
+        return const(_BINARY[op](lhs.value, rhs.value))
     if op in ("div", "mod") and rhs.is_const and rhs.value == 0:
         return const(0)
     return _intern(op, (lhs, rhs))
@@ -199,68 +184,81 @@ def iszero(x: SymExpr) -> SymExpr:
     return _intern("iszero", (x,))
 
 
-def _fill(e: SymExpr, slot: str, compute) -> object:
-    """The cached value `slot` of e, first computing it for every node below
-    e that lacks it, children before parents."""
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if getattr(n, slot) is not None:
-            stack.pop()
-            continue
-        todo = [a for a in n.args if getattr(a, slot) is None]
-        if todo:
-            stack.extend(todo)
-        else:
-            setattr(n, slot, compute(n))
-            stack.pop()
-    return getattr(e, slot)
-
-
 def _text_of(n: SymExpr) -> str:
+    """The text of a leaf."""
     op = n.op
     if op == "const":
         return str(n.value)
     if op == "fresh":
         return n.name
-    if op in ("caller", "callvalue", "timestamp"):
-        return op
     if op == "balance_self":
         return "balance(self)"
     if op == "store":
         return f"store({n.value})"
     if op == "calldata":
         return f"calldata({n.name},{n.value})"
-    inner = ", ".join(a._text for a in n.args)
-    return f"{op}({inner})"
-
-
-def _union(sets) -> frozenset:
-    """Union of frozensets, reusing one of them when it holds all the others."""
-    out = frozenset()
-    for s in sets:
-        if not s <= out:
-            out = s if out <= s else out | s
-    return out
-
-
-def _leaves_of(n: SymExpr) -> frozenset[str]:
-    if n.op == "const":
-        return frozenset()
-    if not n.args:
-        return frozenset((render(n),))
-    return _union(a._leaves for a in n.args)
+    return op
 
 
 def render(e: SymExpr) -> str:
-    text = e._text
-    return text if text is not None else _fill(e, "_text", _text_of)
+    """The canonical prefix form of e, written in one pass into one list.
+    An operator node used more than once inside e is rendered once and its
+    text reused; every other node is written inline where it stands."""
+    if not e.args:
+        return _text_of(e)
+    # id(operator node below e) -> its number of parents inside e.
+    uses: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        for a in stack.pop().args:
+            if a.args:
+                uses[id(a)] = k = uses.get(id(a), 0) + 1
+                if k == 1:
+                    stack.append(a)
+    # The work stack holds nodes to write, literal text, and (node, start)
+    # marks that close a shared node: its pieces from `start` on are joined,
+    # kept in `shared` and left in `out` as one string.
+    shared: dict[int, str] = {}
+    out: list[str] = []
+    work: list = [e]
+    while work:
+        n = work.pop()
+        if type(n) is str:
+            out.append(n)
+        elif type(n) is tuple:
+            n, start = n
+            shared[id(n)] = text = "".join(out[start:])
+            out[start:] = (text,)
+        elif not n.args:
+            out.append(_text_of(n))
+        elif id(n) in shared:
+            out.append(shared[id(n)])
+        else:
+            if uses.get(id(n), 1) > 1:
+                work.append((n, len(out)))
+            out.append(n.op + "(")
+            if len(n.args) == 1:
+                work += (")", n.args[0])
+            else:
+                work += (")", n.args[1], ", ", n.args[0])
+    return "".join(out)
 
 
 def leaves(e: SymExpr) -> frozenset[str]:
     """Rendered names of all non-constant leaves."""
-    found = e._leaves
-    return found if found is not None else _fill(e, "_leaves", _leaves_of)
+    found: set[str] = set()
+    seen = {id(e)}
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n.args:
+            for a in n.args:
+                if id(a) not in seen:
+                    seen.add(id(a))
+                    stack.append(a)
+        elif n.op != "const":
+            found.add(_text_of(n))
+    return frozenset(found)
 
 
 def eval_concrete(e: SymExpr, bindings: dict[str, int]) -> int:
@@ -289,11 +287,11 @@ def eval_concrete(e: SymExpr, bindings: dict[str, int]) -> int:
                 if id(b) not in done:
                     stack.append(b)
                     continue
-                val = _apply(n.op, done[id(a)], done[id(b)])
+                val = _BINARY[n.op](done[id(a)], done[id(b)])
         elif n.op == "const":
             val = n.value
         else:
-            key = render(n)
+            key = _text_of(n)
             if key not in bindings:
                 raise UnboundLeaf(key)
             val = bindings[key] % WORD

@@ -267,6 +267,34 @@ def test_audit_guard_over_a_long_linear_chain(workdir, capsys):
     assert out.err == ""
 
 
+def test_audit_guard_over_a_long_iszero_chain(workdir, capsys):
+    # The guard is 1500 nested ISZEROs of a bound on the argument; folding
+    # it into the feasibility intervals must not recurse once per level.
+    n = 1500
+    lines = [
+        f"contract {ADDR}",
+        "function pay public sig 0x01020304 params (vx) {",
+        "  block P0:",
+        "    0: v0 = LT vx 5",
+    ]
+    lines += [f"    {i}: v{i} = ISZERO v{i - 1}" for i in range(1, n + 1)]
+    lines += [
+        f"    jumpi v{n} P1 P2",
+        "  block P1:",
+        "    0: vw = CALLER",
+        "    1: CALL vw vx",
+        "    stop",
+        "  block P2:",
+        "    revert",
+        "}",
+    ]
+    (workdir / "contract.ir").write_text("\n".join(lines) + "\n")
+    assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
+    out = capsys.readouterr()
+    assert json.loads(out.out)["contract"] == ADDR
+    assert out.err == ""
+
+
 def test_unexpected_exception_exits_two_with_one_line(workdir, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("layer\nfault")

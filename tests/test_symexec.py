@@ -11,6 +11,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,35 @@ def test_doubling_chain_queries_stay_linear():
     assert time.perf_counter() - start < 2.0
 
 
+def _add_chain(n, operand):
+    v = callvalue()
+    for i in range(n):
+        v = binop("add", v, operand(i))
+    return v
+
+
+def _traced_peak(query, e):
+    tracemalloc.start()
+    try:
+        query(e)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "query, operand",
+    [(render, lambda i: const(1)), (leaves, lambda i: calldata("0x01020304", i))],
+    ids=["render", "leaves"],
+)
+def test_queries_on_a_linear_chain_hold_memory_linear_in_depth(query, operand):
+    # A query that kept the text or leaf set of every node below the root
+    # would hold about depth**2 / 2 entries: a peak 4x as high per doubling.
+    small, large = (_traced_peak(query, _add_chain(n, operand)) for n in (2000, 4000))
+    assert large <= 2.5 * small
+    assert large < 4_000_000
+
+
 def test_intern_table_drops_nodes_no_expression_uses():
     before = len(symexpr._table)
     text = (Path(__file__).parent / "fixtures" / "corpus" / "staking_rewards.ir").read_text()
@@ -392,6 +422,17 @@ def test_zero_disjunction_zeroes_both_sides():
         binop("gt", callvalue(), const(0)),
     )
     assert check_feasible(path) is Feasibility.INFEASIBLE
+
+
+def test_long_conjunction_chain_needs_no_recursion():
+    # 1500 nested and nodes, each adding one bound on its own leaf.
+    atoms = [binop("lt", calldata("0x01020304", i), const(10)) for i in range(1500)]
+    chain = atoms[0]
+    for atom in atoms[1:]:
+        chain = binop("and", chain, atom)
+    assert check_feasible((chain,)) is Feasibility.FEASIBLE
+    clash = binop("gt", calldata("0x01020304", 0), const(20))
+    assert check_feasible((binop("and", clash, chain),)) is Feasibility.INFEASIBLE
 
 
 def test_holes_can_exhaust_an_interval():
