@@ -238,20 +238,14 @@ def test_symexec_keeps_values_under_the_expression_budget(workdir, capsys):
     assert cp["args"][1].count("callvalue") == 2**15
 
 
-def test_audit_guard_over_a_long_linear_chain(workdir, capsys):
-    # The guard's constraint is a 1200-deep ADD chain; checking it
-    # concretely must not exhaust the interpreter's recursion limit.
-    n = 1200
+def _guarded_transfer_ir(chain, cond):
+    """One function that runs `chain`, then transfers only if `cond`."""
     lines = [
         f"contract {ADDR}",
         "function pay public sig 0x01020304 params (vx) {",
         "  block P0:",
-        "    0: v0 = CALLVALUE",
-    ]
-    lines += [f"    {i}: v{i} = ADD v{i - 1} 1" for i in range(1, n + 1)]
-    lines += [
-        f"    {n + 1}: vlt = LT v{n} 5",
-        "    jumpi vlt P1 P2",
+        *chain,
+        f"    jumpi {cond} P1 P2",
         "  block P1:",
         "    0: vw = CALLER",
         "    1: CALL vw vx",
@@ -260,7 +254,17 @@ def test_audit_guard_over_a_long_linear_chain(workdir, capsys):
         "    revert",
         "}",
     ]
-    (workdir / "contract.ir").write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_audit_guard_over_a_long_linear_chain(workdir, capsys):
+    # The guard's constraint is a 1200-deep ADD chain; checking it
+    # concretely must not exhaust the interpreter's recursion limit.
+    n = 1200
+    chain = ["    0: v0 = CALLVALUE"]
+    chain += [f"    {i}: v{i} = ADD v{i - 1} 1" for i in range(1, n + 1)]
+    chain += [f"    {n + 1}: vlt = LT v{n} 5"]
+    (workdir / "contract.ir").write_text(_guarded_transfer_ir(chain, "vlt"))
     assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
     out = capsys.readouterr()
     assert json.loads(out.out)["contract"] == ADDR
@@ -271,24 +275,9 @@ def test_audit_guard_over_a_long_iszero_chain(workdir, capsys):
     # The guard is 1500 nested ISZEROs of a bound on the argument; folding
     # it into the feasibility intervals must not recurse once per level.
     n = 1500
-    lines = [
-        f"contract {ADDR}",
-        "function pay public sig 0x01020304 params (vx) {",
-        "  block P0:",
-        "    0: v0 = LT vx 5",
-    ]
-    lines += [f"    {i}: v{i} = ISZERO v{i - 1}" for i in range(1, n + 1)]
-    lines += [
-        f"    jumpi v{n} P1 P2",
-        "  block P1:",
-        "    0: vw = CALLER",
-        "    1: CALL vw vx",
-        "    stop",
-        "  block P2:",
-        "    revert",
-        "}",
-    ]
-    (workdir / "contract.ir").write_text("\n".join(lines) + "\n")
+    chain = ["    0: v0 = LT vx 5"]
+    chain += [f"    {i}: v{i} = ISZERO v{i - 1}" for i in range(1, n + 1)]
+    (workdir / "contract.ir").write_text(_guarded_transfer_ir(chain, f"v{n}"))
     assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
     out = capsys.readouterr()
     assert json.loads(out.out)["contract"] == ADDR
