@@ -59,12 +59,10 @@ from dataclasses import dataclass
 from .feasibility import Feasibility, check_feasible
 from .graphs import AnalysisPlan
 from .model import (
-    ARITH_OPS,
-    COMPARE_OPS,
     IrFunction,
     IrProgram,
     IrStatement,
-    LOGIC_OPS,
+    OP_NAMES,
     Opcode,
     Operand,
     TermKind,
@@ -316,7 +314,7 @@ def _bind_op(st: _State, s: IrStatement, value: SymExpr) -> bool:
 
 
 def _binop(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    value = binop(_OP_NAMES[s.opcode], _resolve(st, s.args[0]), _resolve(st, s.args[1]))
+    value = binop(OP_NAMES[s.opcode], _resolve(st, s.args[0]), _resolve(st, s.args[1]))
     return _bind_op(st, s, value)
 
 
@@ -390,12 +388,10 @@ def _callprivate(program: IrProgram, st: _State, s: IrStatement, limits: Limits)
     return _transition(st, limits, callee.entry.bid)
 
 
-_OP_NAMES = {op: op.value.lower() for op in ARITH_OPS | COMPARE_OPS | LOGIC_OPS}
-
 # Opcode -> handler that runs the statement on a state; a handler returns
 # False when the path ends inside the statement.
 _STATEMENTS = {
-    **{op: _binop for op in _OP_NAMES},
+    **{op: _binop for op in OP_NAMES},
     Opcode.CONST: _const,
     Opcode.ISZERO: _iszero,
     Opcode.CALLER: _leaf(caller),

@@ -33,6 +33,7 @@ from .model import (
     IrFunction,
     IrProgram,
     IrStatement,
+    OP_NAMES,
     Opcode,
     Operand,
     TermKind,
@@ -201,7 +202,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
             plain_calls.append(s)
 
     def compare(s: IrStatement) -> None:
-        comp.append((s.sid, s.opcode.value.lower(), s.args[0], s.args[1], s.defvar))
+        comp.append((s.sid, OP_NAMES[s.opcode], s.args[0], s.args[1], s.defvar))
 
     def sload(s: IrStatement) -> None:
         if (slot := _const_of(constant, s.args[0])) is not None:
@@ -217,7 +218,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     record = {
         Opcode.CALL: call,
         **dict.fromkeys(
-            ARITH_OPS, lambda s: math_op.append((s.defvar, s.opcode.value.lower(), s.args))
+            ARITH_OPS, lambda s: math_op.append((s.defvar, OP_NAMES[s.opcode], s.args))
         ),
         **dict.fromkeys(COMPARE_OPS, compare),
         Opcode.SLOAD: sload,

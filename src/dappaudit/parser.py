@@ -16,14 +16,25 @@ Operands are `v`-prefixed variable names, decimal or 0x literals, or the
 accepted but discarded; statements are identified positionally as
 `function.block.index`, which is what the printer emits.
 
+Each line is split into tokens once, after cutting a comment (only when
+the line holds a `#`).  Statements are most of a program, so a line whose
+first token ends in `:` inside an open, unterminated block is parsed as a
+statement straight away; no header, `}` or terminator line has such a
+first token.  Any other line goes through the header checks in their
+fixed order: `contract`, `function`, `}`, `block`, then a terminator.
+The shortcut changes no outcome: every line it takes would have passed
+those checks and reached the statement parse.
+
 The parser is the one place where per-statement facts are computed: each
 statement records its variable operands (`IrStatement.uses`), which
-validation, the dataflow closure and the graphs read.  Within one
-`parse_ir` call each statement operand token is converted once and looked
-up afterwards (a defined variable's name is entered with its definition);
-a token that fails to convert is never remembered, so each occurrence
-raises with its own line and message.  Validation runs once the whole
-text has parsed, so a syntax error anywhere wins over a validation error.
+validation, the dataflow closure and the graphs read; they are collected
+in the loop that converts the operands.  Within one `parse_ir` call each
+statement operand token is converted once and looked up afterwards (a
+defined variable's name is entered with its definition); a token that
+fails to convert is never remembered, so each occurrence raises with its
+own line and message.  Statements are built as `NamedTuple` records
+(see `model`).  Validation runs once the whole text
+has parsed, so a syntax error anywhere wins over a validation error.
 """
 from __future__ import annotations
 
@@ -46,6 +57,11 @@ from .model import (
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 _VAR_RE = re.compile(r"^v[A-Za-z0-9_]*$")
 _SLOT_RE = re.compile(r"^slot\((0x[0-9a-fA-F]+|\d+)\)$")
+_FUNCTION_RE = re.compile(
+    r"^function\s+(\w+)\s+(public\s+sig\s+(0x[0-9a-fA-F]{8})|private)"
+    r"\s+params\s*\(([^)]*)\)\s*\{$"
+)
+_BLOCK_RE = re.compile(r"^block\s+(\w+)\s*:$")
 _TERMINATORS = {k.value: k for k in TermKind}
 
 # Opcode text -> (opcode, min operands, max operands or None, def required?,
@@ -130,12 +146,66 @@ def parse_ir(text: str) -> IrProgram:
         fn_name, fn_selector, fn_params, fn_blocks = None, None, (), []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        toks = raw.split()
+        if not toks:
             continue
 
+        # "<sid>: [<var> =] OPCODE operands..." in an open block.  No header,
+        # `}` or terminator line has a first token ending in ":".
+        if toks[0][-1] == ":" and blk_term is None and blk_id is not None:
+            n = len(toks)
+            defvar: str | None = None
+            i = 1  # index of the opcode token
+            if n > 2 and toks[2] == "=":
+                defvar = toks[1]
+                if not _VAR_RE.match(defvar):
+                    raise IrSyntaxError(lineno, f"bad def variable {defvar!r}")
+                operands[defvar] = defvar
+                i = 3
+            if i == n:
+                raise IrSyntaxError(lineno, "empty statement")
+            row = _OPCODES.get(toks[i])
+            if row is None:
+                raise UnknownOpcode(lineno, f"unknown opcode {toks[i]!r}")
+            opcode, lo, hi, need_def, may_def = row
+
+            if opcode is CALLPRIVATE:
+                if i + 1 == n:
+                    raise ArityMismatch(lineno, "CALLPRIVATE needs a callee")
+                first = i + 2
+            else:
+                first = i + 1
+            ops: list[str | int] = []
+            uses: list[str] = []
+            for tok in toks[first:]:
+                op = operands.get(tok)
+                if op is None:
+                    op = operands[tok] = _operand(tok, lineno)
+                ops.append(op)
+                if op.__class__ is str:
+                    uses.append(op)
+
+            k = len(ops)
+            if k < lo or (hi is not None and k > hi):
+                raise ArityMismatch(lineno, f"{opcode.value} takes {lo}..{hi} operands, got {k}")
+            if opcode is CONST and uses:
+                raise ArityMismatch(lineno, "CONST takes a literal")
+            if need_def and defvar is None:
+                raise ArityMismatch(lineno, f"{opcode.value} must define a variable")
+            if defvar is not None and not may_def:
+                raise ArityMismatch(lineno, f"{opcode.value} cannot define a variable")
+
+            args = (toks[i + 1], *ops) if opcode is CALLPRIVATE else tuple(ops)
+            blk_stmts.append(
+                IrStatement(f"{blk_sid}{len(blk_stmts)}", opcode, defvar, args, tuple(uses))
+            )
+            continue
+
+        line = raw.strip()
         if line.startswith("contract "):
-            tok = line.split()[1]
+            tok = toks[1]
             if not _ADDRESS_RE.match(tok):
                 raise IrSyntaxError(lineno, f"bad contract address {tok!r}")
             if address is not None:
@@ -146,11 +216,7 @@ def parse_ir(text: str) -> IrProgram:
         if line.startswith("function "):
             if fn_name is not None:
                 raise IrSyntaxError(lineno, "function inside function")
-            m = re.match(
-                r"^function\s+(\w+)\s+(public\s+sig\s+(0x[0-9a-fA-F]{8})|private)"
-                r"\s+params\s*\(([^)]*)\)\s*\{$",
-                line,
-            )
+            m = _FUNCTION_RE.match(line)
             if not m:
                 raise IrSyntaxError(lineno, f"bad function header: {line!r}")
             fn_name = m.group(1)
@@ -173,7 +239,7 @@ def parse_ir(text: str) -> IrProgram:
 
         if line.startswith("block "):
             close_block(lineno)
-            m = re.match(r"^block\s+(\w+)\s*:$", line)
+            m = _BLOCK_RE.match(line)
             if not m:
                 raise IrSyntaxError(lineno, f"bad block header: {line!r}")
             blk_id = m.group(1)
@@ -184,51 +250,9 @@ def parse_ir(text: str) -> IrProgram:
             raise IrSyntaxError(lineno, f"statement outside block: {line!r}")
         if blk_term is not None:
             raise IrSyntaxError(lineno, f"statement after terminator: {line!r}")
-
-        toks = line.split()
-        if toks[0] in _TERMINATORS:
-            blk_term = _parse_terminator(toks, lineno)
-            continue
-
-        # "<sid>: [<var> =] OPCODE operands..."
-        if not toks[0].endswith(":"):
+        if toks[0] not in _TERMINATORS:
             raise IrSyntaxError(lineno, f"missing statement label: {line!r}")
-        body = toks[1:]
-        defvar: str | None = None
-        if len(body) >= 2 and body[1] == "=":
-            if not _VAR_RE.match(body[0]):
-                raise IrSyntaxError(lineno, f"bad def variable {body[0]!r}")
-            defvar = operands[body[0]] = body[0]
-            body = body[2:]
-        if not body:
-            raise IrSyntaxError(lineno, "empty statement")
-        row = _OPCODES.get(body[0])
-        if row is None:
-            raise UnknownOpcode(lineno, f"unknown opcode {body[0]!r}")
-        opcode, lo, hi, need_def, may_def = row
-
-        if opcode is CALLPRIVATE and len(body) < 2:
-            raise ArityMismatch(lineno, "CALLPRIVATE needs a callee")
-        ops: list[str | int] = []
-        for tok in body[2:] if opcode is CALLPRIVATE else body[1:]:
-            op = operands.get(tok)
-            if op is None:
-                op = operands[tok] = _operand(tok, lineno)
-            ops.append(op)
-        args = (body[1], *ops) if opcode is CALLPRIVATE else tuple(ops)
-
-        n = len(ops)
-        if n < lo or (hi is not None and n > hi):
-            raise ArityMismatch(lineno, f"{opcode.value} takes {lo}..{hi} operands, got {n}")
-        if opcode is CONST and not isinstance(args[0], int):
-            raise ArityMismatch(lineno, "CONST takes a literal")
-        if need_def and defvar is None:
-            raise ArityMismatch(lineno, f"{opcode.value} must define a variable")
-        if defvar is not None and not may_def:
-            raise ArityMismatch(lineno, f"{opcode.value} cannot define a variable")
-
-        uses = tuple([a for a in ops if isinstance(a, str)])
-        blk_stmts.append(IrStatement(f"{blk_sid}{len(blk_stmts)}", opcode, defvar, args, uses))
+        blk_term = _parse_terminator(toks, lineno)
 
     if fn_name is not None:
         raise IrSyntaxError(len(text.splitlines()), "unterminated function")

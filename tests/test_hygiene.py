@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
-private name and every dataclass field is used, and only `facts.py`
+private name and every record field (of a dataclass or a `NamedTuple`)
+is used, and only `facts.py`
 touches the storage of the dataflow graph and its closure."""
 from __future__ import annotations
 
@@ -97,19 +98,24 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
 UNREAD_FIELDS_KEPT = {("SenderGuardFact", "load_site")}
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """Decorated with `@dataclass` or `@dataclass(...)`."""
+def _is_record(node: ast.ClassDef) -> bool:
+    """Decorated with `@dataclass` or `@dataclass(...)`, or derived from
+    `NamedTuple` (or `typing.NamedTuple`)."""
     for d in node.decorator_list:
         if isinstance(d, ast.Call):
             d = d.func
         if isinstance(d, ast.Name) and d.id == "dataclass":
             return True
-    return False
+    return any(
+        (isinstance(b, ast.Name) and b.id == "NamedTuple")
+        or (isinstance(b, ast.Attribute) and b.attr == "NamedTuple")
+        for b in node.bases
+    )
 
 
 def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str, str]]:
-    """(module, line, class, field) for each field of a `@dataclass` class
-    that no module reads as an attribute.
+    """(module, line, class, field) for each field of a `@dataclass` or
+    `NamedTuple` class that no module reads as an attribute.
 
     A read is an attribute load of the field's name on any object; the
     match is by name alone, so a field that shares its name with another
@@ -122,7 +128,7 @@ def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
                 fields += [
                     (module, item.lineno, node.name, item.target.id)
                     for item in node.body
@@ -251,6 +257,11 @@ def test_unread_dataclass_fields_are_detected():
             "    load_site: str\n"
             "class Plain:\n"
             "    unread: int\n"
+            "class Row(NamedTuple):\n"
+            "    site: str\n"
+            "    dropped: int\n"
+            "class Pair(typing.NamedTuple):\n"
+            "    lost: int\n"
         ),
         "b.py": (
             "def f(edge, other):\n"
@@ -258,7 +269,11 @@ def test_unread_dataclass_fields_are_detected():
             "    return edge.site, other.shared\n"
         ),
     }
-    assert unread_dataclass_fields(sources) == [("a.py", 5, "Edge", "planted")]
+    assert unread_dataclass_fields(sources) == [
+        ("a.py", 5, "Edge", "planted"),
+        ("a.py", 14, "Row", "dropped"),
+        ("a.py", 16, "Pair", "lost"),
+    ]
 
 
 def test_package_has_no_unread_dataclass_fields():

@@ -260,3 +260,147 @@ function f public sig 0x00000001 params () {{
         DanglingTarget, match="^f.B0.0: CALLPRIVATE to unknown function nothere$"
     ):
         parser.parse_ir(text)
+
+
+# One malformed input per `raise` in parser.py, plus the line shapes whose
+# dispatch is easy to get wrong (a tab after a keyword, a label where a
+# header or terminator is expected, `}` or `#` in unusual places).  Each row
+# pins the exception class and the whole message, line number included.
+
+_HEAD = f"contract {ADDR}\nfunction f public sig 0x00000001 params (v0) {{\n"
+
+
+def _in_block(*lines: str) -> str:
+    """A function `f(v0)` whose block B0 holds `lines`, from line 4 on."""
+    return _HEAD + "  block B0:\n" + "".join(f"    {x}\n" for x in lines) + "}\n"
+
+
+@pytest.mark.parametrize(
+    "text,exc,message",
+    [
+        # _operand
+        (_in_block("0: v1 = ADD v0 0xzz", "stop"), IrSyntaxError, "line 4: bad operand '0xzz'"),
+        (_in_block("0: SSTORE slot(x) v0", "stop"), IrSyntaxError, "line 4: bad operand 'slot(x)'"),
+        (_in_block("jumpi v-1 B0 B0"), IrSyntaxError, "line 4: bad operand 'v-1'"),
+        (_in_block("return v0 1x"), IrSyntaxError, "line 4: bad operand '1x'"),
+        # close_block and close_function
+        (_in_block("0: v1 = CONST 1"), IrSyntaxError, "line 5: block B0 has no terminator"),
+        (_in_block("0: v1 = CONST 1", "block B1:", "stop"), IrSyntaxError,
+         "line 5: block B0 has no terminator"),
+        (_HEAD + "}\n", IrSyntaxError, "line 3: function f has no blocks"),
+        # contract header
+        ("contract 0x12\n", IrSyntaxError, "line 1: bad contract address '0x12'"),
+        (f"contract {ADDR}\ncontract {ADDR}\n", IrSyntaxError, "line 2: duplicate contract header"),
+        (f"contract\t{ADDR}\n", IrSyntaxError,
+         f"line 1: statement outside function: 'contract\\t{ADDR}'"),
+        ("contract\n", IrSyntaxError, "line 1: statement outside function: 'contract'"),
+        # function header
+        (_HEAD + "function g private params () {\n", IrSyntaxError,
+         "line 3: function inside function"),
+        (f"contract {ADDR}\nfunction f public params () {{\n", IrSyntaxError,
+         "line 2: bad function header: 'function f public params () {'"),
+        (f"contract {ADDR}\nfunction f private params (v0, x1) {{\n", IrSyntaxError,
+         "line 2: bad parameter name 'x1'"),
+        (f"contract {ADDR}\nfunction\tf private params () {{\n", IrSyntaxError,
+         "line 2: statement outside function: 'function\\tf private params () {'"),
+        # `}` outside a function
+        (f"contract {ADDR}\n}}\n", IrSyntaxError, "line 2: unmatched '}'"),
+        (_in_block("stop") + "}\n", IrSyntaxError, "line 6: unmatched '}'"),
+        # lines outside a function
+        (f"contract {ADDR}\n0: v1 = CONST 1\n", IrSyntaxError,
+         "line 2: statement outside function: '0: v1 = CONST 1'"),
+        (f"contract {ADDR}\nstop\n", IrSyntaxError, "line 2: statement outside function: 'stop'"),
+        (_in_block("stop") + "0: v1 = CONST 1\n", IrSyntaxError,
+         "line 6: statement outside function: '0: v1 = CONST 1'"),
+        # block header
+        (_HEAD + "  block B-1:\n", IrSyntaxError, "line 3: bad block header: 'block B-1:'"),
+        (_in_block("block\tB1:"), IrSyntaxError, "line 4: missing statement label: 'block\\tB1:'"),
+        (_in_block("block: B1", "stop"), UnknownOpcode, "line 4: unknown opcode 'B1'"),
+        # lines before any block, or after a terminator
+        (_HEAD + "    0: v1 = CONST 1\n", IrSyntaxError,
+         "line 3: statement outside block: '0: v1 = CONST 1'"),
+        (_HEAD + "    stop\n", IrSyntaxError, "line 3: statement outside block: 'stop'"),
+        (_in_block("stop", "1: v1 = CONST 1"), IrSyntaxError,
+         "line 5: statement after terminator: '1: v1 = CONST 1'"),
+        (_in_block("stop", "stop"), IrSyntaxError, "line 5: statement after terminator: 'stop'"),
+        # statement shape
+        (_in_block("v1 = CONST 1", "stop"), IrSyntaxError,
+         "line 4: missing statement label: 'v1 = CONST 1'"),
+        (_in_block("0: x1 = CONST 1", "stop"), IrSyntaxError, "line 4: bad def variable 'x1'"),
+        (_in_block("0: = = CONST 1", "stop"), IrSyntaxError, "line 4: bad def variable '='"),
+        (_in_block("0:", "stop"), IrSyntaxError, "line 4: empty statement"),
+        (_in_block("0: v1 =", "stop"), IrSyntaxError, "line 4: empty statement"),
+        (_in_block("0: v1 = add v0 v0", "stop"), UnknownOpcode, "line 4: unknown opcode 'add'"),
+        (_in_block("0: = CONST 1", "stop"), UnknownOpcode, "line 4: unknown opcode '='"),
+        # operand counts and definitions
+        (_in_block("0: CALLPRIVATE", "stop"), ArityMismatch, "line 4: CALLPRIVATE needs a callee"),
+        (_in_block("0: v1 = ADD v0", "stop"), ArityMismatch,
+         "line 4: ADD takes 2..2 operands, got 1"),
+        (_in_block("0: CALL v0", "stop"), ArityMismatch, "line 4: CALL takes 2..None operands, got 1"),
+        (_in_block("0: v1 = CONST v0", "stop"), ArityMismatch, "line 4: CONST takes a literal"),
+        (_in_block("0: CALLER", "stop"), ArityMismatch, "line 4: CALLER must define a variable"),
+        (_in_block("0: v1 = SSTORE 1 v0", "stop"), ArityMismatch,
+         "line 4: SSTORE cannot define a variable"),
+        # `#` cuts the line wherever it stands
+        (_in_block("0: v1 = ADD v0 #v0", "stop"), ArityMismatch,
+         "line 4: ADD takes 2..2 operands, got 1"),
+        (_in_block("0#: v1 = CONST 1", "stop"), IrSyntaxError, "line 4: missing statement label: '0'"),
+        (_in_block("jumpi v0 B0 # B0"), ArityMismatch, "line 4: jumpi takes cond, then, else"),
+        # terminators
+        (_in_block("jump"), ArityMismatch, "line 4: jump takes one target"),
+        (_in_block("jump B0 B0"), ArityMismatch, "line 4: jump takes one target"),
+        (_in_block("jumpi v0 B0"), ArityMismatch, "line 4: jumpi takes cond, then, else"),
+        (_in_block("returnprivate"), ArityMismatch,
+         "line 4: returnprivate takes a continuation target"),
+        (_in_block("stop v0"), ArityMismatch, "line 4: stop takes no operands"),
+        (_in_block("revert 1"), ArityMismatch, "line 4: revert takes no operands"),
+        # end of text
+        (_in_block("stop")[:-2], IrSyntaxError, "line 4: unterminated function"),
+        ("", IrSyntaxError, "line 1: missing contract header"),
+        ("# only a comment\n", IrSyntaxError, "line 1: missing contract header"),
+        (_in_block("stop")[_HEAD.index("\n") + 1:], IrSyntaxError,
+         "line 1: missing contract header"),
+    ],
+)
+def test_parse_error_table(text, exc, message):
+    with pytest.raises(IrSyntaxError) as info:
+        parser.parse_ir(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_accepted_line_shapes():
+    """Comments, tabs and extra blanks are read as the plain form is."""
+    plain = _in_block("0: v1 = CONST 5", "1: v2 = ADD v0 v1", "return v2")
+    noisy = (
+        f"# header comment\ncontract  {ADDR}  # trailing\n"
+        "function f  public\tsig 0x00000001 params ( v0 ) {\n"
+        "\tblock B0 :   # first block\n"
+        "0:\tv1 = CONST 5#five\n"
+        "   \n"
+        "  1: v2   =  ADD v0 v1\t\n"
+        "return v2 # result\n"
+        "}  # end\n"
+    )
+    assert parser.parse_ir(noisy) == parser.parse_ir(plain)
+
+
+def test_statements_and_terminators_are_immutable_values():
+    def records(program):
+        block = program.functions[0].blocks[0]
+        return [*block.statements, block.terminator]
+
+    first, again = records(parser.parse_ir(MINIMAL)), records(parser.parse_ir(MINIMAL))
+    assert len(set(first + again)) == len(first)
+    for a, b in zip(first, again):
+        assert a == b and hash(a) == hash(b) and a is not b
+    s, t = first[0], first[-1]
+    for record, field in [(s, "sid"), (s, "args"), (s, "uses"), (t, "kind"), (t, "values")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        s.note = "x"
+    assert repr(s) == (
+        "IrStatement(sid='f.B0.0', opcode=<Opcode.CONST: 'CONST'>, defvar='v1',"
+        " args=(100,), uses=())"
+    )
