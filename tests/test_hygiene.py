@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
-private name and every record field (of a dataclass or a `NamedTuple`)
-is used, and only `facts.py`
-touches the storage of the dataflow graph and its closure."""
+private name and every field of a dataclass or `NamedTuple` record is
+used, and only `facts.py` touches the storage of the dataflow graph and
+its closure."""
 from __future__ import annotations
 
 import ast

@@ -336,7 +336,12 @@ def _in_block(*lines: str) -> str:
         (_in_block("0: CALLPRIVATE", "stop"), ArityMismatch, "line 4: CALLPRIVATE needs a callee"),
         (_in_block("0: v1 = ADD v0", "stop"), ArityMismatch,
          "line 4: ADD takes 2..2 operands, got 1"),
-        (_in_block("0: CALL v0", "stop"), ArityMismatch, "line 4: CALL takes 2..None operands, got 1"),
+        (_in_block("0: CALL v0", "stop"), ArityMismatch,
+         "line 4: CALL takes 2..None operands, got 1"),
+        (_in_block("0: v1 = CALLER v0", "stop"), ArityMismatch,
+         "line 4: CALLER takes 0..0 operands, got 1"),
+        (_in_block("0: SSTORE 1 v0 v0", "stop"), ArityMismatch,
+         "line 4: SSTORE takes 2..2 operands, got 3"),
         (_in_block("0: v1 = CONST v0", "stop"), ArityMismatch, "line 4: CONST takes a literal"),
         (_in_block("0: CALLER", "stop"), ArityMismatch, "line 4: CALLER must define a variable"),
         (_in_block("0: v1 = SSTORE 1 v0", "stop"), ArityMismatch,
@@ -344,7 +349,8 @@ def _in_block(*lines: str) -> str:
         # `#` cuts the line wherever it stands
         (_in_block("0: v1 = ADD v0 #v0", "stop"), ArityMismatch,
          "line 4: ADD takes 2..2 operands, got 1"),
-        (_in_block("0#: v1 = CONST 1", "stop"), IrSyntaxError, "line 4: missing statement label: '0'"),
+        (_in_block("0#: v1 = CONST 1", "stop"), IrSyntaxError,
+         "line 4: missing statement label: '0'"),
         (_in_block("jumpi v0 B0 # B0"), ArityMismatch, "line 4: jumpi takes cond, then, else"),
         # terminators
         (_in_block("jump"), ArityMismatch, "line 4: jump takes one target"),
