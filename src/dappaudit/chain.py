@@ -3,20 +3,24 @@ served by a live JSON-RPC endpoint or a file-backed mock.
 
 Both backends expose the same two reads and are interchangeable behind
 the interface; responses are cached per address/slot for the duration of a
-run, so concurrent readers are safe.  The RPC transport is
-`urllib.request`, and it opens only `http` and `https` URLs.
+run, so concurrent readers are safe.  RPC requests go through
+`transport`, which opens only `http` and `https` URLs and retries
+transient failures.
 """
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
-import urllib.request
 from typing import Protocol
 
 from .keccak import keccak_256
+from .transport import ATTEMPTS, PermanentError, post_json, request
 
 WORD = 1 << 256
+_HEX = re.compile(r"0x[0-9a-fA-F]+")
+_BYTES = re.compile(r"0x(?:[0-9a-fA-F]{2})*")
 
 
 class ChainState(Protocol):
@@ -47,15 +51,13 @@ class NotAString(Exception):
     """The storage word matches neither string encoding."""
 
 
-def _to_word(text: str, context: str) -> int:
-    if not isinstance(text, str) or not text.startswith("0x"):
-        raise MockFormatError(f"{context}: expected 0x-hex, got {text!r}")
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise MockFormatError(f"{context}: bad hex {text!r}") from None
+def _to_word(text: str, context: str, error=MockFormatError) -> int:
+    """`text` as a storage word: `0x` and hex digits, at most 256 bits."""
+    if not isinstance(text, str) or not _HEX.fullmatch(text):
+        raise error(f"{context}: expected 0x-hex, got {text!r}")
+    value = int(text, 16)
     if value >= WORD:
-        raise MockFormatError(f"{context}: wider than 256 bits")
+        raise error(f"{context}: wider than 256 bits")
     return value
 
 
@@ -124,12 +126,8 @@ class MockChain:
                 raise MockFormatError(f"{address}: expected an object")
             # Code is not read, but a malformed field still marks a bad file.
             code = entry.get("code", "0x")
-            if not isinstance(code, str) or not code.startswith("0x"):
-                raise MockFormatError(f"{address}.code: expected 0x-hex")
-            try:
-                bytes.fromhex(code[2:])
-            except ValueError:
-                raise MockFormatError(f"{address}.code: bad hex") from None
+            if not isinstance(code, str) or not _BYTES.fullmatch(code):
+                raise MockFormatError(f"{address}.code: expected 0x-hex bytes")
             storage = entry.get("storage", {})
             if not isinstance(storage, dict):
                 raise MockFormatError(f"{address}.storage: expected an object")
@@ -145,7 +143,7 @@ class MockChain:
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise MockFormatError(f"{path}: {err}") from None
         return cls(data)
 
@@ -157,38 +155,17 @@ class MockChain:
         return decode_string(slot, word, lambda s: self.get_storage(address, s))
 
 
-def _default_post(url: str, payload: dict, timeout: float) -> dict:
-    """POST `payload` as JSON and decode the reply.  RpcError marks what no
-    retry mends: an unsupported scheme, an HTTP 4xx other than 408 or 429."""
-    request = urllib.request.Request(
-        url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
-    )
-    if request.type not in ("http", "https"):
-        raise RpcError(f"unsupported URL scheme: {url!r}")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return json.load(resp)
-    except urllib.request.HTTPError as err:
-        with err:  # the error holds the open reply
-            if 400 <= err.code < 500 and err.code not in (408, 429):
-                raise RpcError(f"HTTP {err.code} from {url}") from None
-            raise
-
-
-RPC_ATTEMPTS = 3
-RPC_BACKOFF_S = 0.5
 RPC_TIMEOUT_S = 10.0
 
 
 class RpcChain:
     """JSON-RPC backend (eth_getStorageAt, latest block).
 
-    `post` and `sleep` are injectable; a request is tried up to RPC_ATTEMPTS
-    times, with exponential backoff, unless the transport raises RpcError
-    itself.  Reads are cached per address/slot.
+    `post` and `sleep` are injectable and go to `transport.request`, which
+    retries transient failures.  Reads are cached per address/slot.
     """
 
-    def __init__(self, url: str, post=_default_post, sleep=time.sleep):
+    def __init__(self, url: str, post=post_json, sleep=time.sleep):
         self.url = url
         self._post = post
         self._sleep = sleep
@@ -196,30 +173,21 @@ class RpcChain:
         self._next_id = 0
         self._storage_cache: dict[tuple[str, int], int] = {}
 
-    def _call(self, method: str, params: list) -> str:
+    def _call(self, method: str, params: list):
         with self._lock:
             self._next_id += 1
             rid = self._next_id
         payload = {"jsonrpc": "2.0", "id": rid, "method": method, "params": params}
-        last_err: Exception | None = None
-        for attempt in range(RPC_ATTEMPTS):
-            try:
-                body = self._post(self.url, payload, RPC_TIMEOUT_S)
-            except RpcError as err:
-                raise RpcError(f"{method}: {err}") from None
-            except Exception as err:  # transport failure: retry
-                last_err = err
-                if attempt + 1 < RPC_ATTEMPTS:
-                    self._sleep(RPC_BACKOFF_S * (2**attempt))
-                continue
-            if not isinstance(body, dict) or "result" not in body:
-                detail = body.get("error") if isinstance(body, dict) else body
-                raise MalformedResponse(f"{method}: {detail!r}")
-            result = body["result"]
-            if not isinstance(result, str) or not result.startswith("0x"):
-                raise MalformedResponse(f"{method}: non-hex result {result!r}")
-            return result
-        raise RpcError(f"{method} failed after {RPC_ATTEMPTS} attempts: {last_err}")
+        try:
+            body = request(self._post, self.url, payload, RPC_TIMEOUT_S, self._sleep)
+        except PermanentError as err:
+            raise RpcError(f"{method}: {err}") from None
+        except Exception as err:
+            raise RpcError(f"{method} failed after {ATTEMPTS} attempts: {err}") from None
+        if not isinstance(body, dict) or "result" not in body:
+            detail = body.get("error") if isinstance(body, dict) else body
+            raise MalformedResponse(f"{method}: {detail!r}")
+        return body["result"]
 
     def get_storage(self, address: str, slot: int) -> int:
         key = (address.lower(), slot)
@@ -227,10 +195,7 @@ class RpcChain:
             if key in self._storage_cache:
                 return self._storage_cache[key]
         result = self._call("eth_getStorageAt", [address, hex(slot), "latest"])
-        try:
-            value = int(result, 16)
-        except ValueError:
-            raise MalformedResponse(f"eth_getStorageAt: {result!r}") from None
+        value = _to_word(result, "eth_getStorageAt result", MalformedResponse)
         with self._lock:
             self._storage_cache[key] = value
         return value

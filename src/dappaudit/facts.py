@@ -424,20 +424,15 @@ def _fold_constants(program: IrProgram) -> dict[str, int]:
 def _function_selectors(
     program: IrProgram, calls: list[tuple[str, str, str | None]]
 ) -> dict[str, frozenset[str]]:
-    """Function name -> public selectors whose entry points reach it,
-    propagated through the (caller, callee, def) private calls (monotone)."""
-    reach: dict[str, set[str]] = {fn.name: set() for fn in program.functions}
+    """Function name -> public selectors whose entry points reach it
+    through the (caller, callee, def) private calls."""
+    callees: dict[str, list[str]] = {fn.name: [] for fn in program.functions}
+    for caller, callee, _ in calls:
+        callees[caller].append(callee)
+    reach: dict[str, set[str]] = {name: set() for name in callees}
     for fn in program.public_functions():
-        reach[fn.name].add(fn.selector)
-
-    changed = True
-    while changed:
-        changed = False
-        for caller, callee, _ in calls:
-            if not reach[caller] <= reach[callee]:
-                reach[callee] |= reach[caller]
-                changed = True
-
+        for name in _walk(callees, fn.name):
+            reach[name].add(fn.selector)
     return {name: frozenset(sels) for name, sels in reach.items()}
 
 

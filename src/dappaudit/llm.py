@@ -3,18 +3,18 @@
 The model sits behind an HTTP endpoint: POST {"prompt": ...} returns
 {"text": ...}. The transport is injectable so tests run against canned
 responses; the endpoint URL comes from the argument or LLM_ENDPOINT_URL.
-The default transport is `urllib.request`, and it opens only `http` and
-`https` URLs.
+Requests go through `transport`, which opens only `http` and `https` URLs
+and retries transient failures.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import urllib.request
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .prompts import PromptBundle
+from .transport import post_json, request
 
 ENDPOINT_ENV = "LLM_ENDPOINT_URL"
 TIMEOUT_S = 30.0
@@ -24,30 +24,17 @@ class LlmError(Exception):
     pass
 
 
-def _default_post(url: str, payload: dict, timeout: float) -> dict:
-    request = urllib.request.Request(
-        url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
-    )
-    if request.type not in ("http", "https"):
-        raise ValueError(f"unsupported URL scheme: {url!r}")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return json.load(resp)
-    except urllib.request.HTTPError as err:
-        with err:  # the error holds the open reply
-            raise
-
-
 class LlmClient:
-    def __init__(self, url: str | None = None, post=_default_post):
+    def __init__(self, url: str | None = None, post=post_json, sleep=time.sleep):
         self.url = url or os.environ.get(ENDPOINT_ENV)
         if not self.url:
             raise LlmError(f"no endpoint configured; set {ENDPOINT_ENV}")
         self._post = post
+        self._sleep = sleep
 
     def complete(self, prompt: str) -> str:
         try:
-            body = self._post(self.url, {"prompt": prompt}, TIMEOUT_S)
+            body = request(self._post, self.url, {"prompt": prompt}, TIMEOUT_S, self._sleep)
         except Exception as exc:
             raise LlmError(f"endpoint request failed: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
 
 import pytest
 
 from dappaudit.chain import (
-    RPC_ATTEMPTS,
     ChainUnavailable,
     MalformedResponse,
     MockChain,
@@ -16,11 +16,11 @@ from dappaudit.chain import (
     NotAString,
     RpcChain,
     RpcError,
-    _default_post,
     decode_string,
     encode_string_at,
 )
 from dappaudit.keccak import keccak_256, selector_of
+from dappaudit.transport import ATTEMPTS, post_json
 from helpers import ADDR, local_endpoint
 
 
@@ -64,6 +64,17 @@ def test_mock_address_case_insensitive():
         {ADDR: "not an object"},
         {ADDR: {"storage": ["0x1"]}},
         [],
+        # only `0x` and hex digits make a word
+        {ADDR: {"storage": {"0x1_0": "0x1"}}},
+        {ADDR: {"storage": {"0x1": "0x2a\n"}}},
+        {ADDR: {"storage": {"0x1": " 0x2a"}}},
+        {ADDR: {"storage": {"0x1": "0X2a"}}},
+        {ADDR: {"storage": {"0x1": "0x"}}},
+        {ADDR: {"storage": {"0x1": "0x+2a"}}},
+        {ADDR: {"storage": {"0x\u0661": "0x1"}}},
+        {ADDR: {"code": "0x0a 0b"}},
+        {ADDR: {"code": "0x0a\n"}},
+        {ADDR: {"code": "0x0"}},
     ],
 )
 def test_mock_rejects_malformed_entries(data):
@@ -71,14 +82,25 @@ def test_mock_rejects_malformed_entries(data):
         MockChain(data)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"{", "Expecting property name"),
+        (b'{"\xff": {}}', "can't decode byte 0xff"),
+        (b"\xfe\xff", "can't decode byte"),
+    ],
+)
+def test_mock_from_file_rejects_bad_files(tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(MockFormatError, match=f"^{re.escape(str(bad))}: .*{message}"):
+        MockChain.from_file(str(bad))
+
+
 def test_mock_from_file(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({ADDR: {"storage": {"0x3": "0x2a"}}}))
     assert MockChain.from_file(str(path)).get_storage(ADDR, 3) == 42
-    bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    with pytest.raises(MockFormatError):
-        MockChain.from_file(str(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +231,27 @@ def test_rpc_malformed_responses():
     assert isinstance(MalformedResponse("x"), ChainUnavailable)
 
 
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        *[
+            (r, "expected 0x-hex")
+            for r in ["0x1_0", "0x2a\n", " 0x2a", "0X2a", "0x", "0x-1", "0x\u0661", 42, None]
+        ],
+        ("0x1" + "0" * 64, "wider than 256 bits"),
+    ],
+)
+def test_rpc_rejects_results_that_are_not_storage_words(result, message):
+    def reply(url, payload, timeout):
+        return {"jsonrpc": "2.0", "id": payload["id"], "result": result}
+
+    chain = RpcChain("http://node.invalid", post=reply)
+    with pytest.raises(MalformedResponse, match=f"^eth_getStorageAt result: {message}"):
+        chain.get_storage(ADDR, 0)
+    with pytest.raises(MalformedResponse):
+        chain.read_string_at(ADDR, 1)
+
+
 # ---------------------------------------------------------------------------
 # RPC backend over its real transport, against a loopback server
 
@@ -236,7 +279,7 @@ def test_rpc_default_transport_retries_then_fails(status, reply):
     with local_endpoint(lambda body: (status, reply)) as (url, log):
         with pytest.raises(RpcError):
             RpcChain(url, sleep=naps.append).get_storage(ADDR, 0)
-    assert len(log) == RPC_ATTEMPTS
+    assert len(log) == ATTEMPTS
     assert naps == [0.5, 1.0]
 
 
@@ -266,7 +309,7 @@ def test_rpc_default_transport_gives_up_at_once_on_a_file_url(tmp_path):
 
     def post(url, payload, timeout):
         sent.append(url)
-        return _default_post(url, payload, timeout)
+        return post_json(url, payload, timeout)
 
     chain = RpcChain(reply.as_uri(), post=post, sleep=naps.append)
     with pytest.raises(RpcError, match="unsupported URL scheme"):

@@ -24,6 +24,7 @@ from dappaudit.prompts import (
     segment_text,
 )
 from dappaudit.tokens import DEFAULT_TOKENIZER, Tokenizer
+from dappaudit.transport import ATTEMPTS, post_json
 from helpers import local_endpoint
 
 # ---------------------------------------------------------------------------
@@ -174,24 +175,56 @@ def test_client_rejects_malformed_bodies():
     with pytest.raises(LlmError):
         client.complete("x")
     failing = LlmClient(
-        url="http://llm.test", post=lambda u, p, t: (_ for _ in ()).throw(OSError("down"))
+        url="http://llm.test",
+        post=lambda u, p, t: (_ for _ in ()).throw(OSError("down")),
+        sleep=lambda s: None,
     )
     with pytest.raises(LlmError):
         failing.complete("x")
 
 
 def test_default_transport_http_error_is_llm_error():
+    naps: list[float] = []
     with local_endpoint(lambda body: (500, b'{"text": "ok"}')) as (url, log):
-        with pytest.raises(LlmError):
-            LlmClient(url=url).complete("x")
+        with pytest.raises(LlmError, match="HTTP Error 500"):
+            LlmClient(url=url, sleep=naps.append).complete("x")
+    assert len(log) == ATTEMPTS
+    assert naps == [0.5, 1.0]
+
+
+def test_default_transport_retries_a_503_then_reads_the_text():
+    replies = iter([(503, b"busy"), (200, b'{"text": "ok"}')])
+    naps: list[float] = []
+    with local_endpoint(lambda body: next(replies)) as (url, log):
+        assert LlmClient(url=url, sleep=naps.append).complete("x") == "ok"
+    assert len(log) == 2
+    assert naps == [0.5]
+
+
+def test_default_transport_gives_up_at_once_on_a_404():
+    naps: list[float] = []
+    with local_endpoint(lambda body: (404, b"{}")) as (url, log):
+        with pytest.raises(LlmError, match="HTTP 404"):
+            LlmClient(url=url, sleep=naps.append).complete("x")
     assert len(log) == 1
+    assert naps == []
 
 
 def test_default_transport_opens_no_file_url(tmp_path):
     reply = tmp_path / "reply.json"
     reply.write_text('{"text": "ok"}')
+    naps: list[float] = []
+    sent: list[str] = []
+
+    def post(url, payload, timeout):
+        sent.append(url)
+        return post_json(url, payload, timeout)
+
+    client = LlmClient(url=reply.as_uri(), post=post, sleep=naps.append)
     with pytest.raises(LlmError, match="unsupported URL scheme"):
-        LlmClient(url=reply.as_uri()).complete("x")
+        client.complete("x")
+    assert sent == [reply.as_uri()]
+    assert naps == []
 
 
 def test_run_bundle_keeps_segment_order_regardless_of_jobs():

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
 private name and every field of a dataclass or `NamedTuple` record is
-used, and only `facts.py` touches the storage of the dataflow graph and
-its closure."""
+used, only `facts.py` touches the storage of the dataflow graph and its
+closure, and only `transport.py` imports `urllib`."""
 from __future__ import annotations
 
 import ast
@@ -156,6 +156,18 @@ def closure_accesses(source: str) -> list[tuple[int, str]]:
     )
 
 
+def urllib_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each import of `urllib` or a submodule of it,
+    wherever the import stands."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return sorted((line, m) for line, m in found if m.split(".")[0] == "urllib")
+
+
 def test_unused_imports_are_detected():
     source = (
         "from __future__ import annotations\n"
@@ -306,3 +318,30 @@ def test_only_facts_touches_the_closure():
         for line, attr in closure_accesses(path.read_text())
     ]
     assert leaks == [], "dataflow closure read outside facts.py:\n" + "\n".join(leaks)
+
+
+def test_urllib_imports_are_detected():
+    source = (
+        "import json, urllib.request\n"
+        "from urllib import parse\n"
+        "from .urllib import x\n"
+        "import urllib3\n"
+        "def f():\n"
+        "    from urllib.error import HTTPError\n"
+    )
+    assert urllib_imports(source) == [
+        (1, "urllib.request"),
+        (2, "urllib"),
+        (6, "urllib.error"),
+    ]
+
+
+def test_only_transport_imports_urllib():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "transport.py")
+    assert modules
+    leaks = [
+        f"{path.name}:{line}: {module}"
+        for path in modules
+        for line, module in urllib_imports(path.read_text())
+    ]
+    assert leaks == [], "urllib imported outside transport.py:\n" + "\n".join(leaks)

@@ -111,31 +111,6 @@ function f public sig 0x00000001 params (va) {{
     assert call.uses == ("va",)
 
 
-@pytest.mark.parametrize(
-    "line,exc",
-    [
-        ("    0: v9 = BOGUS v0", UnknownOpcode),
-        ("    0: v9 = ADD v0", ArityMismatch),
-        ("    0: v9 = CALLER v0", ArityMismatch),
-        ("    0: SSTORE 1 v0 v0", ArityMismatch),
-        ("    0: v9 = SSTORE 1 v0", ArityMismatch),
-        ("    0: CONST 5", ArityMismatch),
-        ("    0: v9 = CONST v0", ArityMismatch),
-        ("    v9 = ADD v0 v0", IrSyntaxError),
-    ],
-)
-def test_statement_errors(line, exc):
-    text = f"""contract {ADDR}
-function f public sig 0x00000001 params (v0) {{
-  block B0:
-{line}
-    stop
-}}
-"""
-    with pytest.raises(exc):
-        parser.parse_ir(text)
-
-
 def test_ssa_violation_double_def():
     text = f"""contract {ADDR}
 function f public sig 0x00000001 params (v0) {{
@@ -332,6 +307,9 @@ def _in_block(*lines: str) -> str:
         (_in_block("0: v1 =", "stop"), IrSyntaxError, "line 4: empty statement"),
         (_in_block("0: v1 = add v0 v0", "stop"), UnknownOpcode, "line 4: unknown opcode 'add'"),
         (_in_block("0: = CONST 1", "stop"), UnknownOpcode, "line 4: unknown opcode '='"),
+        (_in_block("0: v9 = BOGUS v0", "stop"), UnknownOpcode, "line 4: unknown opcode 'BOGUS'"),
+        (_in_block("v9 = ADD v0 v0", "stop"), IrSyntaxError,
+         "line 4: missing statement label: 'v9 = ADD v0 v0'"),
         # operand counts and definitions
         (_in_block("0: CALLPRIVATE", "stop"), ArityMismatch, "line 4: CALLPRIVATE needs a callee"),
         (_in_block("0: v1 = ADD v0", "stop"), ArityMismatch,
@@ -346,6 +324,14 @@ def _in_block(*lines: str) -> str:
         (_in_block("0: CALLER", "stop"), ArityMismatch, "line 4: CALLER must define a variable"),
         (_in_block("0: v1 = SSTORE 1 v0", "stop"), ArityMismatch,
          "line 4: SSTORE cannot define a variable"),
+        (_in_block("0: v9 = ADD v0", "stop"), ArityMismatch,
+         "line 4: ADD takes 2..2 operands, got 1"),
+        (_in_block("0: v9 = CALLER v0", "stop"), ArityMismatch,
+         "line 4: CALLER takes 0..0 operands, got 1"),
+        (_in_block("0: v9 = SSTORE 1 v0", "stop"), ArityMismatch,
+         "line 4: SSTORE cannot define a variable"),
+        (_in_block("0: CONST 5", "stop"), ArityMismatch, "line 4: CONST must define a variable"),
+        (_in_block("0: v9 = CONST v0", "stop"), ArityMismatch, "line 4: CONST takes a literal"),
         # `#` cuts the line wherever it stands
         (_in_block("0: v1 = ADD v0 #v0", "stop"), ArityMismatch,
          "line 4: ADD takes 2..2 operands, got 1"),
