@@ -16,9 +16,9 @@ import time
 from typing import Protocol
 
 from .keccak import keccak_256
+from .model import WORD
 from .transport import ATTEMPTS, PermanentError, post_json, request
 
-WORD = 1 << 256
 _HEX = re.compile(r"0x[0-9a-fA-F]+")
 _BYTES = re.compile(r"0x(?:[0-9a-fA-F]{2})*")
 

@@ -22,8 +22,6 @@ from .claims import FrontendAttributes
 from .graphs import RecipientClass
 from .semantics import ContractSemantics, FeeCandidate
 
-FINDING_ORDER = ("UR", "HF", "AL", "UTS", "UFF", "CDS", "VNA")
-
 DECENTRALIZED_SCHEMES = ("ipfs://", "ar://")
 CENTRALIZED_SCHEMES = ("http://", "https://")
 

@@ -9,10 +9,10 @@ plain CALL).  All are collected once, when the database is built.
 The same pass records the dataflow graph, one step in both directions:
 operands flow into the def (a CALL's result is a fresh source), actuals
 into formals at CALLPRIVATE, and returned values into the def at each call
-site.  Two walks of it answer every dataflow query here:
-`dataflow_closure` keeps each variable's reach set (the variables it
-influences, itself included), from which `dataflow` derives the pairs,
-and `influencers` walks the predecessors of one variable.
+site.  Dataflow queries are answered on demand from it: `influenced`
+walks the successors of one variable and `influencers` its predecessors,
+each on first use, and the result is kept in a private memo.  Only the
+`dataflow` view, through `dataflow_closure`, fills the whole closure.
 
 Besides the relations, the database keeps two indexes of `controls` (by
 statement and by condition), the operands of each ADD by its def, the
@@ -23,7 +23,7 @@ dumps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import branch_structure
@@ -37,9 +37,8 @@ from .model import (
     Opcode,
     Operand,
     TermKind,
+    WORD,
 )
-
-WORD = 1 << 256
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,6 @@ class FactDb:
     # step, and the reverse.
     succ: dict[str, list[str]]
     pred: dict[str, list[str]]
-    # Variable -> the variables it influences, itself included: the
-    # reflexive-transitive dataflow closure, for every program variable.
-    reach: dict[str, frozenset[str]]
     # Constant-slot storage operations, in program order.
     sloads: tuple[StorageOp, ...]
     sstores: tuple[StorageOp, ...]
@@ -117,11 +113,20 @@ class FactDb:
     region: dict[str, frozenset[str]]
     # Public selector -> branches in the functions its entry point reaches.
     branches: dict[str, tuple[Branch, ...]]
+    # Variable -> the variables it influences, or that influence it, itself
+    # included: the walks of `succ` and `pred` asked for so far.
+    _influenced: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _influencers: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dataflow(self) -> frozenset[tuple[str, str]]:
-        """The closure as (src, dst) pairs."""
-        return frozenset((a, b) for a, seen in self.reach.items() for b in seen)
+        """The whole closure as (src, dst) pairs."""
+        dataflow_closure(self)
+        return frozenset((a, b) for a, seen in self._influenced.items() for b in seen)
 
     # -- queries ------------------------------------------------------------
 
@@ -130,9 +135,7 @@ class FactDb:
 
     def influenced(self, x: Operand) -> frozenset[str]:
         """The variables x influences, itself included; none for a literal."""
-        if not isinstance(x, str):
-            return frozenset()
-        return self.reach.get(x) or frozenset((x,))
+        return _walk(self.succ, self._influenced, x)
 
     def slot_influenced(self, slot: int) -> frozenset[str]:
         """The variables the loads of `slot` influence, the loads included."""
@@ -140,14 +143,14 @@ class FactDb:
 
     def influencers(self, v: Operand) -> frozenset[str]:
         """The variables that influence v, v included; none for a literal."""
-        return _walk(self.pred, v) if v in self.pred else frozenset()
+        return _walk(self.pred, self._influencers, v)
 
     def df(self, src: Operand, dst: Operand) -> bool:
         """Does src influence dst?  Literal operands influence nothing."""
-        return dst in self.influenced(src)
+        return src in self.influencers(dst)
 
     def df_any(self, sources, dst: Operand) -> bool:
-        return any(self.df(s, dst) for s in sources)
+        return bool(sources) and not self.influencers(dst).isdisjoint(sources)
 
     def selectors_of(self, sid: str) -> frozenset[str]:
         return self.stmt_func.get(sid, frozenset())
@@ -167,18 +170,19 @@ class FactDb:
     def compared(self, a: Operand, b: Operand) -> tuple[str, ...]:
         """Comparison sites where a and b flow into the two operands, in
         `comp` order."""
-        ra, rb = self.influenced(a), self.influenced(b)
-        # A matching row has an operand in each set, so in the smaller one.
+        rb = self.influenced(b)
         out = []
-        for i in sorted(self.comp_rows_of(ra if len(ra) <= len(rb) else rb)):
+        for i in sorted(self.comp_rows_of(rb)):
             sid, _, lhs, rhs, _ = self.comp[i]
-            if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb):
+            if (rhs in rb and a in self.influencers(lhs)) or (
+                lhs in rb and a in self.influencers(rhs)
+            ):
                 out.append(sid)
         return tuple(out)
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
-    """All relations except the dataflow closure (left empty here)."""
+    """All relations and the dataflow graph; no dataflow query is answered."""
     constant = _fold_constants(program)
 
     external_call: list[tuple[str, Operand, Operand]] = []
@@ -341,7 +345,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         comp_rows={v: tuple(rows) for v, rows in comp_rows.items()},
         succ=succ,
         pred=pred,
-        reach={},
         sloads=tuple(sloads),
         sstores=tuple(sstores),
         slot_loads={slot: tuple(vs) for slot, vs in slot_loads.items()},
@@ -355,13 +358,18 @@ def derive_base_facts(program: IrProgram) -> FactDb:
 
 
 def dataflow_closure(db: FactDb) -> FactDb:
-    """Fill in the reach sets of the reflexive-transitive dataflow closure: a
-    walk of the graph's successors from each variable (see the module)."""
-    return replace(db, reach={v: _walk(db.succ, v) for v in db.succ})
+    """Fill the memo of `influenced` for every variable, which makes it the
+    whole reflexive-transitive dataflow closure (see the module); returns db."""
+    for v in db.succ:
+        db.influenced(v)
+    return db
 
 
-def _walk(graph: dict[str, list[str]], start: str) -> frozenset[str]:
-    """The nodes reachable from start in graph, start included."""
+def _walk(graph: dict[str, list[str]], memo: dict, start: Operand) -> frozenset[str]:
+    """The nodes reachable from start in graph, start included, walked once
+    and kept in memo; none when start is not a node (a literal)."""
+    if start not in graph or start in memo:
+        return memo.get(start, frozenset())
     seen = {start}
     work = [start]
     while work:
@@ -369,11 +377,12 @@ def _walk(graph: dict[str, list[str]], start: str) -> frozenset[str]:
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
-    return frozenset(seen)
+    memo[start] = frozenset(seen)
+    return memo[start]
 
 
-def build_facts(program: IrProgram) -> FactDb:
-    return dataflow_closure(derive_base_facts(program))
+# The audit needs only the base facts; dataflow is answered on demand.
+build_facts = derive_base_facts
 
 
 def _const_of(constant: dict[str, int], operand: Operand) -> int | None:
@@ -431,7 +440,7 @@ def _function_selectors(
         callees[caller].append(callee)
     reach: dict[str, set[str]] = {name: set() for name in callees}
     for fn in program.public_functions():
-        for name in _walk(callees, fn.name):
+        for name in _walk(callees, {}, fn.name):
             reach[name].add(fn.selector)
     return {name: frozenset(sels) for name, sels in reach.items()}
 

@@ -8,6 +8,8 @@ from typing import Iterator, NamedTuple, Union
 # An operand is either a variable name (always "v"-prefixed) or an
 # integer literal.  Storage slots, selectors and addresses are plain ints.
 Operand = Union[str, int]
+# Values are 256-bit EVM words; arithmetic on them wraps modulo WORD.
+WORD = 1 << 256
 
 
 class IrError(Exception):
@@ -158,7 +160,7 @@ class IrProgram:
     address: str  # "0x" + 40 hex digits, lowercase
     functions: tuple[IrFunction, ...]
     _fn_index: dict[str, IrFunction] = field(
-        default_factory=dict, repr=False, compare=False
+        init=False, default_factory=dict, repr=False, compare=False
     )
     _selector_index: dict[str, IrFunction] = field(
         init=False, default_factory=dict, repr=False, compare=False

@@ -27,7 +27,7 @@ those checks and reached the statement parse.
 
 The parser is the one place where per-statement facts are computed: each
 statement records its variable operands (`IrStatement.uses`), which
-validation, the dataflow closure and the graphs read; they are collected
+validation, the base-fact pass and the graphs read; they are collected
 in the loop that converts the operands.  Within one `parse_ir` call each
 statement operand token is converted once and looked up afterwards (a
 defined variable's name is entered with its definition); a token that

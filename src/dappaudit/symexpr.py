@@ -35,7 +35,8 @@ from __future__ import annotations
 import weakref
 from functools import partial
 
-WORD = 1 << 256
+from .model import WORD
+
 MASK = WORD - 1
 
 # Each binary operator under 256-bit wrapping semantics: division and

@@ -10,12 +10,7 @@ import pytest
 
 from dappaudit.chain import ChainUnavailable, MockChain, RpcChain, encode_string_at
 from dappaudit.claims import FrontendAttributes
-from dappaudit.detector import (
-    FINDING_ORDER,
-    InconsistencyReport,
-    detect_all,
-    resolve_rate,
-)
+from dappaudit.detector import InconsistencyReport, detect_all, resolve_rate
 from dappaudit.executor import execute_function
 from dappaudit.facts import build_facts
 from dappaudit.graphs import build_graphs
@@ -743,7 +738,9 @@ def test_combined_fixture_reports_ur_then_hf():
 
 def test_finding_order_is_fixed():
     report = _detect(REWARD_WITH_FEE, COMBINED_ATTRS, MOCK_RATE_5)
-    order = {t: i for i, t in enumerate(FINDING_ORDER)}
+    # The rules run in this order in `detect_all`.
+    expected = ("UR", "HF", "AL", "UTS", "UFF", "CDS", "VNA")
+    order = {t: i for i, t in enumerate(expected)}
     positions = [order[t] for t in _types(report)]
     assert positions == sorted(positions)
 

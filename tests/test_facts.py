@@ -4,10 +4,14 @@ from __future__ import annotations
 import gc
 import random
 import time
+import tracemalloc
+
+import pytest
 
 from dappaudit.facts import build_facts, derive_base_facts, dump_facts
 from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
+from dappaudit.pipeline import analyze_ir
 from helpers import ADDR, floyd_warshall_dataflow, random_program
 
 ERC20_CALL = f"""contract {ADDR}
@@ -263,6 +267,106 @@ def test_influencers_of_a_star_grow_linearly():
     finally:
         gc.enable()
     assert best_large <= 3 * best_small, (best_small, best_large)
+
+
+def test_queries_in_any_order_match_the_oracle():
+    # Each query walks on first use and memoizes, so the answers, and the
+    # whole closure read afterwards, must not depend on what was asked first.
+    rng = random.Random(99)
+    for i in range(210):
+        program = random_program(rng)
+        closure = floyd_warshall_dataflow(program)
+        db = build_facts(program)
+        variables = sorted({a for a, _ in closure})
+        fwd = {v: frozenset(b for a, b in closure if a == v) for v in variables}
+        back = {v: frozenset(a for a, b in closure if b == v) for v in variables}
+        operands = [*variables, 7]
+
+        def compared(a, b):
+            ra, rb = fwd.get(a, frozenset()), fwd.get(b, frozenset())
+            return tuple(
+                sid
+                for sid, _, lhs, rhs, _ in db.comp
+                if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb)
+            )
+
+        order = random.Random(i)
+        queries = [
+            *((db.influenced, (v,), fwd.get(v, frozenset())) for v in operands),
+            *((db.influencers, (v,), back.get(v, frozenset())) for v in operands),
+            *((db.df, (a, b), (a, b) in closure) for a in operands for b in operands),
+            *((db.compared, (a, b), compared(a, b)) for a in operands for b in operands),
+        ]
+        for v in operands:
+            sources = order.sample(operands, order.randint(0, 4))
+            want = any((s, v) in closure for s in sources)
+            queries.append((db.df_any, (sources, v), want))
+        order.shuffle(queries)
+        for query, args, want in queries:
+            assert query(*args) == want, f"instance {i}, {query.__name__}{args}"
+        assert set(db.dataflow) == closure, f"instance {i}"
+
+
+def _chain_text(n: int, loads: bool, returns: bool) -> str:
+    """One public function: an n-long chain of ADDs from CALLVALUE, each
+    adding 1 or a load of its own slot, sent to the caller by plain CALL."""
+    body = ["v0 = CALLVALUE"]
+    for i in range(1, n + 1):
+        if loads:
+            body += [f"vl{i} = SLOAD {i}", f"v{i} = ADD v{i - 1} vl{i}"]
+        else:
+            body.append(f"v{i} = ADD v{i - 1} 1")
+    body += ["vc = CALLER", f"CALL vc v{n}"]
+    return "\n".join(
+        [
+            f"contract {ADDR}",
+            "function f public sig 0x00000001 params () {",
+            "  block B0:",
+            *(f"    {k}: {line}" for k, line in enumerate(body)),
+            f"    return v{n}" if returns else "    stop",
+            "}",
+            "",
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "loads, returns",
+    [(False, False), (True, False), (True, True)],
+    ids=["add", "sum_of_loads", "sum_of_loads_returned"],
+)
+def test_audit_of_a_chain_grows_linearly(loads, returns):
+    # A dataflow closure built for every variable would hold about n**2 / 2
+    # entries: a peak 4x as high, and a wall time 4x as long, per doubling.
+    small, large = (_chain_text(n, loads, returns) for n in (2000, 4000))
+
+    def peak(text: str) -> int:
+        tracemalloc.start()
+        try:
+            analyze_ir(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def wall(text: str) -> float:
+        start = time.perf_counter()
+        analyze_ir(text)
+        return time.perf_counter() - start
+
+    assert peak(large) <= 2.5 * peak(small)
+    best_small = best_large = float("inf")
+    # Best of 3, the sizes alternating and the collector off (see the star
+    # test above).
+    gc.disable()
+    try:
+        for _ in range(3):
+            best_small = min(best_small, wall(small))
+            best_large = min(best_large, wall(large))
+    finally:
+        gc.enable()
+    assert best_large <= 3 * best_small, (best_small, best_large)
+    if not loads:
+        assert best_large < 0.5, best_large
 
 
 def test_base_fact_naive_rederivation():

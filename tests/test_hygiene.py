@@ -141,9 +141,10 @@ def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str
     ]
 
 
-# Attributes holding the dataflow graph and its closure; their format is
-# private to facts.py, which answers every dataflow query.
-CLOSURE_ATTRIBUTES = ("dataflow", "reach", "succ", "pred")
+# Attributes holding the dataflow graph, its closure and the memos of its
+# walks; their format is private to facts.py, which answers every dataflow
+# query.
+CLOSURE_ATTRIBUTES = ("dataflow", "reach", "succ", "pred", "_influenced", "_influencers")
 
 
 def closure_accesses(source: str) -> list[tuple[int, str]]:
