@@ -24,11 +24,14 @@ _BYTES = re.compile(r"0x(?:[0-9a-fA-F]{2})*")
 
 
 class ChainState(Protocol):
-    """The read interface both backends implement."""
+    """The read interface both backends implement.  Both derive from it
+    and inherit `read_string_at`, which decodes through `get_storage`."""
 
     def get_storage(self, address: str, slot: int) -> int: ...
 
-    def read_string_at(self, address: str, slot: int) -> str: ...
+    def read_string_at(self, address: str, slot: int) -> str:
+        word = self.get_storage(address, slot)
+        return decode_string(slot, word, lambda s: self.get_storage(address, s))
 
 
 class ChainUnavailable(Exception):
@@ -109,7 +112,7 @@ def decode_string(slot: int, word: int, fetch) -> str:
 # Backends
 
 
-class MockChain:
+class MockChain(ChainState):
     """File-backed chain state.
 
     File format: {"<address>": {"code": "0x...",
@@ -150,15 +153,11 @@ class MockChain:
     def get_storage(self, address: str, slot: int) -> int:
         return self._storage.get(address.lower(), {}).get(slot, 0)
 
-    def read_string_at(self, address: str, slot: int) -> str:
-        word = self.get_storage(address, slot)
-        return decode_string(slot, word, lambda s: self.get_storage(address, s))
-
 
 RPC_TIMEOUT_S = 10.0
 
 
-class RpcChain:
+class RpcChain(ChainState):
     """JSON-RPC backend (eth_getStorageAt, latest block).
 
     `post` and `sleep` are injectable and go to `transport.request`, which
@@ -199,7 +198,3 @@ class RpcChain:
         with self._lock:
             self._storage_cache[key] = value
         return value
-
-    def read_string_at(self, address: str, slot: int) -> str:
-        word = self.get_storage(address, slot)
-        return decode_string(slot, word, lambda s: self.get_storage(address, s))

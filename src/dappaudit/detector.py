@@ -2,12 +2,21 @@
 
 Each rule compares one claimed attribute against the summarized behavior
 and yields at most one finding, so finding types are unique per report.
+Every rule is gate-first: when the front end makes no claim the rule could
+contradict, it returns before it looks at the semantics or the chain.
+Five rules (UR, AL, UTS, UFF, CDS) are rows of one table: a claim gate, a
+candidate filter over the semantics, and the detail and evidence of the
+finding, which fires when any candidate is left. UTS's gate always
+holds: a supply with no bound check is reported whether or not one is
+claimed. `detect_all` walks the table once, in the fixed report order UR,
+HF, AL, UTS, UFF, CDS, VNA.
 Rate arithmetic is exact rational throughout; a claim of 3 percent and a
 computed 5/100 never compare equal by rounding. This is the only layer
 that reads chain state; the layers before it keep storage words symbolic.
-Rules that need live chain data (HF rate resolution, VNA URI
-classification) degrade to an explicit "indeterminate" finding when the
-chain cannot answer instead of silently dropping the check.
+The two rules that need live chain data (HF rate resolution, VNA URI
+classification) keep their own functions and degrade to an explicit
+"indeterminate" finding when the chain cannot answer instead of silently
+dropping the check.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from .claims import FrontendAttributes
 from .graphs import RecipientClass
 from .semantics import ContractSemantics, FeeCandidate
 
-DECENTRALIZED_SCHEMES = ("ipfs://", "ar://")
 CENTRALIZED_SCHEMES = ("http://", "https://")
 
 INDETERMINATE = "indeterminate"
@@ -68,7 +76,9 @@ class InconsistencyReport:
         return json.dumps(self.to_json(), indent=2) + "\n"
 
 
-def _rational_json(value: Fraction) -> int | str:
+def _rational_json(value: Fraction | None) -> int | str | None:
+    if value is None:
+        return None
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
@@ -115,43 +125,21 @@ def _split_forwarding(
     return total == 1
 
 
-def _unguaranteed_reward(
-    attrs: FrontendAttributes, sem: ContractSemantics
-) -> Finding | None:
-    if attrs.reward_rate_percent is None:
-        return None
-    hits = [
-        t
-        for t in sem.transfers
-        if t.recipient_class is RecipientClass.CALLER
-        and (t.dynamic.balance_self or t.dynamic.store_written)
-    ]
-    if not hits:
-        return None
-    return Finding(
-        type="UR",
-        detail={"claimed_reward_percent": _rational_json(attrs.reward_rate_percent)},
-        evidence={
-            "call_sites": [t.call_site for t in hits],
-            "amount_exprs": [t.amount for t in hits],
-        },
-    )
-
-
 def _hidden_fee(
     attrs: FrontendAttributes, sem: ContractSemantics, chain: ChainState | None
 ) -> Finding | None:
-    if not sem.fee_candidates:
-        return None
     # A rate alongside an explicit "no fee" denial is contradictory input;
-    # the denial wins and the False branch below fires regardless.
-    claimed_fraction = claimed_rate = None
-    if attrs.fee_claimed is not False and attrs.fee_rate_percent is not None:
-        claimed_fraction = attrs.fee_rate_percent / 100
-        claimed_rate = f"{claimed_fraction.numerator}/{claimed_fraction.denominator}"
+    # the denial wins. Without a denial or a rate nothing can fire, so the
+    # chain is not read.
+    denied = attrs.fee_claimed is False
+    if not denied and attrs.fee_rate_percent is None:
+        return None
+    claimed = None if denied else attrs.fee_rate_percent / 100
+    claimed_rate = None if denied else f"{claimed.numerator}/{claimed.denominator}"
 
-    fired: list[tuple[FeeCandidate, int, int]] = []
+    fired: list[FeeCandidate] = []
     unresolved: list[FeeCandidate] = []
+    computed_rate = None
     for cand in sem.fee_candidates:
         try:
             if _split_forwarding(cand, sem, chain):
@@ -160,34 +148,19 @@ def _hidden_fee(
         except ChainUnavailable:
             unresolved.append(cand)
             continue
-        rate = Fraction(num, den)
-        if rate == 0:
-            # The configured rate charges nothing.
-            continue
-        if attrs.fee_claimed is False:
-            fired.append((cand, num, den))
-        elif claimed_fraction is not None and rate != claimed_fraction:
-            fired.append((cand, num, den))
-
-    if fired:
-        _, num, den = fired[0]
-        return Finding(
-            type="HF",
-            detail={
-                "computed_rate": f"{num}/{den}",
-                "claimed_rate": claimed_rate,
-            },
-            evidence=_fee_evidence([c for c, _, _ in fired]),
-        )
-    # Only degrade when a resolved rate could actually have fired.
-    if unresolved and (attrs.fee_claimed is False or claimed_fraction is not None):
-        return Finding(
-            type="HF",
-            detail={"computed_rate": None, "claimed_rate": claimed_rate},
-            evidence=_fee_evidence(unresolved),
-            status=INDETERMINATE,
-        )
-    return None
+        # A zero rate charges nothing; any other rate contradicts a denial
+        # (claimed is None) or a different claimed rate.
+        if Fraction(num, den) not in (0, claimed):
+            fired.append(cand)
+            computed_rate = computed_rate or f"{num}/{den}"
+    if not (fired or unresolved):
+        return None
+    return Finding(
+        type="HF",
+        detail={"computed_rate": computed_rate, "claimed_rate": claimed_rate},
+        evidence=_fee_evidence(fired or unresolved),
+        status=None if fired else INDETERMINATE,
+    )
 
 
 def _fee_evidence(cands: list[FeeCandidate]) -> dict[str, Any]:
@@ -200,123 +173,22 @@ def _fee_evidence(cands: list[FeeCandidate]) -> dict[str, Any]:
     }
 
 
-def _adjustable_lock(
-    attrs: FrontendAttributes, sem: ContractSemantics
-) -> Finding | None:
-    if attrs.lock_time_seconds is None:
-        return None
-    hits = [l for l in sem.locks if l.publicly_settable]
-    if not hits:
-        return None
-    return Finding(
-        type="AL",
-        detail={"claimed_lock_seconds": _rational_json(attrs.lock_time_seconds)},
-        evidence={
-            "slots": [hex(l.slot) for l in hits],
-            "store_sites": [s for l in hits for s in l.write_sites],
-        },
-    )
-
-
-def _unrestricted_supply(
-    attrs: FrontendAttributes, sem: ContractSemantics, strict: bool
-) -> Finding | None:
-    hits = [
-        s
-        for s in sem.supplies
-        if not s.bound_checked
-        and not (strict and s.bound_checked_after_add)
-    ]
-    if not hits:
-        return None
-    claimed = (
-        _rational_json(attrs.total_supply)
-        if attrs.total_supply is not None
-        else None
-    )
-    return Finding(
-        type="UTS",
-        detail={"claimed_supply": claimed},
-        evidence={
-            "slots": [hex(s.slot) for s in hits],
-            "store_sites": [site for s in hits for site in s.store_sites],
-        },
-    )
-
-
-def _undisclosed_fund_flow(
-    attrs: FrontendAttributes, sem: ContractSemantics
-) -> Finding | None:
-    if attrs.fund_flow_disclosed is not False:
-        return None
-    hits = [
-        t
-        for t in sem.transfers
-        if t.owner_gated
-        and (
-            t.recipient_class is not RecipientClass.CALLER
-            or t.dynamic.balance_self
-        )
-    ]
-    if not hits:
-        return None
-    return Finding(
-        type="UFF",
-        detail={"fund_flow_disclosed": False},
-        evidence={
-            "call_sites": [t.call_site for t in hits],
-            "amount_exprs": [t.amount for t in hits],
-            "recipient_classes": [t.recipient_class.value for t in hits],
-        },
-    )
-
-
-def _concealed_pause(
-    attrs: FrontendAttributes, sem: ContractSemantics
-) -> Finding | None:
-    if attrs.pause_disclosed is not False:
-        return None
-    hits = [p for p in sem.pauses if p.owner_modifiable and p.gated_call_sites]
-    if not hits:
-        return None
-    return Finding(
-        type="CDS",
-        detail={"pause_disclosed": False},
-        evidence={
-            "slots": [hex(p.slot) for p in hits],
-            "store_sites": [s for p in hits for s in p.write_sites],
-            "gated_call_sites": [s for p in hits for s in p.gated_call_sites],
-        },
-    )
-
-
-def _classify_uri(uri: str) -> str | None:
+def _is_centralized(uri: str) -> bool:
     low = uri.lower()
-    if low.startswith(DECENTRALIZED_SCHEMES):
-        return "decentralized"
-    if low.startswith(CENTRALIZED_SCHEMES):
-        return "centralized"
-    if low.startswith("data:") and ";base64," in low:
-        return "centralized"
-    return None
+    return low.startswith(CENTRALIZED_SCHEMES) or (
+        low.startswith("data:") and ";base64," in low
+    )
 
 
 def _volatile_uri(
     attrs: FrontendAttributes, sem: ContractSemantics, chain: ChainState | None
 ) -> Finding | None:
-    if sem.token_uri_slot is None:
-        return None
     # An explicit centralized-storage disclosure is the only suppressor.
-    if attrs.nft_permanence_claimed is False:
+    if sem.token_uri_slot is None or attrs.nft_permanence_claimed is False:
         return None
-    slot_hex = hex(sem.token_uri_slot)
     detail = {"nft_permanence_claimed": attrs.nft_permanence_claimed}
-    indeterminate = Finding(
-        type="VNA",
-        detail=detail,
-        evidence={"token_uri_slot": slot_hex, "token_uri": None},
-        status=INDETERMINATE,
-    )
+    evidence = {"token_uri_slot": hex(sem.token_uri_slot), "token_uri": None}
+    indeterminate = Finding("VNA", detail, evidence, INDETERMINATE)
     if chain is None:
         return indeterminate
     try:
@@ -325,18 +197,87 @@ def _volatile_uri(
         return indeterminate
     except NotAString:
         return None
-    storage_class = _classify_uri(uri)
-    if storage_class != "centralized":
+    if not _is_centralized(uri):
         return None
     return Finding(
-        type="VNA",
-        detail=detail,
-        evidence={
-            "token_uri_slot": slot_hex,
-            "token_uri": uri,
-            "storage_class": storage_class,
-        },
+        "VNA", detail, {**evidence, "token_uri": uri, "storage_class": "centralized"}
     )
+
+
+def _transfer_evidence(hits) -> dict[str, Any]:
+    return {
+        "call_sites": [t.call_site for t in hits],
+        "amount_exprs": [t.amount for t in hits],
+    }
+
+
+# The rules in report order. A table row is (claim gate over the attributes,
+# candidate filter over the semantics and the strict-supply flag, detail
+# from the attributes, evidence from the candidates); HF and VNA read the
+# chain and are functions of (attrs, sem, chain) instead.
+_RULES: dict[str, Any] = {
+    "UR": (
+        lambda a: a.reward_rate_percent is not None,
+        lambda sem, strict: [
+            t
+            for t in sem.transfers
+            if t.recipient_class is RecipientClass.CALLER
+            and (t.dynamic.balance_self or t.dynamic.store_written)
+        ],
+        lambda a: {"claimed_reward_percent": _rational_json(a.reward_rate_percent)},
+        _transfer_evidence,
+    ),
+    "HF": _hidden_fee,
+    "AL": (
+        lambda a: a.lock_time_seconds is not None,
+        lambda sem, strict: [l for l in sem.locks if l.publicly_settable],
+        lambda a: {"claimed_lock_seconds": _rational_json(a.lock_time_seconds)},
+        lambda hits: {
+            "slots": [hex(l.slot) for l in hits],
+            "store_sites": [s for l in hits for s in l.write_sites],
+        },
+    ),
+    "UTS": (
+        lambda a: True,
+        lambda sem, strict: [
+            s
+            for s in sem.supplies
+            if not s.bound_checked and not (strict and s.bound_checked_after_add)
+        ],
+        lambda a: {"claimed_supply": _rational_json(a.total_supply)},
+        lambda hits: {
+            "slots": [hex(s.slot) for s in hits],
+            "store_sites": [site for s in hits for site in s.store_sites],
+        },
+    ),
+    "UFF": (
+        lambda a: a.fund_flow_disclosed is False,
+        lambda sem, strict: [
+            t
+            for t in sem.transfers
+            if t.owner_gated
+            and (t.recipient_class is not RecipientClass.CALLER or t.dynamic.balance_self)
+        ],
+        lambda a: {"fund_flow_disclosed": False},
+        lambda hits: {
+            **_transfer_evidence(hits),
+            "recipient_classes": [t.recipient_class.value for t in hits],
+        },
+    ),
+    "CDS": (
+        lambda a: a.pause_disclosed is False,
+        lambda sem, strict: [
+            p for p in sem.pauses if p.owner_modifiable and p.gated_call_sites
+        ],
+        lambda a: {"pause_disclosed": False},
+        lambda hits: {
+            "slots": [hex(p.slot) for p in hits],
+            "store_sites": [s for p in hits for s in p.write_sites],
+            "gated_call_sites": [s for p in hits for s in p.gated_call_sites],
+        },
+    ),
+    "VNA": _volatile_uri,
+}
 
 
 def detect_all(
@@ -350,17 +291,15 @@ def detect_all(
     a byte-identical rendering. strict_supply_check additionally accepts a
     supply bound check placed after the accumulating store."""
     findings = []
-    for f in (
-        _unguaranteed_reward(attrs, sem),
-        _hidden_fee(attrs, sem, chain),
-        _adjustable_lock(attrs, sem),
-        _unrestricted_supply(attrs, sem, strict_supply_check),
-        _undisclosed_fund_flow(attrs, sem),
-        _concealed_pause(attrs, sem),
-        _volatile_uri(attrs, sem, chain),
-    ):
-        if f is not None:
-            findings.append(f)
+    for kind, rule in _RULES.items():
+        if callable(rule):
+            finding = rule(attrs, sem, chain)
+        else:
+            claimed, candidates, detail, evidence = rule
+            hits = candidates(sem, strict_supply_check) if claimed(attrs) else []
+            finding = Finding(kind, detail(attrs), evidence(hits)) if hits else None
+        if finding is not None:
+            findings.append(finding)
     return InconsistencyReport(
         contract=sem.address,
         findings=tuple(findings),

@@ -98,7 +98,10 @@ def infer_transfers(db: FactDb) -> tuple[TransferFact, ...]:
 
 
 def infer_sender_guards(db: FactDb) -> tuple[SenderGuardFact, ...]:
-    """Constant-slot loads compared against the caller, per selector."""
+    """Constant-slot loads compared against the caller, per selector.  The
+    comparison must run under the same selector: a private helper that
+    several functions share joins their dataflow, so a load in one function
+    can reach a comparison that only another one runs."""
     out: dict[tuple[int, str], SenderGuardFact] = {}
     for load in db.sloads:
         sites = [
@@ -106,13 +109,13 @@ def infer_sender_guards(db: FactDb) -> tuple[SenderGuardFact, ...]:
             for c in db.caller_defs
             for sid in db.compared(load.value, c)
         ]
-        if not sites:
-            continue
         for selector in sorted(db.selectors_of(load.sid)):
-            out.setdefault(
-                (load.slot, selector),
-                SenderGuardFact(load.slot, selector, load.sid, min(sites)),
-            )
+            own = [sid for sid in sites if selector in db.selectors_of(sid)]
+            if own:
+                out.setdefault(
+                    (load.slot, selector),
+                    SenderGuardFact(load.slot, selector, load.sid, min(own)),
+                )
     return tuple(sorted(out.values(), key=lambda g: (g.slot, g.selector)))
 
 

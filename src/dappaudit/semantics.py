@@ -65,7 +65,6 @@ class FeeCandidate:
 @dataclass(frozen=True)
 class SupplyStatus:
     slot: int
-    selectors: tuple[str, ...]
     store_sites: tuple[str, ...]
     # A bound comparison on the slot's value gates the accumulating store.
     bound_checked: bool
@@ -237,7 +236,6 @@ def summarize_semantics(
         supplies.append(
             SupplyStatus(
                 slot=slot,
-                selectors=tuple(sorted({w.selector for w in writes})),
                 store_sites=tuple(sorted({w.store_site for w in writes})),
                 bound_checked=before,
                 bound_checked_after_add=after,

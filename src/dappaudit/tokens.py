@@ -20,7 +20,6 @@ _DEFAULT_PATTERN = r"\d+(?:,\d{3})*(?:\.\d+)?[KMBkmb]?|[A-Za-z_]+|[^\w\s]"
 class Token:
     text: str
     start: int
-    end: int
     tag: str
 
 
@@ -35,14 +34,14 @@ def _tag_of(text: str) -> str:
 
 
 class Tokenizer:
-    """Regex tokenizer; token spans index into the original text."""
+    """Regex tokenizer; token starts index into the original text."""
 
     def __init__(self, pattern: str = _DEFAULT_PATTERN):
         self._re = re.compile(pattern)
 
     def tokens(self, text: str) -> tuple[Token, ...]:
         return tuple(
-            Token(m.group(), m.start(), m.end(), _tag_of(m.group()))
+            Token(m.group(), m.start(), _tag_of(m.group()))
             for m in self._re.finditer(text)
         )
 

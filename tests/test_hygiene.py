@@ -117,16 +117,22 @@ def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str
     """(module, line, class, field) for each field of a `@dataclass` or
     `NamedTuple` class that no module reads as an attribute.
 
-    A read is an attribute load of the field's name on any object; the
-    match is by name alone, so a field that shares its name with another
-    attribute some module reads passes.
+    A read is an attribute load of the field's name on any object that is
+    not the target of a call (`plan.selectors()` calls a method, it reads
+    no field); the match is by name alone, so a field that shares its name
+    with another attribute some module reads passes.
     """
     fields: list[tuple[str, int, str, str]] = []
     read: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in called
+            ):
                 read.add(node.attr)
             elif isinstance(node, ast.ClassDef) and _is_record(node):
                 fields += [
@@ -275,10 +281,12 @@ def test_unread_dataclass_fields_are_detected():
             "    dropped: int\n"
             "class Pair(typing.NamedTuple):\n"
             "    lost: int\n"
+            "    called: int\n"
         ),
         "b.py": (
-            "def f(edge, other):\n"
+            "def f(edge, other, match):\n"
             "    edge.planted = True\n"
+            "    match.called()\n"
             "    return edge.site, other.shared\n"
         ),
     }
@@ -286,6 +294,7 @@ def test_unread_dataclass_fields_are_detected():
         ("a.py", 5, "Edge", "planted"),
         ("a.py", 14, "Row", "dropped"),
         ("a.py", 16, "Pair", "lost"),
+        ("a.py", 17, "Pair", "called"),
     ]
 
 

@@ -1,6 +1,14 @@
-"""Metamorphic checks: renaming every variable of a program by a bijection
-that keeps the `v` prefix changes no finding type, and the dataflow
-closure of the renamed program is the renamed closure."""
+"""Metamorphic checks: rewrites that keep a program's meaning change no
+finding type.
+
+Renaming every variable by a bijection that keeps the `v` prefix also maps
+the dataflow closure onto the renamed closure.  The other rewrites of the
+corpus: commuting the operands of ADD, MUL, EQ, AND and OR; splitting each
+block after its first statement with a `jump`; reversing the order of the
+functions; routing each SLOAD, CALLER and CALLVALUE through a private
+identity helper of its own; and routing each constant-slot SLOAD through one
+identity helper that every site shares, as compilers emit a shared internal
+getter."""
 from __future__ import annotations
 
 import random
@@ -21,6 +29,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
 CHAIN_FILE = FIXTURES / "chain.json"
 _WORD = re.compile(r"\bv[A-Za-z0-9_]*\b")
+_COMMUTATIVE = re.compile(r"^(\s*\S+: v\w* = (?:ADD|MUL|EQ|AND|OR)) (\S+) (\S+)$", re.M)
+_BLOCK = re.compile(r"^\s*block (\w+):$")
+_STATEMENT = re.compile(r"^\s*\S+: ")
+_SOURCES = re.compile(r"^(\s*\S+:) (v\w*) = (SLOAD \S+|CALLER|CALLVALUE)$", re.M)
+_CONSTANT_SLOT_LOADS = re.compile(r"^(\s*\S+:) (v\w*) = (SLOAD (?:0x[0-9a-fA-F]+|\d+))$", re.M)
 
 
 def variables(text: str) -> set[str]:
@@ -48,6 +61,64 @@ def renamed(text: str, rng: random.Random) -> tuple[str, dict[str, str]]:
     rng.shuffle(new)
     mapping = dict(zip(old, new))
     return _WORD.sub(lambda m: mapping.get(m.group(), m.group()), text), mapping
+
+
+def commuted(text: str) -> str:
+    return _COMMUTATIVE.sub(r"\1 \3 \2", text)
+
+
+def split_blocks(text: str) -> str:
+    """Each block that has a statement ends after its first one in a `jump`
+    to a new block holding the rest of its statements and its terminator."""
+    out: list[str] = []
+    opened = None
+    for line in text.splitlines():
+        out.append(line)
+        if opened is not None and _STATEMENT.match(line):
+            out += [f"    jump {opened}_rest", f"  block {opened}_rest:"]
+        m = _BLOCK.match(line)
+        opened = m.group(1) if m else None
+    return "\n".join(out) + "\n"
+
+
+def reversed_functions(text: str) -> str:
+    head, *functions = re.split(r"(?m)^(?=function )", text)
+    return head + "".join(reversed(functions))
+
+
+def through_helpers(text: str, sites: re.Pattern, *, shared: bool) -> str:
+    """Each statement `sites` matches defines a temporary instead, and a
+    call of a private identity helper binds its variable: a helper of its
+    own per site, or one helper that every site calls."""
+    helpers: list[str] = []
+
+    def route(m: re.Match) -> str:
+        label, var, value = m.groups()
+        if not (shared and helpers):
+            helpers.append(f"idp{len(helpers)}")
+        return f"{label} {var}_t = {value}\n{label} {var} = CALLPRIVATE {helpers[-1]} 0 {var}_t"
+
+    text = sites.sub(route, text)
+    for h in helpers:
+        text += f"function {h} private params (v{h}_k, v{h}_x) {{\n"
+        text += f"  block I0:\n    returnprivate v{h}_k v{h}_x\n}}\n"
+    return text
+
+
+REWRITES = {
+    "commuted": commuted,
+    "split_blocks": split_blocks,
+    "reversed_functions": reversed_functions,
+    "own_helpers": lambda text: through_helpers(text, _SOURCES, shared=False),
+    "shared_helper": lambda text: through_helpers(text, _CONSTANT_SLOT_LOADS, shared=True),
+}
+
+
+def finding_types(ir: Path, name: str) -> list[str]:
+    """Finding types of the audit of `ir` with the claims and chain state
+    of the corpus contract `name`."""
+    cfg = RunConfig(ir_path=ir, attrs_path=CORPUS / f"{name}.attrs.json", chain_mock=CHAIN_FILE)
+    return [f.type for f in audit_contract(cfg).findings]
 
 
 def mapped(pairs, mapping: dict[str, str]) -> set[tuple[str, str]]:
@@ -84,16 +155,7 @@ def test_renaming_keeps_corpus_findings_and_dataflow(name, tmp_path):
     original = CORPUS / f"{name}.ir"
     text, mapping = renamed(original.read_text(), random.Random(name))
     (tmp_path / original.name).write_text(text)
-
-    def finding_types(ir: Path) -> list[str]:
-        cfg = RunConfig(
-            ir_path=ir,
-            attrs_path=CORPUS / f"{name}.attrs.json",
-            chain_mock=CHAIN_FILE,
-        )
-        return [f.type for f in audit_contract(cfg).findings]
-
-    assert finding_types(tmp_path / original.name) == finding_types(original)
+    assert finding_types(tmp_path / original.name, name) == finding_types(original, name)
     before = build_facts(parse_ir(original.read_text())).dataflow
     assert mapped(before, mapping) == build_facts(parse_ir(text)).dataflow
 
@@ -112,3 +174,27 @@ def test_renaming_keeps_random_program_findings_and_dataflow():
         want = [f.type for f in detect_all(claims, a.semantics).findings]
         got = [f.type for f in detect_all(claims, b.semantics).findings]
         assert got == want, f"case {i}"
+
+
+def test_rewrites_keep_the_program_valid_and_change_it():
+    text = (CORPUS / "fee_forwarder.ir").read_text()
+    for name, rewrite in REWRITES.items():
+        out = rewrite(text)
+        assert out != text, name
+        parse_ir(out)
+    assert "    2: vis = EQ vwho vown\n" in commuted(text)
+    assert "    0: vown = SLOAD 0\n    jump S0_rest\n  block S0_rest:\n" in split_blocks(text)
+    assert reversed_functions(reversed_functions(text)) == text
+    own = REWRITES["own_helpers"](text)
+    assert own.count("private params") == own.count("CALLPRIVATE") > 1
+    shared = REWRITES["shared_helper"](text)
+    assert shared.count("private params") == 1
+    assert shared.count("CALLPRIVATE idp0 0 v") == text.count("= SLOAD ")
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.ir")))
+def test_rewrites_keep_corpus_findings(rewrite, name, tmp_path):
+    original = CORPUS / f"{name}.ir"
+    (tmp_path / original.name).write_text(REWRITES[rewrite](original.read_text()))
+    assert finding_types(tmp_path / original.name, name) == finding_types(original, name)
