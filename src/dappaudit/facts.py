@@ -1,10 +1,11 @@
 """Base relations derived from the IR, in the style of datalog facts.
 
 The stored relations: constants (with folding), external calls, call
-arguments, math ops, function arguments, control dependence, statement
+arguments, math ops, function arguments, control dependence, function
 ownership by public selector, syntactic comparisons, and the storage and
 environment relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP,
-plain CALL).  All are collected once, when the database is built.
+plain CALL).  All are collected once, when the database is built, in
+program order but for `comp`, sorted; `stmt_func` is a derived view.
 
 The same pass records the dataflow graph, one step in both directions:
 operands flow into the def (a CALL's result is a fresh source), actuals
@@ -86,8 +87,8 @@ class FactDb:
     func_arg: tuple[tuple[str, str, int], ...]
     # (condition var, sid, branch) - transitive control dependence
     controls: tuple[tuple[str, str, bool], ...]
-    # sid -> public selectors whose entry points can reach the statement
-    stmt_func: dict[str, frozenset[str]]
+    # Function name -> public selectors whose entry points can reach it.
+    fn_selectors: dict[str, frozenset[str]]
     # (sid, operator, lhs, rhs, def var) for LT/GT/EQ statements
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
     # Indexes: ADD def var -> its operands (the `add` rows of `math_op`),
@@ -121,12 +122,21 @@ class FactDb:
     _influencers: dict[str, frozenset[str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # b -> the `compared` sites b flows into, each with the operands opposite b.
+    _compare_rows: dict[Operand, list[tuple[str, list[Operand]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dataflow(self) -> frozenset[tuple[str, str]]:
         """The whole closure as (src, dst) pairs."""
         dataflow_closure(self)
         return frozenset((a, b) for a, seen in self._influenced.items() for b in seen)
+
+    @property
+    def stmt_func(self) -> dict[str, frozenset[str]]:
+        """sid -> public selectors whose entry points can reach the statement."""
+        return {s.sid: self.fn_selectors[f.name] for f, _, s in self.program.statements()}
 
     # -- queries ------------------------------------------------------------
 
@@ -153,7 +163,7 @@ class FactDb:
         return bool(sources) and not self.influencers(dst).isdisjoint(sources)
 
     def selectors_of(self, sid: str) -> frozenset[str]:
-        return self.stmt_func.get(sid, frozenset())
+        return self.fn_selectors.get(sid.partition(".")[0], frozenset())
 
     def conditions_controlling(self, sid: str) -> frozenset[str]:
         return self.controlled_by.get(sid, frozenset())
@@ -170,15 +180,15 @@ class FactDb:
     def compared(self, a: Operand, b: Operand) -> tuple[str, ...]:
         """Comparison sites where a and b flow into the two operands, in
         `comp` order."""
-        rb = self.influenced(b)
-        out = []
-        for i in sorted(self.comp_rows_of(rb)):
-            sid, _, lhs, rhs, _ = self.comp[i]
-            if (rhs in rb and a in self.influencers(lhs)) or (
-                lhs in rb and a in self.influencers(rhs)
-            ):
-                out.append(sid)
-        return tuple(out)
+        if (rows := self._compare_rows.get(b)) is None:
+            rb = self.influenced(b)
+            rows = self._compare_rows[b] = []
+            for i in sorted(self.comp_rows_of(rb)):
+                sid, _, lhs, rhs, _ = self.comp[i]
+                rows.append((sid, [x for x, y in ((lhs, rhs), (rhs, lhs)) if y in rb]))
+        return tuple(
+            sid for sid, others in rows if any(a in self.influencers(x) for x in others)
+        )
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
@@ -197,69 +207,60 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     # Loads whose slot the constant folding cannot name.
     unnamed_loads: list[str] = []
 
-    def call(s: IrStatement) -> None:
-        if len(s.args) >= 3:
-            external_call.append((s.sid, s.args[0], s.args[2]))
-            for i, a in enumerate(s.args[3:]):
-                call_arg.append((s.sid, a, i))
-        else:
-            plain_calls.append(s)
-
-    def compare(s: IrStatement) -> None:
-        comp.append((s.sid, OP_NAMES[s.opcode], s.args[0], s.args[1], s.defvar))
-
-    def sload(s: IrStatement) -> None:
-        if (slot := _const_of(constant, s.args[0])) is not None:
-            sloads.append(StorageOp(s.sid, slot, s.defvar))
-        else:
-            unnamed_loads.append(s.defvar)
-
-    def sstore(s: IrStatement) -> None:
-        if (slot := _const_of(constant, s.args[0])) is not None:
-            sstores.append(StorageOp(s.sid, slot, s.args[1]))
-
-    # Opcodes missing here add to no relation.
-    record = {
-        Opcode.CALL: call,
-        **dict.fromkeys(
-            ARITH_OPS, lambda s: math_op.append((s.defvar, OP_NAMES[s.opcode], s.args))
-        ),
-        **dict.fromkeys(COMPARE_OPS, compare),
-        Opcode.SLOAD: sload,
-        Opcode.SSTORE: sstore,
-        Opcode.CALLER: lambda s: caller_defs.append(s.defvar),
-        Opcode.TIMESTAMP: lambda s: timestamp_defs.append(s.defvar),
-    }.get
     # The dataflow graph.  A PHI may use a variable before its definition,
     # so a node is made when first met and never reset.
     succ: dict[str, list[str]] = {p: [] for fn in program.functions for p in fn.params}
     pred: dict[str, list[str]] = {p: [] for p in succ}
     private_calls: list[tuple[str, str, str | None]] = []  # (caller, callee, def)
     returned: dict[str, list[Operand]] = {}  # function -> values it returns
-    CALLPRIVATE, CALL = Opcode.CALLPRIVATE, Opcode.CALL
+    # Enum members are class attributes, slow to look up in a loop.
+    SLOAD, SSTORE, CALLER, TIMESTAMP = Opcode.SLOAD, Opcode.SSTORE, Opcode.CALLER, Opcode.TIMESTAMP
+    CALL, CALLPRIVATE = Opcode.CALL, Opcode.CALLPRIVATE
+    RETURNPRIVATE, JUMPI = TermKind.RETURNPRIVATE, TermKind.JUMPI
     for fn in program.functions:
         for b in fn.blocks:
             for s in b.statements:
-                op, d = s.opcode, s.defvar
-                if (f := record(op)) is not None:
-                    f(s)
+                sid, op, d, args, uses = s
                 if d is not None:
                     succ.setdefault(d, [])
                     pred.setdefault(d, [])
-                if op is CALLPRIVATE:
-                    private_calls.append((fn.name, s.callee, d))
-                    formals = program.function(s.callee).params
-                    for actual, formal in zip(s.args[1:], formals):
+                    # External call results are fresh, unconstrained sources.
+                    if op is not CALL and op is not CALLPRIVATE:
+                        pred[d] += uses
+                        for v in uses:
+                            succ.setdefault(v, []).append(d)
+                # Opcodes missing here add to no relation.
+                if op in ARITH_OPS:
+                    math_op.append((d, OP_NAMES[op], args))
+                elif op in COMPARE_OPS:
+                    comp.append((sid, OP_NAMES[op], args[0], args[1], d))
+                elif op is SLOAD:
+                    if (slot := _const_of(constant, args[0])) is not None:
+                        sloads.append(StorageOp(sid, slot, d))
+                    else:
+                        unnamed_loads.append(d)
+                elif op is SSTORE:
+                    if (slot := _const_of(constant, args[0])) is not None:
+                        sstores.append(StorageOp(sid, slot, args[1]))
+                elif op is CALL:
+                    if len(args) >= 3:
+                        external_call.append((sid, args[0], args[2]))
+                        call_arg += [(sid, a, i) for i, a in enumerate(args[3:])]
+                    else:
+                        plain_calls.append(s)
+                elif op is CALLER:
+                    caller_defs.append(d)
+                elif op is TIMESTAMP:
+                    timestamp_defs.append(d)
+                elif op is CALLPRIVATE:
+                    private_calls.append((fn.name, args[0], d))
+                    formals = program.function(args[0]).params
+                    for actual, formal in zip(args[1:], formals):
                         if isinstance(actual, str):
                             succ.setdefault(actual, []).append(formal)
                             pred[formal].append(actual)
-                elif d is not None and op is not CALL:
-                    # External call results are fresh, unconstrained sources.
-                    pred[d] += s.uses
-                    for v in s.uses:
-                        succ.setdefault(v, []).append(d)
             t = b.terminator
-            if t.kind is TermKind.RETURNPRIVATE:
+            if t.kind is RETURNPRIVATE:
                 returned.setdefault(fn.name, []).extend(t.values)
     # Returned values flow to the def at every site calling the function.
     for _, callee, d in private_calls:
@@ -271,15 +272,12 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     for load in sloads:
         slot_loads.setdefault(load.slot, []).append(load.value)
 
-    func_arg = [
-        (fn.selector, p, i)
-        for fn in program.public_functions()
-        for i, p in enumerate(fn.params)
-    ]
-
     controls: list[tuple[str, str, bool]] = []
     arms: list[tuple[IrFunction, str, tuple[str, frozenset[str]] | None]] = []
     for fn in program.functions:
+        # Without a JUMPI nothing is control dependent and there is no branch.
+        if all(b.terminator.kind is not JUMPI for b in fn.blocks):
+            continue
         deps, fn_arms = branch_structure(fn)
         controls += [
             (cond, sid, outcome)
@@ -300,13 +298,13 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         """What the statements of `blocks` may set (see `Branch.sets`)."""
         out: set[str] = set()
         for bid in blocks:
-            for s in fn.block(bid).statements:
-                if s.opcode is Opcode.CALLPRIVATE:
+            for _, op, d, args, _ in fn.block(bid).statements:
+                if op is CALLPRIVATE:
                     return None
-                if s.defvar is not None:
-                    out.add(s.defvar)
-                if s.opcode is Opcode.SSTORE:
-                    slot = _const_of(constant, s.args[0])
+                if d is not None:
+                    out.add(d)
+                if op is SSTORE:
+                    slot = _const_of(constant, args[0])
                     out.update(every_load if slot is None else slot_loads.get(slot, ()))
                     out.update(unnamed_loads)
         return frozenset(out)
@@ -322,7 +320,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         for selector in fn_selectors[fn.name]:
             branches.setdefault(selector, []).append(br)
 
-    comp.sort(key=repr)
+    comp.sort()  # by sid, as their reprs sort: sids are unique, of `\w` and dots
     comp_rows: dict[str, list[int]] = {}
     for i, (_, _, lhs, rhs, _) in enumerate(comp):
         for v in {lhs, rhs}:
@@ -332,14 +330,14 @@ def derive_base_facts(program: IrProgram) -> FactDb:
     return FactDb(
         program=program,
         constant=constant,
-        external_call=tuple(sorted(external_call, key=repr)),
-        call_arg=tuple(sorted(call_arg, key=repr)),
-        math_op=tuple(sorted(math_op, key=repr)),
-        func_arg=tuple(sorted(func_arg)),
-        controls=tuple(sorted(controls, key=repr)),
-        stmt_func={
-            s.sid: fn_selectors[fn.name] for fn, _, s in program.statements()
-        },
+        external_call=tuple(external_call),
+        call_arg=tuple(call_arg),
+        math_op=tuple(math_op),
+        func_arg=tuple(
+            (f.selector, p, i) for f in program.public_functions() for i, p in enumerate(f.params)
+        ),
+        controls=tuple(controls),
+        fn_selectors=fn_selectors,
         comp=tuple(comp),
         add_operands={d: ops for d, op, ops in math_op if op == "add"},
         comp_rows={v: tuple(rows) for v, rows in comp_rows.items()},
@@ -404,13 +402,16 @@ def _fold_constants(program: IrProgram) -> dict[str, int]:
     out: dict[str, int] = {}
     users: dict[str, list[IrStatement]] = {}
     work: list[IrStatement] = []
-    for _, _, s in program.statements():
-        if s.opcode is Opcode.CONST:
-            out[s.defvar] = s.args[0] % WORD
-        elif s.opcode in _FOLD:
-            work.append(s)
-            for v in s.uses:
-                users.setdefault(v, []).append(s)
+    CONST = Opcode.CONST
+    for fn in program.functions:
+        for b in fn.blocks:
+            for s in b.statements:
+                if (op := s.opcode) is CONST:
+                    out[s.defvar] = s.args[0] % WORD
+                elif op in _FOLD:
+                    work.append(s)
+                    for v in s.uses:
+                        users.setdefault(v, []).append(s)
 
     def val(op: Operand) -> int | None:
         if isinstance(op, int):
@@ -418,15 +419,15 @@ def _fold_constants(program: IrProgram) -> dict[str, int]:
         return out.get(op)
 
     while work:
-        s = work.pop()
-        if s.defvar in out:
+        _, op, d, (x, y), _ = work.pop()
+        if d in out:
             continue
-        a, b = val(s.args[0]), val(s.args[1])
+        a, b = val(x), val(y)
         if a is None or b is None:
             continue
-        if (value := _FOLD[s.opcode](a, b)) is not None:
-            out[s.defvar] = value
-            work += users.get(s.defvar, ())
+        if (value := _FOLD[op](a, b)) is not None:
+            out[d] = value
+            work += users.get(d, ())
     return out
 
 

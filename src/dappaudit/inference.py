@@ -174,21 +174,17 @@ def infer_storage_roles(
 
     # A load whose value decides whether a nonzero constant is stored back
     # to the same slot marks a pause flag.
+    flag_stores: dict[int, list[str]] = {}
+    for store in db.sstores:
+        if db.const_of(store.value):
+            flag_stores.setdefault(store.slot, []).append(store.sid)
     for load in db.sloads:
-        for store in db.sstores:
-            if store.slot != load.slot:
-                continue
-            stored = db.const_of(store.value)
-            if stored is None or stored == 0:
-                continue
-            if not db.value_controls(load.value, store.sid):
-                continue
-            for selector in sorted(db.selectors_of(load.sid)):
-                found.append(
-                    StorageRoleFact(
-                        StorageRole.PAUSE, load.slot, selector, RULE_PAUSE_GUARD, store.sid
-                    )
-                )
+        for site in flag_stores.get(load.slot, ()):
+            if db.value_controls(load.value, site):
+                found += [
+                    StorageRoleFact(StorageRole.PAUSE, load.slot, sel, RULE_PAUSE_GUARD, site)
+                    for sel in sorted(db.selectors_of(load.sid))
+                ]
 
     # One fact per (role, slot, selector); earlier rules win.
     found.sort(key=lambda f: (f.role.value, f.slot, f.selector, _RULE_ORDER[f.rule], f.site))

@@ -5,6 +5,7 @@ import gc
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,45 @@ function g public sig 0x00000002 params (vb) {{
     db = build_facts(parse_ir(text))
     assert db.selectors_of("helper.H0.0") == frozenset({"0x00000001", "0x00000002"})
     assert db.selectors_of("f.B0.0") == frozenset({"0x00000001"})
+
+
+def _lookup_programs():
+    """The 14 corpus contracts and the 200 random programs of criterion 2."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    for ir in sorted(corpus.glob("*.ir")):
+        yield ir.stem, parse_ir(ir.read_text())
+    rng = random.Random(1202)
+    for i in range(200):
+        yield f"random {i}", random_program(rng)
+
+
+def test_statement_lookups_agree_with_the_program():
+    from test_inference import _naive_selectors
+
+    for name, program in _lookup_programs():
+        db = build_facts(program)
+        stmt_func = db.stmt_func
+        reach = _naive_selectors(program)
+        for fn, b, s in program.statements():
+            assert db.selectors_of(s.sid) == stmt_func[s.sid] == reach[fn.name], (name, s.sid)
+            assert program.statement(s.sid) is s, (name, s.sid)
+        for fn in program.functions:
+            b = next((b for b in fn.blocks if b.statements), None)
+            if b is None:
+                continue
+            for sid in (
+                f"nofn.{b.bid}.0",
+                f"{fn.name}.noblock.0",
+                f"{fn.name}.{b.bid}.{len(b.statements)}",
+                f"{fn.name}.{b.bid}.-1",
+                f"{fn.name}.{b.bid}",
+                f"{fn.name}.{b.bid}.0.0",
+                f"{fn.name}.{b.bid}.00",
+            ):
+                with pytest.raises(KeyError):
+                    program.statement(sid)
+    with pytest.raises(KeyError):
+        parse_ir(ERC20_CALL).statement("f.B0.-1")
 
 
 def test_func_arg_indexes_public_params_only():

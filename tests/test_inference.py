@@ -1,7 +1,9 @@
 """Induced-fact rules, pinned by hand examples and random-program oracles."""
 from __future__ import annotations
 
+import gc
 import random
+import time
 
 from dappaudit.facts import build_facts
 from dappaudit.inference import (
@@ -323,6 +325,44 @@ function pz public sig 0x00000009 params () {{
 """
     )
     assert infer_storage_roles(db2) == ()
+
+
+def test_pause_rule_grows_linearly_in_slots():
+    # n constant slots, each loaded once and set to 1 once.  Matching every
+    # load against every store costs n**2: 4x the time per doubling.
+    def flags(n: int):
+        body = [line for i in range(n) for line in (f"vl{i} = SLOAD {i}", f"SSTORE {i} 1")]
+        return _facts(
+            "\n".join(
+                [
+                    f"contract {ADDR}",
+                    "function f public sig 0x00000001 params () {",
+                    "  block B0:",
+                    *(f"    {k}: {line}" for k, line in enumerate(body)),
+                    "    stop",
+                    "}",
+                    "",
+                ]
+            )
+        )
+
+    def wall(db) -> float:
+        start = time.perf_counter()
+        assert infer_storage_roles(db) == ()
+        return time.perf_counter() - start
+
+    small, large = flags(2000), flags(4000)
+    best_small = best_large = float("inf")
+    # Best of 3, the sizes alternating and the collector off (see the chain
+    # tests in test_facts.py).
+    gc.disable()
+    try:
+        for _ in range(3):
+            best_small = min(best_small, wall(small))
+            best_large = min(best_large, wall(large))
+    finally:
+        gc.enable()
+    assert best_large <= 3 * best_small, (best_small, best_large)
 
 
 def test_role_dedup_prefers_earlier_rule():
