@@ -4,8 +4,8 @@ The stored relations: constants (with folding), external calls, call
 arguments, math ops, function arguments, control dependence, function
 ownership by public selector, syntactic comparisons, and the storage and
 environment relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP,
-plain CALL).  All are collected once, when the database is built, in
-program order but for `comp`, sorted; `stmt_func` is a derived view.
+plain CALL).  All are collected once, when the database is built, and
+kept in program order, except the sorted `comp`; `stmt_func` is a view.
 
 The same pass records the dataflow graph, one step in both directions:
 operands flow into the def (a CALL's result is a fresh source), actuals

@@ -194,10 +194,11 @@ class IrProgram:
         name, _, rest = sid.partition(".")
         bid, _, index = rest.partition(".")
         stmts = self._fn_index[name].block(bid).statements
-        # The last check rejects a non-canonical index such as "01".
-        if not index.isdecimal() or int(index) >= len(stmts) or stmts[int(index)].sid != sid:
+        i = int(index) if index.isdecimal() else len(stmts)
+        # A non-canonical index such as "01" finds a statement with another sid.
+        if i >= len(stmts) or stmts[i].sid != sid:
             raise KeyError(sid)
-        return stmts[int(index)]
+        return stmts[i]
 
     def address_int(self) -> int:
         return int(self.address, 16)

@@ -14,6 +14,7 @@ from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
 from dappaudit.pipeline import analyze_ir
 from helpers import ADDR, floyd_warshall_dataflow, random_program
+from test_inference import _naive_selectors
 
 ERC20_CALL = f"""contract {ADDR}
 function f public sig 0x00000001 params (vT, vV, vR, vA) {{
@@ -159,8 +160,6 @@ def _lookup_programs():
 
 
 def test_statement_lookups_agree_with_the_program():
-    from test_inference import _naive_selectors
-
     for name, program in _lookup_programs():
         db = build_facts(program)
         stmt_func = db.stmt_func
