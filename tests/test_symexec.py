@@ -838,6 +838,90 @@ def test_private_block_counters_reset_per_invocation():
 
 
 # ---------------------------------------------------------------------------
+# Executor: modelling conventions
+
+
+COMPUTED_SLOT_LOAD = f"""\
+contract {ADDR}
+function sweep public sig 0x00000013 params (vx) {{
+  block L0:
+    0: v0 = CONST 0
+    jump L1
+  block L1:
+    0: vi = PHI vn v0
+    1: vacc = PHI vsum v0
+    2: vk = ADD vx vi
+    3: vl = SLOAD vk
+    4: vsum = ADD vacc vl
+    5: vn = ADD vi 1
+    6: vc = LT vn 3
+    jumpi vc L1 L2
+  block L2:
+    0: vo = CONST 0xbeef
+    1: CALL vo vsum
+    stop
+}}
+"""
+
+COMPUTED_SLOT_STORE = f"""\
+contract {ADDR}
+function poke public sig 0x00000014 params (vx, vamt) {{
+  block K0:
+    0: SSTORE vx vamt
+    1: vy = SLOAD 3
+    2: vo = CONST 0xbeef
+    3: CALL vo vy
+    stop
+}}
+"""
+
+OTHER_BALANCE = f"""\
+contract {ADDR}
+function drain public sig 0x00000015 params (vx) {{
+  block B0:
+    0: va = BALANCE 0xbeef
+    1: vb = BALANCE vx
+    2: vc = BALANCE {ADDR}
+    3: vab = ADD va vb
+    4: vt = ADD vab vc
+    5: vo = CALLER
+    6: CALL vo vt
+    stop
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, selector, amount",
+    [
+        # Each visit of the load binds a new unknown, numbered by how often
+        # the path has run the statement so far.
+        (
+            COMPUTED_SLOT_LOAD,
+            "0x00000013",
+            "add(add(add(0, sload(sweep.L1.3#0)), sload(sweep.L1.3#1)),"
+            " sload(sweep.L1.3#2))",
+        ),
+        # The store names no slot, so it is dropped.
+        (COMPUTED_SLOT_STORE, "0x00000014", "store(3)"),
+        # Only the contract's own address reads the balance of self.
+        (
+            OTHER_BALANCE,
+            "0x00000015",
+            "add(add(balance(48879), balance(calldata(0x00000015,0))),"
+            " balance(self))",
+        ),
+    ],
+)
+def test_modelling_conventions_of_loads_stores_and_balances(text, selector, amount):
+    program, plan = _prog_and_plan(text)
+    res = execute_function(program, selector, plan)
+    assert not res.budget_exceeded
+    (cp,) = [c for c in res.checkpoints if c.opcode == "CALL"]
+    assert render(cp.args[1]) == amount
+
+
+# ---------------------------------------------------------------------------
 # Executor: limits and capture discipline
 
 
