@@ -49,22 +49,20 @@ from .model import IrFunction, Operand, TermKind
 
 EXIT = "__exit__"
 
-# Terminators that leave the function (edges to the synthetic exit).
-_EXITING = {TermKind.RETURN, TermKind.RETURNPRIVATE, TermKind.REVERT, TermKind.STOP}
-
 
 def _successors(fn: IrFunction) -> dict[str, list[tuple[str, bool | None]]]:
+    """Block id -> (successor, branch outcome) pairs; every terminator but
+    a jump leaves the function, an edge to the synthetic exit."""
+    JUMP, JUMPI = TermKind.JUMP, TermKind.JUMPI
     succ: dict[str, list[tuple[str, bool | None]]] = {}
     for b in fn.blocks:
         t = b.terminator
-        if t.kind is TermKind.JUMP:
+        if t.kind is JUMP:
             succ[b.bid] = [(t.targets[0], None)]
-        elif t.kind is TermKind.JUMPI:
+        elif t.kind is JUMPI:
             succ[b.bid] = [(t.targets[0], True), (t.targets[1], False)]
-        elif t.kind in _EXITING:
+        else:
             succ[b.bid] = [(EXIT, None)]
-        else:  # pragma: no cover - enum is closed
-            raise AssertionError(t.kind)
     return succ
 
 
@@ -87,12 +85,13 @@ def branch_structure(
     ipdom: dict[str, str] | None = None
     sink_ipdom: dict[str, str] | None = None
 
+    JUMPI = TermKind.JUMPI
     deps: dict[str, set[tuple[Operand, bool]]] = {n: set() for n in order}
     arms: dict[str, tuple[str, frozenset[str]] | None] = {}
     for b in fn.blocks:
         t = b.terminator
         # A branch that never executes controls nothing.
-        if t.kind is not TermKind.JUMPI or b.bid not in reachable:
+        if t.kind is not JUMPI or b.bid not in reachable:
             continue
         if ipdom is None:
             ipdom = _post_dominators(order, succ)

@@ -61,7 +61,6 @@ from .graphs import AnalysisPlan
 from .model import (
     IrFunction,
     IrProgram,
-    IrStatement,
     OP_NAMES,
     Opcode,
     Operand,
@@ -124,14 +123,6 @@ class ExecutionResult:
         )
 
 
-@dataclass(frozen=True)
-class _Frame:
-    fn_name: str
-    bid: str
-    idx: int
-    defvar: str | None
-
-
 @dataclass
 class _State:
     fn: IrFunction
@@ -142,7 +133,8 @@ class _State:
     path: tuple[SymExpr, ...]
     depth: int
     counts: dict[tuple[str, str], int]
-    stack: list[_Frame]
+    # Private-call frames: (caller, block id, next statement, definition).
+    stack: list[tuple[IrFunction, str, int, str | None]]
     occ: dict[str, int]
     # A budget cut this path, a fork of it, or a value it bound.
     budget_hit: bool = False
@@ -242,32 +234,87 @@ def _run_path(
     captured: list[CheckpointState],
     stack: list[_State],
 ) -> None:
+    JUMP, JUMPI, RETURNPRIVATE = TermKind.JUMP, TermKind.JUMPI, TermKind.RETURNPRIVATE
+    ISZERO, CONST, SLOAD, SSTORE = Opcode.ISZERO, Opcode.CONST, Opcode.SLOAD, Opcode.SSTORE
+    CALLER, CALLVALUE, TIMESTAMP = Opcode.CALLER, Opcode.CALLVALUE, Opcode.TIMESTAMP
+    BALANCE, PHI, CALL = Opcode.BALANCE, Opcode.PHI, Opcode.CALL
+    env = st.env
     while True:
         block = st.fn.block(st.bid)
         if st.idx < len(block.statements):
-            s = block.statements[st.idx]
+            sid, op, d, args, _ = block.statements[st.idx]
             st.idx += 1
-            if s.sid in targets:
+            if sid in targets:
                 captured.append(
                     CheckpointState(
-                        checkpoint=s.sid,
+                        checkpoint=sid,
                         selector=selector,
-                        opcode=s.opcode.value,
-                        args=tuple(_resolve(st, a) for a in s.args),
+                        opcode=op.value,
+                        args=tuple(_resolve(st, a) for a in args),
                         path=st.path,
                         feasibility=check_feasible(st.path),
                     )
                 )
-            if not _STATEMENTS[s.opcode](program, st, s, limits):
-                return
+            name = OP_NAMES.get(op)
+            if name is not None or op is ISZERO:
+                x = _resolve(st, args[0])
+                value = iszero(x) if name is None else binop(name, x, _resolve(st, args[1]))
+                if value.size > MAX_EXPR_NODES:
+                    value = fresh(f"opaque({sid}#{_occ(st, sid)})")
+                    st.budget_hit = True
+                env[d] = value
+            elif op is CONST:
+                env[d] = const(args[0])
+            elif op is SLOAD:
+                slot = _resolve(st, args[0])
+                if slot.is_const:
+                    env[d] = st.storage.get(slot.value, store(slot.value))
+                else:
+                    env[d] = fresh(f"sload({sid}#{_occ(st, sid)})")
+            elif op is SSTORE:
+                slot = _resolve(st, args[0])
+                if slot.is_const:
+                    st.storage[slot.value] = _resolve(st, args[1])
+            elif op is CALLER:
+                env[d] = caller()
+            elif op is CALLVALUE:
+                env[d] = callvalue()
+            elif op is TIMESTAMP:
+                env[d] = timestamp()
+            elif op is BALANCE:
+                addr = _resolve(st, args[0])
+                if addr.is_const and addr.value == program.address_int():
+                    env[d] = balance_self()
+                else:
+                    env[d] = fresh(f"balance({render(addr)})")
+            elif op is PHI:
+                in_op, out_op = args
+                count = st.counts.get((st.fn.name, st.bid), 1)
+                if count <= limits.loop_bound and (isinstance(in_op, int) or in_op in env):
+                    env[d] = _resolve(st, in_op)
+                else:
+                    env[d] = _resolve(st, out_op)
+            elif op is CALL:
+                if d is not None:
+                    env[d] = fresh(f"ext({sid}#{_occ(st, sid)})")
+            else:  # CALLPRIVATE
+                callee = program.function(args[0])
+                for formal, actual in zip(callee.params, args[1:]):
+                    env[formal] = _resolve(st, actual)
+                st.stack.append((st.fn, st.bid, st.idx, d))
+                for b in callee.blocks:
+                    st.counts[(callee.name, b.bid)] = 0
+                st.fn = callee
+                if not _transition(st, limits, callee.entry.bid):
+                    return
             continue
 
         t = block.terminator
-        if t.kind is TermKind.JUMP:
+        if t.kind is JUMP:
             if not _transition(st, limits, t.targets[0]):
                 return
             continue
-        if t.kind is TermKind.JUMPI:
+        if t.kind is JUMPI:
             cond = _resolve(st, t.cond)
             target = None
             if cond.is_const:
@@ -288,122 +335,15 @@ def _run_path(
             if not _transition(st, limits, t.targets[0]):
                 return
             continue
-        if t.kind is TermKind.RETURNPRIVATE:
+        if t.kind is RETURNPRIVATE:
             if not st.stack:
                 return
-            frame = st.stack.pop()
-            if frame.defvar is not None:
-                st.env[frame.defvar] = (
-                    _resolve(st, t.values[0]) if t.values else const(0)
-                )
-            st.fn = program.function(frame.fn_name)
-            st.bid = frame.bid
-            st.idx = frame.idx
+            st.fn, st.bid, st.idx, d = st.stack.pop()
+            if d is not None:
+                env[d] = _resolve(st, t.values[0]) if t.values else const(0)
             continue
         # RETURN / REVERT / STOP end the path.
         return
-
-
-def _bind_op(st: _State, s: IrStatement, value: SymExpr) -> bool:
-    """Bind an operator's value, or an opaque leaf past the size budget."""
-    if value.size > MAX_EXPR_NODES:
-        value = fresh(f"opaque({s.sid}#{_occ(st, s.sid)})")
-        st.budget_hit = True
-    st.env[s.defvar] = value
-    return True
-
-
-def _binop(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    value = binop(OP_NAMES[s.opcode], _resolve(st, s.args[0]), _resolve(st, s.args[1]))
-    return _bind_op(st, s, value)
-
-
-def _iszero(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    return _bind_op(st, s, iszero(_resolve(st, s.args[0])))
-
-
-def _leaf(make):
-    def run(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-        st.env[s.defvar] = make()
-        return True
-
-    return run
-
-
-def _const(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    st.env[s.defvar] = const(s.args[0])
-    return True
-
-
-def _balance(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    addr = _resolve(st, s.args[0])
-    if addr.is_const and addr.value == program.address_int():
-        st.env[s.defvar] = balance_self()
-    else:
-        st.env[s.defvar] = fresh(f"balance({render(addr)})")
-    return True
-
-
-def _sload(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    slot = _resolve(st, s.args[0])
-    if slot.is_const:
-        st.env[s.defvar] = st.storage.get(slot.value, store(slot.value))
-    else:
-        st.env[s.defvar] = fresh(f"sload({s.sid}#{_occ(st, s.sid)})")
-    return True
-
-
-def _sstore(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    slot = _resolve(st, s.args[0])
-    if slot.is_const:
-        st.storage[slot.value] = _resolve(st, s.args[1])
-    return True
-
-
-def _phi(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    in_op, out_op = s.args
-    count = st.counts.get((st.fn.name, st.bid), 1)
-    in_bound = isinstance(in_op, int) or in_op in st.env
-    if count <= limits.loop_bound and in_bound:
-        st.env[s.defvar] = _resolve(st, in_op)
-    else:
-        st.env[s.defvar] = _resolve(st, out_op)
-    return True
-
-
-def _call(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    if s.defvar is not None:
-        st.env[s.defvar] = fresh(f"ext({s.sid}#{_occ(st, s.sid)})")
-    return True
-
-
-def _callprivate(program: IrProgram, st: _State, s: IrStatement, limits: Limits) -> bool:
-    callee = program.function(s.callee)
-    for formal, actual in zip(callee.params, s.args[1:]):
-        st.env[formal] = _resolve(st, actual)
-    st.stack.append(_Frame(st.fn.name, st.bid, st.idx, s.defvar))
-    for b in callee.blocks:
-        st.counts[(callee.name, b.bid)] = 0
-    st.fn = callee
-    return _transition(st, limits, callee.entry.bid)
-
-
-# Opcode -> handler that runs the statement on a state; a handler returns
-# False when the path ends inside the statement.
-_STATEMENTS = {
-    **{op: _binop for op in OP_NAMES},
-    Opcode.CONST: _const,
-    Opcode.ISZERO: _iszero,
-    Opcode.CALLER: _leaf(caller),
-    Opcode.CALLVALUE: _leaf(callvalue),
-    Opcode.TIMESTAMP: _leaf(timestamp),
-    Opcode.BALANCE: _balance,
-    Opcode.SLOAD: _sload,
-    Opcode.SSTORE: _sstore,
-    Opcode.PHI: _phi,
-    Opcode.CALL: _call,
-    Opcode.CALLPRIVATE: _callprivate,
-}
 
 
 def _occ(st: _State, sid: str) -> int:

@@ -41,6 +41,11 @@ class ConfigError(ValueError):
     """A RunConfig that cannot be executed as requested."""
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError("jobs must be positive")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     ir_path: Path
@@ -62,8 +67,7 @@ class RunConfig:
             )
         if self.chain_mock is not None and self.chain_rpc is not None:
             raise ConfigError("choose one chain backend: mock file or RPC URL")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be positive")
+        _check_jobs(self.jobs)
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ def extract_from_description(
     description: str, client: LlmClient, jobs: int = 1
 ) -> FrontendAttributes:
     """Ask the endpoint about every attribute and assemble the answers."""
+    _check_jobs(jobs)
     responses: list[LabeledResponse] = []
     for kind, attributes in (
         ("numeric", NUMERIC_ATTRIBUTES),
@@ -173,6 +178,7 @@ def audit_many(
     """Audit each config; report order follows config order regardless of
     jobs, and every config names its own output path, so parallel runs
     are byte-identical to sequential ones."""
+    _check_jobs(jobs)
     if jobs == 1:
         return [audit_contract(c) for c in configs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -486,6 +486,22 @@ def test_extract_without_endpoint_exits_two(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["audit", "extract"])
+def test_zero_jobs_exits_two_before_any_work(corpus_dir, capsys, command):
+    desc = corpus_dir / "desc.txt"
+    desc.write_text("A token with no promises at all.")
+    out = corpus_dir / "out"
+    with local_endpoint(_answer_no) as (url, log):
+        if command == "audit":
+            args = [*_dir_args(corpus_dir, out, jobs=0), "--llm-endpoint", url]
+        else:
+            args = ["extract", "--description", str(desc), "--endpoint", url, "--jobs", "0"]
+        assert main(args) == 2
+    assert capsys.readouterr() == ("", "error: jobs must be positive\n")
+    assert not out.exists()
+    assert log == []
+
+
 def test_audit_from_description_via_endpoint(workdir, llm_server, capsys):
     desc = workdir / "desc.txt"
     desc.write_text("Deposit and enjoy. Nothing is promised.")

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
 private name and every field of a dataclass or `NamedTuple` record is
-used, only `facts.py` touches the storage of the dataflow graph and its
-closure, and only `transport.py` imports `urllib`."""
+used, every function reads each of its parameters, only `facts.py`
+touches the storage of the dataflow graph and its closure, and only
+`transport.py` imports `urllib`."""
 from __future__ import annotations
 
 import ast
@@ -145,6 +146,36 @@ def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str
         for f in fields
         if f[3] not in read and (f[2], f[3]) not in UNREAD_FIELDS_KEPT
     ]
+
+
+def unread_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) for each parameter of a `def` that its
+    body never reads, by line and then in parameter order.
+
+    `self` and `cls` are exempt, as is a body that is only `...` (a
+    protocol's method).  A read is a load of the bare name anywhere in the
+    body, a nested function or lambda included.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if [ast.unparse(stmt) for stmt in node.body] == ["..."]:
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            (p.lineno, node.name, p.arg)
+            for p in params
+            if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return sorted(found, key=lambda f: f[0])
 
 
 # Attributes holding the dataflow graph, its closure and the memos of its
@@ -305,6 +336,38 @@ def test_package_has_no_unread_dataclass_fields():
         f"{m}:{line}: {cls}.{name}" for m, line, cls, name in unread_dataclass_fields(sources)
     ]
     assert unread == [], "dataclass fields nothing reads:\n" + "\n".join(unread)
+
+
+def test_unread_parameters_are_detected():
+    source = (
+        "class Chain(Protocol):\n"
+        "    def get(self, slot: int) -> int: ...\n"
+        "    @classmethod\n"
+        "    def make(cls, path, *rest, mode=1, **opts):\n"
+        "        return rest, opts\n"
+        "def run(program, st, s, limits):\n"
+        "    st.env[s.defvar] = lambda: program\n"
+        "    return True\n"
+        "def store(st, s):\n"
+        "    s = st\n"
+    )
+    assert unread_parameters(source) == [
+        (4, "make", "path"),
+        (4, "make", "mode"),
+        (6, "run", "limits"),
+        (9, "store", "s"),
+    ]
+
+
+def test_package_functions_read_every_parameter():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    unread = [
+        f"{path.name}:{line}: {fn}({param})"
+        for path in modules
+        for line, fn, param in unread_parameters(path.read_text())
+    ]
+    assert unread == [], "parameters a function never reads:\n" + "\n".join(unread)
 
 
 def test_closure_accesses_are_detected():
