@@ -162,14 +162,10 @@ def _year_marked(toks: Sequence[Token], i: int) -> bool:
     return any(t.text.lower() in _YEAR_WORDS for t in window)
 
 
-def extract_numeric(
-    text: str,
-    attribute: str,
-    synonyms: Sequence[str] | None = None,
-) -> Fraction | int | None:
+def extract_numeric(text: str, attribute: str) -> Fraction | int | None:
     if attribute not in NUMERIC_ATTRIBUTES:
         raise ValueError(f"unknown numeric attribute {attribute!r}")
-    anchor_words = frozenset(w.lower() for w in (synonyms or load_synonyms(attribute)))
+    anchor_words = frozenset(load_synonyms(attribute))
     toks = DEFAULT_TOKENIZER.tokens(text)
     anchors = [
         i for i, t in enumerate(toks) if t.tag == "word" and t.text.lower() in anchor_words

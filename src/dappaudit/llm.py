@@ -4,16 +4,15 @@ The model sits behind an HTTP endpoint: POST {"prompt": ...} returns
 {"text": ...}. The transport is injectable so tests run against canned
 responses; the endpoint URL comes from the argument or LLM_ENDPOINT_URL.
 Requests go through `transport`, which opens only `http` and `https` URLs
-and retries transient failures.
+and retries transient failures. The client sends one prompt per call;
+the pipeline decides how many are in flight.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .prompts import PromptBundle
 from .transport import post_json, request
 
 ENDPOINT_ENV = "LLM_ENDPOINT_URL"
@@ -40,11 +39,3 @@ class LlmClient:
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
             raise LlmError("endpoint response missing text field")
         return body["text"]
-
-    def run_bundle(self, bundle: PromptBundle, jobs: int = 1) -> list[str]:
-        """One response per segment, in segment order."""
-        prompts = [seg.text() for seg in bundle.segments]
-        if jobs <= 1:
-            return [self.complete(p) for p in prompts]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(self.complete, prompts))

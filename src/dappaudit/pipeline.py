@@ -102,18 +102,32 @@ def chain_backend(cfg: RunConfig) -> ChainState | None:
 def extract_from_description(
     description: str, client: LlmClient, jobs: int = 1
 ) -> FrontendAttributes:
-    """Ask the endpoint about every attribute and assemble the answers."""
+    """Ask the endpoint about every attribute and assemble the answers.
+
+    Every segment of every attribute's prompt shares one pool of `jobs`
+    requests; answers keep prompt order, so `jobs` never changes them.
+    """
     _check_jobs(jobs)
-    responses: list[LabeledResponse] = []
-    for kind, attributes in (
-        ("numeric", NUMERIC_ATTRIBUTES),
-        ("boolean", BOOLEAN_ATTRIBUTES),
-    ):
-        for attr in attributes:
-            bundle = build_prompts(description, kind, attribute=attr)
-            for text in client.run_bundle(bundle, jobs=jobs):
-                responses.append(LabeledResponse(attr, text))
-    return extract_attributes(responses)
+    asked = [
+        (attr, segment.text())
+        for kind, attributes in (
+            ("numeric", NUMERIC_ATTRIBUTES),
+            ("boolean", BOOLEAN_ATTRIBUTES),
+        )
+        for attr in attributes
+        for segment in build_prompts(description, kind, attribute=attr).segments
+    ]
+    prompts = [prompt for _, prompt in asked]
+    if jobs == 1:
+        answers = [client.complete(p) for p in prompts]
+    else:
+        pool = ThreadPoolExecutor(max_workers=jobs)
+        try:
+            answers = list(pool.map(client.complete, prompts))
+        finally:
+            # A failed request leaves the queued prompts unsent.
+            pool.shutdown(cancel_futures=True)
+    return extract_attributes([LabeledResponse(a, t) for (a, _), t in zip(asked, answers)])
 
 
 def load_attributes(cfg: RunConfig) -> FrontendAttributes:

@@ -4,8 +4,8 @@ A prompt couples a fixed system template (analyst role plus general
 instructions) and a user template (per-attribute instruction; boolean
 ones carry a short reasoning guide) with one slice of the description.
 Long descriptions are sliced so the whole assembled prompt stays under
-the token limit; the templates are repeated verbatim in every segment
-and only the description is ever split.
+SEGMENT_TOKEN_LIMIT tokens; the templates are repeated verbatim in every
+segment and only the description is ever split.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ class PromptSegment:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    kind: str
-    attribute: str | None
     segments: tuple[PromptSegment, ...]
 
     def description(self) -> str:
@@ -64,11 +62,7 @@ def segment_text(text: str, tokenizer: Tokenizer, budget: int) -> list[str]:
 
 
 def build_prompts(
-    description: str,
-    kind: str,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-    attribute: str | None = None,
-    limit: int = SEGMENT_TOKEN_LIMIT,
+    description: str, kind: str, attribute: str | None = None
 ) -> PromptBundle:
     if not description:
         raise ValueError("description must be nonempty")
@@ -77,13 +71,7 @@ def build_prompts(
     system = _load_template("system.txt")
     user = _load_template(f"{kind}.{attribute or 'generic'}.txt")
     # Budget what is left for the description once the templates and the
-    # joining blank lines are counted by the same tokenizer.
-    overhead = tokenizer.count(PromptSegment(system, user, "").text())
-    budget = limit - overhead
-    if budget < 1:
-        raise ValueError("prompt templates exceed the segment token limit")
-    segments = tuple(
-        PromptSegment(system, user, piece)
-        for piece in segment_text(description, tokenizer, budget)
-    )
-    return PromptBundle(kind=kind, attribute=attribute, segments=segments)
+    # joining blank lines are counted (at most 120 of the 3000 tokens).
+    overhead = DEFAULT_TOKENIZER.count(PromptSegment(system, user, "").text())
+    pieces = segment_text(description, DEFAULT_TOKENIZER, SEGMENT_TOKEN_LIMIT - overhead)
+    return PromptBundle(tuple(PromptSegment(system, user, p) for p in pieces))

@@ -145,8 +145,6 @@ def summarize_semantics(
     cps: list[CheckpointState] = [
         cp for res in executions for cp in res.feasible_checkpoints()
     ]
-    if not cps:
-        return ContractSemantics(address, (), (), (), (), (), None, budget)
 
     written_slots = frozenset(s.slot for s in db.sstores)
 

@@ -1,10 +1,10 @@
 """Lexical layer for description text: tokenization and coarse tagging.
 
-The tokenizer is a pluggable component; the default splits on whitespace
-and punctuation, keeping numbers (with comma groups, decimals, and a
-trailing magnitude letter) as single tokens. Tags distinguish only what
-downstream extraction needs: digit tokens, the percent sign, words, and
-other punctuation.
+One tokenizer, DEFAULT_TOKENIZER, serves both prompt segmentation and
+extraction. It splits on whitespace and punctuation, keeping numbers
+(with comma groups, decimals, and a trailing magnitude letter) as single
+tokens. Tags distinguish only what downstream extraction needs: digit
+tokens, the percent sign, words, and other punctuation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 # Numbers first so "250M" and "1,000.5" survive as one token.
-_DEFAULT_PATTERN = r"\d+(?:,\d{3})*(?:\.\d+)?[KMBkmb]?|[A-Za-z_]+|[^\w\s]"
+_PATTERN = r"\d+(?:,\d{3})*(?:\.\d+)?[KMBkmb]?|[A-Za-z_]+|[^\w\s]"
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ def _tag_of(text: str) -> str:
 class Tokenizer:
     """Regex tokenizer; token starts index into the original text."""
 
-    def __init__(self, pattern: str = _DEFAULT_PATTERN):
-        self._re = re.compile(pattern)
+    def __init__(self):
+        self._re = re.compile(_PATTERN)
 
     def tokens(self, text: str) -> tuple[Token, ...]:
         return tuple(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from dappaudit.parser import parse_ir
 from dappaudit.semantics import summarize_semantics
 
 from helpers import ADDR
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _semantics(text):
@@ -688,6 +691,30 @@ def test_vna_indeterminate_when_chain_down():
     attrs = FrontendAttributes(nft_permanence_claimed=True)
     report = _detect(URI_CONTRACT, attrs, _down_chain())
     (f,) = report.findings
+    assert f.status == "indeterminate"
+
+
+def _uri_getter_only():
+    """The corpus NFT without `setBaseURI`: its URI slot is set outside the
+    IR, so no function stores to it or transfers anything."""
+    text = (FIXTURES / "corpus" / "api_hosted_nft.ir").read_text()
+    start = text.index("function setBaseURI")
+    end = text.index("function name")
+    return text[:start] + text[end:]
+
+
+def test_vna_fires_with_no_checkpoint_in_the_contract():
+    text = _uri_getter_only()
+    assert "SSTORE" not in text and "CALL" not in text
+    attrs = FrontendAttributes(nft_permanence_claimed=True)
+    chain = MockChain.from_file(str(FIXTURES / "chain.json"))
+    (f,) = _detect(text, attrs, chain).findings
+    assert f.type == "VNA"
+    assert f.status is None
+    assert f.evidence["token_uri_slot"] == "0x6"
+    assert f.evidence["storage_class"] == "centralized"
+    (f,) = _detect(text, attrs).findings
+    assert f.type == "VNA"
     assert f.status == "indeterminate"
 
 

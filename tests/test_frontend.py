@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 import warnings
 from fractions import Fraction
 
@@ -15,15 +16,15 @@ from dappaudit.claims import (
     extract_attributes,
     extract_boolean,
     extract_numeric,
-    load_synonyms,
 )
 from dappaudit.llm import LlmClient, LlmError
+from dappaudit.pipeline import extract_from_description
 from dappaudit.prompts import (
     SEGMENT_TOKEN_LIMIT,
     build_prompts,
     segment_text,
 )
-from dappaudit.tokens import DEFAULT_TOKENIZER, Tokenizer
+from dappaudit.tokens import DEFAULT_TOKENIZER
 from dappaudit.transport import ATTEMPTS, post_json
 from helpers import local_endpoint
 
@@ -124,22 +125,6 @@ def test_empty_description_rejected():
         build_prompts("hello", "prose")
 
 
-def test_tiny_limit_rejected_when_templates_do_not_fit():
-    with pytest.raises(ValueError):
-        build_prompts("hello", "numeric", limit=10)
-
-
-def test_custom_tokenizer_budget_respected():
-    # A coarser tokenizer (words only, no punctuation) changes the budget
-    # arithmetic but not the invariants.
-    coarse = Tokenizer(r"\S+")
-    text = _words(5000)
-    bundle = build_prompts(text, "numeric", tokenizer=coarse, limit=2000)
-    assert bundle.description() == text
-    for seg in bundle.segments:
-        assert coarse.count(seg.text()) <= 2000
-
-
 # ---------------------------------------------------------------------------
 # Endpoint client
 
@@ -227,15 +212,37 @@ def test_default_transport_opens_no_file_url(tmp_path):
     assert naps == []
 
 
-def test_run_bundle_keeps_segment_order_regardless_of_jobs():
+def test_one_pool_answers_match_sequential_ones():
     text = _words(8000)
-    bundle = build_prompts(text, "numeric", attribute="reward_rate_percent")
-    post, _ = _canned_post(lambda p: f"len={len(p)}")
-    client = LlmClient(url="http://llm.test", post=post)
-    sequential = client.run_bundle(bundle, jobs=1)
-    threaded = client.run_bundle(bundle, jobs=4)
-    assert sequential == threaded
-    assert len(sequential) == len(bundle.segments)
+    segments = len(build_prompts(text, "numeric").segments)
+    assert segments > 1
+    attrs, sent = [], []
+    for jobs in (1, 4):
+        post, log = _canned_post(lambda p: f"a supply of {len(p)} tokens, yes")
+        client = LlmClient(url="http://llm.test", post=post)
+        # Segments answer different supplies, so the order of the answers
+        # decides which one is kept.
+        with pytest.warns(ConflictingClaims):
+            attrs.append(extract_from_description(text, client, jobs=jobs))
+        sent.append(sorted(log))
+    assert attrs[0] == attrs[1]
+    assert sent[0] == sent[1]
+    assert len(sent[0]) == 8 * segments
+
+
+def test_one_pool_overlaps_the_prompts_of_a_short_description():
+    # Two requests must be in flight at once for the barrier to open; the
+    # single-segment description gives each attribute one prompt, so they
+    # overlap only if the pool spans attributes.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def post(url, payload, timeout):
+        barrier.wait()
+        return {"text": "Answer: no."}
+
+    client = LlmClient(url="http://llm.test", post=post, sleep=lambda s: None)
+    attrs = extract_from_description("a fixed supply of 1,000 tokens", client, jobs=2)
+    assert attrs == FrontendAttributes(nft_permanence_claimed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +299,6 @@ def test_out_of_range_rate_dropped():
 
 def test_no_anchor_means_no_claim():
     assert extract_numeric("the token launched in 2021 at 3%", "fee_rate_percent") is None
-
-
-def test_synonym_order_is_irrelevant():
-    text = "an APY return of 12% with a 2% fee"
-    words = list(load_synonyms("reward_rate_percent"))
-    rng = random.Random(9)
-    for _ in range(5):
-        rng.shuffle(words)
-        assert extract_numeric(text, "reward_rate_percent", synonyms=words) == Fraction(12)
 
 
 def test_extraction_is_deterministic_and_idempotent():
@@ -503,8 +501,8 @@ def test_end_to_end_bundle_to_attributes():
         bundle = build_prompts(description, kind, attribute=attr)
         post, _ = _canned_post(lambda p, reply=reply: reply)
         client = LlmClient(url="http://llm.test", post=post)
-        for text in client.run_bundle(bundle):
-            responses.append(LabeledResponse(attr, text))
+        for seg in bundle.segments:
+            responses.append(LabeledResponse(attr, client.complete(seg.text())))
 
     attrs = extract_attributes(responses)
     assert attrs.reward_rate_percent == Fraction(3)

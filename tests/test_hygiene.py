@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
 private name and every field of a dataclass or `NamedTuple` record is
-used, every function reads each of its parameters, only `facts.py`
+used, every function reads each of its parameters, some call in the
+package passes each defaulted parameter, only `facts.py`
 touches the storage of the dataflow graph and its closure, and only
 `transport.py` imports `urllib`."""
 from __future__ import annotations
@@ -176,6 +177,82 @@ def unread_parameters(source: str) -> list[tuple[int, str, str]]:
             if p is not None and p.arg not in ("self", "cls") and p.arg not in read
         ]
     return sorted(found, key=lambda f: f[0])
+
+
+# Defaulted parameters no package call passes, kept on purpose: tests hand
+# the two HTTP clients a fake transport and clock, and the console script
+# calls `main()` with no argument so that it reads `sys.argv`.
+UNPASSED_DEFAULTS_KEPT = {
+    ("llm.py", "LlmClient", "post"),
+    ("llm.py", "LlmClient", "sleep"),
+    ("chain.py", "RpcChain", "post"),
+    ("chain.py", "RpcChain", "sleep"),
+    ("cli.py", "main", "argv"),
+}
+
+
+def _call_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[tuple[str, int, str, str]]:
+    """(module, line, function, parameter) for each parameter with a
+    default that no call in any module passes, by keyword or by position.
+
+    Calls match a function by name alone, as `f(...)` or `x.f(...)`; an
+    `__init__` goes by its class name, and a leading `self` or `cls` takes
+    no position.  A call with `*args` passes every positional parameter and
+    one with `**kwargs` every parameter.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    defs: list[tuple[str, str, ast.FunctionDef | ast.AsyncFunctionDef]] = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        inits = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (name := _call_name(node)):
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, inits.get(id(node), node.name), node))
+
+    def passed(name: str, param: str, position: int | None) -> bool:
+        for call in calls.get(name, ()):
+            keywords = {k.arg for k in call.keywords}
+            if param in keywords or None in keywords:
+                return True
+            if position is not None and (
+                len(call.args) > position
+                or any(isinstance(a, ast.Starred) for a in call.args)
+            ):
+                return True
+        return False
+
+    found = []
+    for module, name, node in defs:
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        defaulted = [
+            (p, i) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)
+        ]
+        defaulted += [(p, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        found += [
+            (module, p.lineno, name, p.arg)
+            for p, i in defaulted
+            if (module, name, p.arg) not in UNPASSED_DEFAULTS_KEPT
+            and not passed(name, p.arg, None if i is None else i - shift)
+        ]
+    return sorted(found)
 
 
 # Attributes holding the dataflow graph, its closure and the memos of its
@@ -368,6 +445,45 @@ def test_package_functions_read_every_parameter():
         for line, fn, param in unread_parameters(path.read_text())
     ]
     assert unread == [], "parameters a function never reads:\n" + "\n".join(unread)
+
+
+def test_unpassed_defaults_are_detected():
+    sources = {
+        "a.py": (
+            "class Reader:\n"
+            "    def __init__(self, path, mode='r', *, strict=False):\n"
+            "        self.path = path\n"
+            "    def read(self, size=-1, hint=None):\n"
+            "        return size, hint\n"
+            "def build(text, kind, tokenizer=None, limit=10):\n"
+            "    return Reader(text, 'rb').read(4)\n"
+            "def spread(*rest, flag=True, **opts):\n"
+            "    return build(*rest)\n"
+            "def main(argv=None, verbose=False):\n"
+            "    return argv, verbose\n"
+        ),
+        "cli.py": (
+            "def main(argv=None):\n"
+            "    return spread(1, 2, **{'flag': False})\n"
+        ),
+    }
+    assert unpassed_defaults(sources) == [
+        ("a.py", 2, "Reader", "strict"),
+        ("a.py", 4, "read", "hint"),
+        ("a.py", 10, "main", "argv"),
+        ("a.py", 10, "main", "verbose"),
+    ]
+
+
+def test_package_defaults_are_passed_somewhere():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    unpassed = [
+        f"{m}:{line}: {fn}({param}=...)" for m, line, fn, param in unpassed_defaults(sources)
+    ]
+    assert unpassed == [], "defaulted parameters no package call passes:\n" + "\n".join(
+        unpassed
+    )
 
 
 def test_closure_accesses_are_detected():

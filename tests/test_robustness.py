@@ -1,17 +1,27 @@
 """Robustness: each kind of outside input either is accepted or raises its
 own error, and no other exception escapes.  A corpus IR with mutated lines
 meets `analyze_ir` (`IrError`), any JSON document meets `MockChain`
-(`MockFormatError`), and any reply or failure of the transport meets
-`LlmClient.complete` (`LlmError`)."""
+(`MockFormatError`), any reply or failure of the transport meets
+`LlmClient.complete` (`LlmError`), and any list of labelled endpoint
+answers meets `extract_attributes` (`ValueError`)."""
 from __future__ import annotations
 
 import string
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from dappaudit.chain import MockChain, MockFormatError
+from dappaudit.claims import (
+    BOOLEAN_ATTRIBUTES,
+    NUMERIC_ATTRIBUTES,
+    FrontendAttributes,
+    LabeledResponse,
+    extract_attributes,
+    load_synonyms,
+)
 from dappaudit.llm import LlmClient, LlmError
 from dappaudit.model import IrError
 from dappaudit.pipeline import analyze_ir
@@ -150,4 +160,56 @@ def test_any_endpoint_reply_gives_text_or_llm_error(outcomes):
     try:
         assert isinstance(client.complete("x"), str)
     except LlmError:
+        pass
+
+
+ATTRIBUTES = (*NUMERIC_ATTRIBUTES, *BOOLEAN_ATTRIBUTES)
+# Anchor words of every numeric attribute, units, answers and separators.
+ANSWER_WORDS = sorted({w for a in NUMERIC_ATTRIBUTES for w in load_synonyms(a)}) + [
+    "yes", "No", "Answer", ":", "year", "years", "yrs", "-", "percent", "%",
+    ",", ".", "the", "of", "\u00e9t\u00e9",
+]
+NUMBERS = st.builds(
+    lambda n, grouped, fraction, suffix: (f"{n:,}" if grouped else str(n))
+    + (f".{fraction}" if fraction is not None else "")
+    + suffix,
+    st.integers(0, 10**15),
+    st.booleans(),
+    st.none() | st.integers(0, 999),
+    st.sampled_from(["", "K", "M", "B", "k", "m", "b", "%"]),
+)
+# Digits of other scripts: Arabic-Indic, Devanagari, fullwidth, and a
+# superscript, which is a digit to `str.isdigit` but not to `\d`.
+FOREIGN_NUMBERS = st.sampled_from([
+    "\u0663", "\u0661\u0662%", "\u0663.\u0665", "\u0967\u0966M", "\uff15\uff10", "\u00b2",
+    "3\u00b2%",
+])
+ANSWER_TEXT = st.builds(
+    lambda lead, words: " ".join([lead, *words]),
+    st.sampled_from(["", "Answer: yes,", "Yes.", "no"]),
+    st.lists(
+        st.sampled_from(ANSWER_WORDS) | NUMBERS | FOREIGN_NUMBERS | st.text(max_size=3),
+        max_size=12,
+    ),
+)
+
+
+@seed(20261020)
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    answers=st.lists(
+        st.builds(
+            LabeledResponse,
+            st.sampled_from([*ATTRIBUTES, "velocity"]),
+            ANSWER_TEXT,
+        ),
+        max_size=6,
+    )
+)
+def test_any_answer_list_gives_attributes_or_value_error(answers):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert isinstance(extract_attributes(answers), FrontendAttributes)
+    except ValueError:
         pass
