@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import isfinite
 from typing import Sequence
@@ -135,6 +136,7 @@ class LabeledResponse:
     text: str
 
 
+@cache
 def load_synonyms(attribute: str) -> tuple[str, ...]:
     path = resources.files("dappaudit") / "data" / "synonyms" / f"{attribute}.txt"
     lines = path.read_text(encoding="utf-8").split("\n")

@@ -16,11 +16,10 @@ each on first use, and the result is kept in a private memo.  Only the
 `dataflow` view, through `dataflow_closure`, fills the whole closure.
 
 Besides the relations, the database keeps two indexes of `controls` (by
-statement and by condition), the operands of each ADD by its def, the
-`comp` rows by operand, and, per public selector, the branches its
-execution can meet with their short arms (see `cfg`) and what their
-regions may set.  These are not relations and are left out of the TSV
-dumps.
+statement and by condition), the operands of each ADD by its def, and,
+per public selector, the branches its execution can meet with their short
+arms (see `cfg`) and what their regions may set.  These are not relations
+and are left out of the TSV dumps.
 """
 from __future__ import annotations
 
@@ -91,10 +90,8 @@ class FactDb:
     fn_selectors: dict[str, frozenset[str]]
     # (sid, operator, lhs, rhs, def var) for LT/GT/EQ statements
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
-    # Indexes: ADD def var -> its operands (the `add` rows of `math_op`),
-    # and variable -> positions in `comp` of the rows it is an operand of.
+    # Index: ADD def var -> its operands (the `add` rows of `math_op`).
     add_operands: dict[str, tuple[Operand, ...]]
-    comp_rows: dict[str, tuple[int, ...]]
     # The dataflow graph: variable -> the variables it flows into in one
     # step, and the reverse.
     succ: dict[str, list[str]]
@@ -120,10 +117,6 @@ class FactDb:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _influencers: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # b -> the `compared` sites b flows into, each with the operands opposite b.
-    _compare_rows: dict[Operand, list[tuple[str, list[Operand]]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -172,23 +165,6 @@ class FactDb:
         """x determines whether sid runs: x flows into a branch condition
         the CFG says the statement depends on."""
         return not self.influenced(x).isdisjoint(self.conditions_controlling(sid))
-
-    def comp_rows_of(self, variables) -> set[int]:
-        """Positions in `comp` of the rows with an operand in `variables`."""
-        return {i for v in variables for i in self.comp_rows.get(v, ())}
-
-    def compared(self, a: Operand, b: Operand) -> tuple[str, ...]:
-        """Comparison sites where a and b flow into the two operands, in
-        `comp` order."""
-        if (rows := self._compare_rows.get(b)) is None:
-            rb = self.influenced(b)
-            rows = self._compare_rows[b] = []
-            for i in sorted(self.comp_rows_of(rb)):
-                sid, _, lhs, rhs, _ = self.comp[i]
-                rows.append((sid, [x for x, y in ((lhs, rhs), (rhs, lhs)) if y in rb]))
-        return tuple(
-            sid for sid, others in rows if any(a in self.influencers(x) for x in others)
-        )
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
@@ -321,11 +297,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
             branches.setdefault(selector, []).append(br)
 
     comp.sort()  # by sid, as their reprs sort: sids are unique, of `\w` and dots
-    comp_rows: dict[str, list[int]] = {}
-    for i, (_, _, lhs, rhs, _) in enumerate(comp):
-        for v in {lhs, rhs}:
-            if isinstance(v, str):
-                comp_rows.setdefault(v, []).append(i)
 
     return FactDb(
         program=program,
@@ -340,7 +311,6 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         fn_selectors=fn_selectors,
         comp=tuple(comp),
         add_operands={d: ops for d, op, ops in math_op if op == "add"},
-        comp_rows={v: tuple(rows) for v, rows in comp_rows.items()},
         succ=succ,
         pred=pred,
         sloads=tuple(sloads),

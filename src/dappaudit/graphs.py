@@ -236,8 +236,10 @@ def build_sdg(
     nodes = tuple(sorted({(r.slot, r.role.value) for r in roles}))
     role_slots = {r.slot for r in roles}
 
-    # Comparison result variable for each guard's compare site.
-    comp_def = {sid: d for sid, _, _, _, d in db.comp}
+    # Selector -> the result variables of its guards' comparisons.
+    decisions: dict[str, list[str]] = {}
+    for g in guards:
+        decisions.setdefault(g.selector, []).append(db.program.statement(g.compare_site).defvar)
 
     writes: list[SlotWrite] = []
     for store in db.sstores:
@@ -245,10 +247,7 @@ def build_sdg(
             continue
         for selector in sorted(db.selectors_of(store.sid)):
             guarded = any(
-                g.selector == selector
-                and g.compare_site in comp_def
-                and db.value_controls(comp_def[g.compare_site], store.sid)
-                for g in guards
+                db.value_controls(d, store.sid) for d in decisions.get(selector, ())
             )
             writes.append(
                 SlotWrite(

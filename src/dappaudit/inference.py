@@ -102,13 +102,18 @@ def infer_sender_guards(db: FactDb) -> tuple[SenderGuardFact, ...]:
     comparison must run under the same selector: a private helper that
     several functions share joins their dataflow, so a load in one function
     can reach a comparison that only another one runs."""
+    # Loaded variable -> the comparisons where it meets the caller: one
+    # side reached by a caller def, the other by the load.
+    loaded = {load.value for load in db.sloads}
+    compare_sites: dict[str, set[str]] = {}
+    for sid, _, lhs, rhs, _ in db.comp:
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            if db.df_any(db.caller_defs, b):
+                for v in loaded.intersection(db.influencers(a)):
+                    compare_sites.setdefault(v, set()).add(sid)
     out: dict[tuple[int, str], SenderGuardFact] = {}
     for load in db.sloads:
-        sites = [
-            sid
-            for c in db.caller_defs
-            for sid in db.compared(load.value, c)
-        ]
+        sites = compare_sites.get(load.value, ())
         for selector in sorted(db.selectors_of(load.sid)):
             own = [sid for sid in sites if selector in db.selectors_of(sid)]
             if own:

@@ -2,8 +2,7 @@
 
 hashlib's sha3_256 applies the final-standard 0x06 domain byte and yields
 different digests, so the permutation is implemented here.  The only
-consumers are storage-string decoding (data lives at keccak256(slot)) and
-the signature-dictionary self-check.
+consumer is storage-string decoding (data lives at keccak256(slot)).
 """
 from __future__ import annotations
 
@@ -74,8 +73,3 @@ def keccak_256(data: bytes) -> bytes:
     for i in range(4):  # 32 bytes < rate, one squeeze suffices
         out += state[i].to_bytes(8, "little")
     return bytes(out)
-
-
-def selector_of(signature: str) -> str:
-    """4-byte function selector of a canonical signature, as 0x-hex."""
-    return "0x" + keccak_256(signature.encode("ascii"))[:4].hex()

@@ -11,6 +11,7 @@ segment and only the description is ever split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .tokens import DEFAULT_TOKENIZER, Tokenizer
@@ -20,6 +21,7 @@ SEGMENT_TOKEN_LIMIT = 3000
 KINDS = ("numeric", "boolean")
 
 
+@cache
 def _load_template(name: str) -> str:
     path = resources.files("dappaudit") / "data" / "prompts" / name
     return path.read_text(encoding="utf-8").strip()
@@ -38,9 +40,6 @@ class PromptSegment:
 @dataclass(frozen=True)
 class PromptBundle:
     segments: tuple[PromptSegment, ...]
-
-    def description(self) -> str:
-        return "".join(seg.description for seg in self.segments)
 
 
 def segment_text(text: str, tokenizer: Tokenizer, budget: int) -> list[str]:

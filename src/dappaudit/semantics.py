@@ -289,8 +289,10 @@ def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     after = False
     for w in writes:
         write_sels = db.selectors_of(w.store_site)
-        for i in db.comp_rows_of(loaded | db.influenced(w.value)):
-            sid, _, _, _, defvar = db.comp[i]
+        reached = loaded | db.influenced(w.value)
+        for sid, _, lhs, rhs, defvar in db.comp:
+            if lhs not in reached and rhs not in reached:
+                continue
             if db.selectors_of(sid).isdisjoint(write_sels):
                 continue
             if db.value_controls(defvar, w.store_site):

@@ -203,7 +203,7 @@ def test_criterion_6_prompt_segmentation_property():
             for piece in pieces:
                 assert DEFAULT_TOKENIZER.count(piece) <= 3000
             bundle = build_prompts(text, rng.choice(("numeric", "boolean")))
-            assert bundle.description() == text
+            assert "".join(seg.description for seg in bundle.segments) == text
 
     _verdict(6, "prompt segmentation property", check)
 

@@ -19,7 +19,8 @@ from dappaudit.chain import (
     decode_string,
     encode_string_at,
 )
-from dappaudit.keccak import keccak_256, selector_of
+from dappaudit.keccak import keccak_256
+from dappaudit.signatures import load_signatures
 from dappaudit.transport import ATTEMPTS, post_json
 from helpers import ADDR, local_endpoint
 
@@ -33,8 +34,17 @@ def test_keccak_known_vectors():
         keccak_256(b"").hex()
         == "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
     )
-    assert selector_of("transfer(address,uint256)") == "0xa9059cbb"
-    assert selector_of("transferFrom(address,address,uint256)") == "0x23b872dd"
+
+
+def test_every_signature_hashes_to_its_selector():
+    table = load_signatures()
+    assert table["0xa9059cbb"] == "transfer(address,uint256)"
+    wrong = {
+        sel: sig
+        for sel, sig in table.items()
+        if "0x" + keccak_256(sig.encode())[:4].hex() != sel
+    }
+    assert wrong == {}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dappaudit.facts import build_facts, derive_base_facts, dump_facts
+from dappaudit.inference import infer_sender_guards
 from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
 from dappaudit.pipeline import analyze_ir
@@ -211,14 +212,15 @@ function f public sig 0x00000001 params () {{
     3: vc2 = AND vc vmask
     4: veq = EQ vo vc2
     5: vts = TIMESTAMP
+    6: vl = SLOAD 1
+    7: vlt = LT vl vts
     stop
 }}
 """
-    db = build_facts(parse_ir(text))
-    assert db.compared("vo", "vc") == ("f.B0.4",)
-    # The mask also reaches the comparison (through the AND), by design.
-    assert db.compared("vmask", "vo") == ("f.B0.4",)
-    assert db.compared("vts", "vo") == ()
+    # The caller reaches the EQ only through the AND mask.  The load of
+    # slot 1 meets the TIMESTAMP, not the caller, so it guards nothing.
+    (g,) = infer_sender_guards(build_facts(parse_ir(text)))
+    assert (g.slot, g.load_site, g.compare_site) == (0, "f.B0.0", "f.B0.4")
 
 
 def test_value_controls_through_iszero():
@@ -321,20 +323,11 @@ def test_queries_in_any_order_match_the_oracle():
         back = {v: frozenset(a for a, b in closure if b == v) for v in variables}
         operands = [*variables, 7]
 
-        def compared(a, b):
-            ra, rb = fwd.get(a, frozenset()), fwd.get(b, frozenset())
-            return tuple(
-                sid
-                for sid, _, lhs, rhs, _ in db.comp
-                if (lhs in ra and rhs in rb) or (rhs in ra and lhs in rb)
-            )
-
         order = random.Random(i)
         queries = [
             *((db.influenced, (v,), fwd.get(v, frozenset())) for v in operands),
             *((db.influencers, (v,), back.get(v, frozenset())) for v in operands),
             *((db.df, (a, b), (a, b) in closure) for a in operands for b in operands),
-            *((db.compared, (a, b), compared(a, b)) for a in operands for b in operands),
         ]
         for v in operands:
             sources = order.sample(operands, order.randint(0, 4))

@@ -76,7 +76,7 @@ def test_short_description_is_one_segment():
     text = _words(100)
     bundle = build_prompts(text, "numeric")
     assert len(bundle.segments) == 1
-    assert bundle.description() == text
+    assert "".join(seg.description for seg in bundle.segments) == text
 
 
 def test_long_description_splits_into_three_segments():
@@ -86,7 +86,7 @@ def test_long_description_splits_into_three_segments():
     assert 6000 <= DEFAULT_TOKENIZER.count(text) <= 9000
     bundle = build_prompts(text, "numeric")
     assert len(bundle.segments) == 3
-    assert bundle.description() == text
+    assert "".join(seg.description for seg in bundle.segments) == text
 
 
 def test_templates_repeat_verbatim_and_never_split():
@@ -106,7 +106,7 @@ def test_every_segment_fits_token_limit_over_random_texts():
             text = text[: text.rfind(" ", 0, 60000)]
         kind = rng.choice(("numeric", "boolean"))
         bundle = build_prompts(text, kind)
-        assert bundle.description() == text
+        assert "".join(seg.description for seg in bundle.segments) == text
         for seg in bundle.segments:
             assert DEFAULT_TOKENIZER.count(seg.text()) <= SEGMENT_TOKEN_LIMIT
 

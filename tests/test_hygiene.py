@@ -1,10 +1,10 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
-private name and every field of a dataclass or `NamedTuple` record is
-used, every function reads each of its parameters, some call in the
-package passes each defaulted parameter, only `facts.py`
-touches the storage of the dataflow graph and its closure, and only
-`transport.py` imports `urllib`."""
+private name, every public function and class, and every field of a
+dataclass or `NamedTuple` record is used, every function reads each of its
+parameters, some call in the package passes each defaulted parameter, only
+`facts.py` touches the storage of the dataflow graph and its closure, and
+only `transport.py` imports `urllib`."""
 from __future__ import annotations
 
 import ast
@@ -61,13 +61,11 @@ def check_imports(source: str) -> tuple[list[tuple[int, str]], list[tuple[int, s
     return unused, foreign
 
 
-def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
-    """(module, line, name) for each module-level name with one leading
-    underscore that no module loads, reads as an attribute or imports.
-
-    Only loads count, so the definition itself is not a use.
-    """
-    defined: list[tuple[str, int, str]] = []
+def _module_names(sources: dict[str, str]):
+    """Each module-level name as (module, line, name, whether a `def` or
+    `class` binds it), and every name some module loads, reads as an
+    attribute or imports.  Only loads count, so a definition is not a use."""
+    defined: list[tuple[str, int, str, bool]] = []
     used: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -80,11 +78,8 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
                 names = [node.target.id]
             else:
                 continue
-            defined += [
-                (module, node.lineno, n)
-                for n in names
-                if n.startswith("_") and not n.startswith("__")
-            ]
+            is_def = not isinstance(node, (ast.Assign, ast.AnnAssign))
+            defined += [(module, node.lineno, n, is_def) for n in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -92,7 +87,38 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return [(m, line, name) for m, line, name in defined if name not in used]
+    return defined, used
+
+
+def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each module-level name with one leading
+    underscore that no module loads, reads as an attribute or imports."""
+    defined, used = _module_names(sources)
+    return [
+        (m, line, name)
+        for m, line, name, _ in defined
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+
+
+# Public names only tests call, kept on purpose (ROADMAP, standing
+# decisions): `print_ir` is the parser round-trip oracle and criterion 8
+# calls `encode_string_at`.
+UNREFERENCED_PUBLIC_KEPT = {"print_ir", "encode_string_at"}
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each public module-level function or class
+    that no module loads, reads as an attribute or imports."""
+    defined, used = _module_names(sources)
+    return [
+        (m, line, name)
+        for m, line, name, is_def in defined
+        if is_def
+        and not name.startswith("_")
+        and name not in used
+        and name not in UNREFERENCED_PUBLIC_KEPT
+    ]
 
 
 # Fields kept although nothing reads them yet: role provenance for the
@@ -368,6 +394,47 @@ def test_package_has_no_dead_private_names():
     assert sources
     dead = [f"{m}:{line}: {name}" for m, line, name in dead_private_names(sources)]
     assert dead == [], "private names nothing uses:\n" + "\n".join(dead)
+
+
+def test_unreferenced_public_names_are_detected():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "def used_here():\n"
+            "    return LIMIT\n"
+            "def imported():\n"
+            "    return used_here()\n"
+            "def read_as_attribute():\n"
+            "    pass\n"
+            "def only_tests_call():\n"
+            "    pass\n"
+            "class Orphan:\n"
+            "    def method(self):\n"
+            "        return LIMIT\n"
+            "def print_ir():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "from .a import imported\n"
+            "from . import a\n"
+            "def run():\n"
+            "    return a.read_as_attribute\n"
+        ),
+    }
+    assert unreferenced_public_names(sources) == [
+        ("a.py", 8, "only_tests_call"),
+        ("a.py", 10, "Orphan"),
+        ("b.py", 3, "run"),
+    ]
+
+
+def test_package_has_no_unreferenced_public_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    orphans = [f"{m}:{line}: {name}" for m, line, name in unreferenced_public_names(sources)]
+    assert orphans == [], "public names no module of the package uses:\n" + "\n".join(orphans)
 
 
 def test_unread_dataclass_fields_are_detected():

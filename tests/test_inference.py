@@ -15,7 +15,13 @@ from dappaudit.inference import (
 )
 from dappaudit.model import Opcode, TermKind
 from dappaudit.parser import parse_ir
-from helpers import ADDR, floyd_warshall_dataflow, flip_dependence, random_program
+from helpers import (
+    ADDR,
+    floyd_warshall_dataflow,
+    flip_dependence,
+    random_program,
+    random_program_text,
+)
 
 
 def _facts(text: str):
@@ -363,6 +369,27 @@ def test_pause_rule_grows_linearly_in_slots():
     finally:
         gc.enable()
     assert best_large <= 3 * best_small, (best_small, best_large)
+
+
+def test_sender_guards_of_the_dense_random_program_are_bounded():
+    # 5138 lines of dense dataflow: 502 constant-slot loads, 167 caller
+    # defs and 528 comparison rows.  Matching every load against every
+    # caller def costs about 3 s; one pass over the rows, about 50 ms.
+    text = random_program_text(random.Random(3), 8000)
+    assert len(text.splitlines()) == 5138
+    program = parse_ir(text)
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(3):
+            # A fresh database each time, so the dataflow walks are timed too.
+            db = build_facts(program)
+            start = time.perf_counter()
+            infer_sender_guards(db)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best < 0.5, best
 
 
 def test_role_dedup_prefers_earlier_rule():
