@@ -34,6 +34,20 @@ def test_keccak_known_vectors():
         keccak_256(b"").hex()
         == "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
     )
+    # Lengths around a word and around the 136-byte rate, so the padding
+    # edge cases and a second and eighth absorbed block are all pinned.
+    message = bytes(range(256)) * 4
+    digests = {
+        31: "3e50547cf72e8583ee91462f9d99fe624f53282f78e1a5ec2347b1d0123d0d9b",
+        32: "8ae1aa597fa146ebd3aa2ceddf360668dea5e526567e92b0321816a4e895bd2d",
+        135: "cbdfd9dee5faad3818d6b06f95a219fd290b0e1706f6a82e5a595b9ce9faca62",
+        136: "7ce759f1ab7f9ce437719970c26b0a66ff11fe3e38e17df89cf5d29c7d7f807e",
+        137: "ac73d4fae68b8453f764007c1a20ce95994187861f0c3227a3a8e99a73a3b1db",
+        272: "fdf2ec49e749960d3c8521a0219af8d03e30e2b3bf19bd16150ee0eaf133d66e",
+        1000: "aca79e4146e30eb1c733f6d6060d72471c36ea4e01ebf45d7f4916249c2bbd82",
+    }
+    for length, digest in digests.items():
+        assert keccak_256(message[:length]).hex() == digest, length
 
 
 def test_every_signature_hashes_to_its_selector():
