@@ -46,6 +46,10 @@ class MalformedResponse(ChainUnavailable):
     pass
 
 
+class StringTooLong(ChainUnavailable):
+    """A long-form string word claims more than MAX_STRING_BYTES."""
+
+
 class MockFormatError(Exception):
     pass
 
@@ -67,6 +71,12 @@ def _to_word(text: str, context: str, error=MockFormatError) -> int:
 # ---------------------------------------------------------------------------
 # Storage string codec (Solidity layout)
 
+MAX_STRING_BYTES = 1 << 12
+
+
+def _data_slot(slot: int) -> int:
+    return int.from_bytes(keccak_256(slot.to_bytes(32, "big")), "big")
+
 
 def encode_string_at(slot: int, text: str) -> dict[int, int]:
     """Storage words representing `text` rooted at `slot`.
@@ -80,7 +90,7 @@ def encode_string_at(slot: int, text: str) -> dict[int, int]:
         word = int.from_bytes(data.ljust(32, b"\0"), "big") | (2 * len(data))
         return {slot: word}
     words = {slot: 2 * len(data) + 1}
-    base = int.from_bytes(keccak_256(slot.to_bytes(32, "big")), "big")
+    base = _data_slot(slot)
     for i in range(0, len(data), 32):
         chunk = data[i : i + 32].ljust(32, b"\0")
         words[(base + i // 32) % WORD] = int.from_bytes(chunk, "big")
@@ -89,7 +99,8 @@ def encode_string_at(slot: int, text: str) -> dict[int, int]:
 
 def decode_string(slot: int, word: int, fetch) -> str:
     """Decode the string rooted at `slot` whose slot word is `word`;
-    `fetch(slot)` supplies the data words of the long form."""
+    `fetch(slot)` supplies the long form's data, one word per read.  A word
+    may claim 2**254 bytes; over MAX_STRING_BYTES raises StringTooLong."""
     if word == 0:
         return ""
     raw = word.to_bytes(32, "big")
@@ -101,10 +112,12 @@ def decode_string(slot: int, word: int, fetch) -> str:
     length = (word - 1) // 2
     if length < 32:
         raise NotAString(f"slot {slot:#x}: long-form marker with short length")
-    base = int.from_bytes(keccak_256(slot.to_bytes(32, "big")), "big")
-    data = b""
-    for i in range((length + 31) // 32):
-        data += fetch((base + i) % WORD).to_bytes(32, "big")
+    if length > MAX_STRING_BYTES:
+        raise StringTooLong(f"slot {slot:#x}: claims {length} bytes")
+    base = _data_slot(slot)
+    data = b"".join(
+        fetch((base + i) % WORD).to_bytes(32, "big") for i in range((length + 31) // 32)
+    )
     return data[:length].decode("utf-8", errors="replace")
 
 

@@ -27,28 +27,34 @@ _ROTATIONS = (
 )
 
 
-def _rol(value: int, shift: int) -> int:
-    return ((value << shift) | (value >> (64 - shift))) & _MASK
+# rho and pi as one move: lane `src`, rotated left by `rot`, lands in `dst`.
+_RHO_PI = tuple(
+    (x + 5 * y, y + 5 * ((2 * x + 3 * y) % 5), _ROTATIONS[x][y])
+    for x in range(5)
+    for y in range(5)
+)
 
 
 def _keccak_f(state: list[int]) -> None:
+    b = [0] * 25
     for rc in _ROUND_CONSTANTS:
-        # theta
-        c = [state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15] ^ state[x + 20]
-             for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rol(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            for y in range(5):
-                state[x + 5 * y] ^= d[x]
-        # rho + pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                b[y + 5 * ((2 * x + 3 * y) % 5)] = _rol(state[x + 5 * y], _ROTATIONS[x][y])
-        # chi
-        for x in range(5):
-            for y in range(5):
-                state[x + 5 * y] = b[x + 5 * y] ^ ((~b[(x + 1) % 5 + 5 * y]) & b[(x + 2) % 5 + 5 * y])
+        # theta, its column parities applied on the way through rho + pi
+        c0, c1, c2, c3, c4 = (state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15]
+                              ^ state[x + 20] for x in range(5))
+        d = (c4 ^ ((c1 << 1 | c1 >> 63) & _MASK), c0 ^ ((c2 << 1 | c2 >> 63) & _MASK),
+             c1 ^ ((c3 << 1 | c3 >> 63) & _MASK), c2 ^ ((c4 << 1 | c4 >> 63) & _MASK),
+             c3 ^ ((c0 << 1 | c0 >> 63) & _MASK))
+        for src, dst, rot in _RHO_PI:
+            v = state[src] ^ d[src % 5]
+            b[dst] = (v << rot | v >> (64 - rot)) & _MASK
+        # chi, one row of five lanes at a time
+        for y in range(0, 25, 5):
+            b0, b1, b2, b3, b4 = b[y : y + 5]
+            state[y] = b0 ^ (~b1 & b2)
+            state[y + 1] = b1 ^ (~b2 & b3)
+            state[y + 2] = b2 ^ (~b3 & b4)
+            state[y + 3] = b3 ^ (~b4 & b0)
+            state[y + 4] = b4 ^ (~b0 & b1)
         # iota
         state[0] ^= rc
 
@@ -56,20 +62,12 @@ def _keccak_f(state: list[int]) -> None:
 def keccak_256(data: bytes) -> bytes:
     rate = 136  # bytes; capacity 512 bits
     state = [0] * 25
-
-    padded = bytearray(data)
-    pad_len = rate - (len(padded) % rate)
-    padded += b"\x00" * pad_len
+    padded = bytearray(data) + bytes(rate - len(data) % rate)
     padded[len(data)] ^= 0x01  # original keccak domain bit
     padded[-1] ^= 0x80
-
     for off in range(0, len(padded), rate):
-        block = padded[off : off + rate]
-        for i in range(rate // 8):
-            state[i] ^= int.from_bytes(block[8 * i : 8 * i + 8], "little")
+        for i in range(off, off + rate, 8):
+            state[(i - off) // 8] ^= int.from_bytes(padded[i : i + 8], "little")
         _keccak_f(state)
-
-    out = bytearray()
-    for i in range(4):  # 32 bytes < rate, one squeeze suffices
-        out += state[i].to_bytes(8, "little")
-    return bytes(out)
+    # 32 bytes < rate, one squeeze suffices
+    return b"".join(lane.to_bytes(8, "little") for lane in state[:4])

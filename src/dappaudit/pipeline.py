@@ -5,13 +5,15 @@ claim source (attributes JSON or a description for the language-model
 endpoint), and an optional chain backend. audit_contract runs the whole
 chain parse -> facts -> graphs -> plan -> symbolic execution -> semantics
 -> detection and returns the report; audit_many fans that out over
-per-contract configs with results identical to sequential runs.
+per-contract configs, building each chain backend once per run, with
+results identical to sequential runs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +37,7 @@ from .semantics import ContractSemantics, summarize_semantics
 from .symexpr import render
 
 CHAIN_ENV = "CHAIN_RPC_URL"
+_BACKENDS_LOCK = threading.Lock()
 
 
 class ConfigError(ValueError):
@@ -139,21 +142,30 @@ def load_attributes(cfg: RunConfig) -> FrontendAttributes:
     return extract_from_description(description, client, jobs=cfg.jobs)
 
 
-def audit_contract(cfg: RunConfig) -> InconsistencyReport:
+def audit_contract(cfg: RunConfig, backends: dict | None = None) -> InconsistencyReport:
+    """Audit one contract; `backends` holds its run's chain backends by (mock, RPC)."""
+    backends = {} if backends is None else backends
     analysis = analyze_ir(cfg.ir_path.read_text(), cfg.limits)
     if cfg.facts_dump is not None:
         dump_facts(analysis.db, cfg.facts_dump)
     attrs = load_attributes(cfg)
-    chain = chain_backend(cfg)
+    key = (cfg.chain_mock, cfg.chain_rpc)
+    with _BACKENDS_LOCK:
+        if key not in backends:
+            backends[key] = chain_backend(cfg)
     report = detect_all(
         attrs,
         analysis.semantics,
-        chain,
+        backends[key],
         strict_supply_check=cfg.strict_supply_check,
     )
     if cfg.out_path is not None:
-        cfg.out_path.parent.mkdir(parents=True, exist_ok=True)
-        cfg.out_path.write_text(report.render())
+        rendered = report.render()
+        try:
+            cfg.out_path.write_text(rendered)
+        except FileNotFoundError:
+            cfg.out_path.parent.mkdir(parents=True, exist_ok=True)
+            cfg.out_path.write_text(rendered)
     return report
 
 
@@ -191,12 +203,14 @@ def audit_many(
 ) -> list[InconsistencyReport]:
     """Audit each config; report order follows config order regardless of
     jobs, and every config names its own output path, so parallel runs
-    are byte-identical to sequential ones."""
+    are byte-identical to sequential ones.  Each chain backend is built
+    once per run, where the first config naming it needs it, under a lock."""
     _check_jobs(jobs)
+    backends: dict = {}
     if jobs == 1:
-        return [audit_contract(c) for c in configs]
+        return [audit_contract(c, backends) for c in configs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(audit_contract, configs))
+        return list(pool.map(lambda c: audit_contract(c, backends), configs))
 
 
 def checkpoint_dump(analysis: ContractAnalysis) -> dict:

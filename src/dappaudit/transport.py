@@ -8,7 +8,6 @@ exponential backoff.
 from __future__ import annotations
 
 import json
-import urllib.request
 
 ATTEMPTS = 3
 BACKOFF_S = 0.5
@@ -20,6 +19,7 @@ class PermanentError(Exception):
 
 def post_json(url: str, payload: dict, timeout: float):
     """POST `payload` as JSON and decode the reply."""
+    import urllib.request  # here, not at import: it pulls in http.client and ssl
     req = urllib.request.Request(
         url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
     )

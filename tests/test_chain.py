@@ -5,10 +5,12 @@ import json
 import random
 import re
 import string
+import time
 
 import pytest
 
 from dappaudit.chain import (
+    MAX_STRING_BYTES,
     ChainUnavailable,
     MalformedResponse,
     MockChain,
@@ -16,6 +18,7 @@ from dappaudit.chain import (
     NotAString,
     RpcChain,
     RpcError,
+    StringTooLong,
     decode_string,
     encode_string_at,
 )
@@ -183,6 +186,30 @@ def test_round_trip_identity_on_random_strings():
         slot = rng.randint(0, 50)
         chain = _mock_with_words(encode_string_at(slot, text))
         assert chain.read_string_at(ADDR, slot) == text
+
+
+def test_string_of_exactly_the_cap_round_trips():
+    text = "x" * MAX_STRING_BYTES
+    assert _mock_with_words(encode_string_at(5, text)).read_string_at(ADDR, 5) == text
+    longer = _mock_with_words(encode_string_at(5, text + "x"))
+    with pytest.raises(StringTooLong):
+        longer.read_string_at(ADDR, 5)
+
+
+def test_odd_word_claiming_a_huge_string_is_refused_unread():
+    # The all-ones word claims (2**256 - 2) / 2 bytes of long-form data.
+    chain = MockChain({"0xaa": {"storage": {"0x9": "0x" + "f" * 64}}})
+    start = time.perf_counter()
+    with pytest.raises(StringTooLong) as info:
+        chain.read_string_at("0xaa", 9)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(info.value, ChainUnavailable)
+    # Over RPC only the slot word itself is requested.
+    log: list = []
+    rpc = RpcChain("http://node.invalid", post=_serving_post({9: (1 << 256) - 1}, log))
+    with pytest.raises(StringTooLong):
+        rpc.read_string_at(ADDR, 9)
+    assert len(log) == 1
 
 
 # ---------------------------------------------------------------------------

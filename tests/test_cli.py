@@ -19,6 +19,7 @@ from dappaudit.executor import MAX_EXPR_NODES, Limits
 from dappaudit.pipeline import (
     ConfigError,
     RunConfig,
+    audit_contract,
     audit_many,
     chain_backend,
     expand_directory,
@@ -365,6 +366,80 @@ def test_parallel_audit_of_shared_expressions_matches_sequential(tmp_path):
         sys.setswitchinterval(interval)
     assert len(runs[1]) == 16
     assert runs[4] == runs[1]
+
+
+def _counting_loads(monkeypatch) -> list[str]:
+    loads: list[str] = []
+    real = MockChain.from_file
+
+    def counting(path):
+        loads.append(path)
+        time.sleep(0.01)  # a slow disk: other threads reach the build meanwhile
+        return real(path)
+
+    monkeypatch.setattr(MockChain, "from_file", staticmethod(counting))
+    return loads
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_directory_audit_loads_one_mock_file_once(tmp_path, monkeypatch, jobs):
+    fixtures = Path(__file__).parent / "fixtures"
+    chain = fixtures / "chain.json"
+    configs = expand_directory(fixtures / "corpus", tmp_path / "many", chain_mock=chain)
+    assert len(configs) == 14
+    loads = _counting_loads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        audit_many(configs, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert loads == [str(chain)]
+    # Each contract on its own loads the file itself; the bytes agree.
+    for cfg in configs:
+        single = tmp_path / "single" / cfg.out_path.name
+        audit_contract(RunConfig(cfg.ir_path, cfg.attrs_path, chain_mock=chain, out_path=single))
+        assert single.read_bytes() == cfg.out_path.read_bytes()
+    assert len(loads) == 15
+
+
+def test_directory_audit_loads_two_mock_files_once_each(tmp_path, monkeypatch):
+    fixtures = Path(__file__).parent / "fixtures"
+    chains = [tmp_path / "a.json", tmp_path / "b.json"]
+    for chain in chains:
+        shutil.copy(fixtures / "chain.json", chain)
+    configs = [
+        RunConfig(cfg.ir_path, cfg.attrs_path, chain_mock=chains[i % 2])
+        for i, cfg in enumerate(expand_directory(fixtures / "corpus", tmp_path))
+    ]
+    loads = _counting_loads(monkeypatch)
+    audit_many(tuple(configs), jobs=1)
+    assert loads == [str(c) for c in chains]
+
+
+def test_report_into_a_missing_nested_directory_is_written(workdir, capsys):
+    out = workdir / "a" / "b" / "report.json"
+    assert main(_audit_args(workdir, extra=("--out", str(out)))) == 1
+    assert json.loads(out.read_text())["findings"]
+
+
+def test_report_under_a_regular_file_exits_two(workdir, capsys):
+    out = workdir / "attrs.json" / "report.json"
+    assert main(_audit_args(workdir, extra=("--out", str(out)))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # urllib.request pulls in http.client and ssl; only a request needs them.
+    probe = (
+        "import sys, dappaudit.cli\n"
+        "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_directory_audit_requires_out(corpus_dir, capsys):

@@ -4,6 +4,7 @@ monotonicity, and determinism properties."""
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from dappaudit.executor import execute_function
 from dappaudit.facts import build_facts
 from dappaudit.graphs import build_graphs
 from dappaudit.parser import parse_ir
+from dappaudit.pipeline import RunConfig, audit_contract
 from dappaudit.semantics import summarize_semantics
 
 from helpers import ADDR
@@ -692,6 +694,24 @@ def test_vna_indeterminate_when_chain_down():
     report = _detect(URI_CONTRACT, attrs, _down_chain())
     (f,) = report.findings
     assert f.status == "indeterminate"
+
+
+def test_vna_indeterminate_when_the_uri_word_claims_a_huge_string(tmp_path):
+    # An odd all-ones word at the URI slot claims about 2**255 bytes of data.
+    nft = FIXTURES / "corpus" / "api_hosted_nft"
+    address = parse_ir(nft.with_suffix(".ir").read_text()).address
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({address: {"storage": {"0x6": "0x" + "f" * 64}}}))
+    cfg = RunConfig(
+        ir_path=nft.with_suffix(".ir"),
+        attrs_path=nft.with_suffix(".attrs.json"),
+        chain_mock=chain,
+    )
+    start = time.perf_counter()
+    (f,) = audit_contract(cfg).findings
+    assert time.perf_counter() - start < 1.0
+    assert (f.type, f.status) == ("VNA", "indeterminate")
+    assert f.evidence["token_uri"] is None
 
 
 def _uri_getter_only():
