@@ -2,13 +2,21 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from dappaudit.facts import build_facts
 from dappaudit.graphs import FtgEdge, RecipientClass, build_graphs
-from dappaudit.inference import TransferKind
+from dappaudit.inference import (
+    StorageRole,
+    TransferKind,
+    infer_sender_guards,
+    infer_storage_roles,
+    infer_transfers,
+)
 from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
-from helpers import ADDR, random_program
+from dappaudit.semantics import summarize_semantics
+from helpers import ADDR, floyd_warshall_dataflow, random_program
 
 
 def _graphs(text: str):
@@ -273,6 +281,84 @@ def test_plan_well_formed_on_random_programs():
             for sid in entry.checkpoints:
                 stmt = program.statement(sid)
                 assert stmt.opcode in (Opcode.CALL, Opcode.SSTORE)
+
+
+def test_decided_fields_match_a_naive_oracle_on_random_programs():
+    # Whether a sender check decides a role-slot write, a pause flag a
+    # transfer, and a bound check a supply store, recomputed from the
+    # Floyd-Warshall closure and the `controls` relation.  At 30 statements
+    # no random program has a pause edge, so these are larger and loop.
+    # None gives `guarded=True`; the hand examples above pin that case.
+    seen = defaultdict(int)
+    for seed in range(80):
+        program = random_program(random.Random(seed), 300, with_loops=True)
+        db = build_facts(program)
+        guards = infer_sender_guards(db)
+        roles = infer_storage_roles(db, guards)
+        ftg, sdg, _ = build_graphs(db)
+        supplies = summarize_semantics((), db, ftg, sdg).supplies
+
+        reach = defaultdict(set)
+        for a, b in floyd_warshall_dataflow(program):
+            reach[a].add(b)
+        conds = defaultdict(set)
+        for cond, sid, _ in db.controls:
+            conds[sid].add(cond)
+
+        def controls(x, sid):
+            return not reach[x].isdisjoint(conds[sid])
+
+        statements = [s for _, _, s in program.statements()]
+        loads = [
+            (db.const_of(s.args[0]), s.defvar) for s in statements if s.opcode is Opcode.SLOAD
+        ]
+        decisions = defaultdict(list)
+        for g in guards:
+            decisions[g.selector].append(program.statement(g.compare_site).defvar)
+
+        role_slots = {r.slot for r in roles}
+        want_writes = {
+            (slot, s.sid, sel, s.args[1], any(controls(d, s.sid) for d in decisions[sel]))
+            for s in statements
+            if s.opcode is Opcode.SSTORE and (slot := db.const_of(s.args[0])) in role_slots
+            for sel in db.selectors_of(s.sid)
+        }
+        got_writes = {(w.slot, w.store_site, w.selector, w.value, w.guarded) for w in sdg.writes}
+        assert got_writes == want_writes, seed
+
+        pause_slots = {r.slot for r in roles if r.role is StorageRole.PAUSE}
+        want_pause = {
+            (slot, t.call_site, t.selector)
+            for t in infer_transfers(db)
+            for slot, x in loads
+            if slot in pause_slots and controls(x, t.call_site)
+        }
+        got_pause = {(e.slot, e.call_site, e.selector) for e in sdg.pause_edges}
+        assert got_pause == want_pause, seed
+
+        comparisons = [s for s in statements if s.opcode.value in ("LT", "GT", "EQ")]
+        for supply in supplies:
+            loaded = set().union(*(reach[x] for slot, x in loads if slot == supply.slot))
+            before = after = False
+            for w in sdg.writes_to(supply.slot):
+                reached = loaded | reach[w.value]
+                for c in comparisons:
+                    if reached.isdisjoint(c.args):
+                        continue
+                    if db.selectors_of(c.sid).isdisjoint(db.selectors_of(w.store_site)):
+                        continue
+                    if controls(c.defvar, w.store_site):
+                        before = True
+                    else:
+                        after = True
+            assert (supply.bound_checked, supply.bound_checked_after_add) == (before, after), seed
+
+        seen["writes"] += len(want_writes)
+        seen["writes under a guarded selector"] += sum(bool(decisions[w[2]]) for w in want_writes)
+        seen["pause edges"] += len(want_pause)
+        seen["bound checked"] += sum(s.bound_checked for s in supplies)
+        seen["bound checked after add"] += sum(s.bound_checked_after_add for s in supplies)
+    assert min(seen.values()) > 0, dict(seen)
 
 
 def test_withdraw_all_graphs_golden():
