@@ -182,14 +182,11 @@ class RpcChain(ChainState):
         self._post = post
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._next_id = 0
         self._storage_cache: dict[tuple[str, int], int] = {}
 
     def _call(self, method: str, params: list):
-        with self._lock:
-            self._next_id += 1
-            rid = self._next_id
-        payload = {"jsonrpc": "2.0", "id": rid, "method": method, "params": params}
+        # One request per POST, and no reply's id is read: the id is constant.
+        payload = {"jsonrpc": "2.0", "id": 1, "method": method, "params": params}
         try:
             body = request(self._post, self.url, payload, RPC_TIMEOUT_S, self._sleep)
         except PermanentError as err:

@@ -12,11 +12,12 @@ operands flow into the def (a CALL's result is a fresh source), actuals
 into formals at CALLPRIVATE, and returned values into the def at each call
 site.  Dataflow queries are answered on demand from it: `influenced`
 walks the successors of one variable and `influencers` its predecessors,
-each on first use, and the result is kept in a private memo.  Only the
-`dataflow` view, through `dataflow_closure`, fills the whole closure.
+each on first use, and the result is kept in a private memo; `deciders`
+joins the `influencers` of the conditions a statement depends on.  Only
+the `dataflow` view, through `dataflow_closure`, fills the whole closure.
 
 Besides the relations, the database keeps two indexes of `controls` (by
-statement and by condition), the operands of each ADD by its def, and,
+statement and by condition), the ADD defs, and,
 per public selector, the branches its execution can meet with their short
 arms (see `cfg`) and what their regions may set.  These are not relations
 and are left out of the TSV dumps.
@@ -90,8 +91,8 @@ class FactDb:
     fn_selectors: dict[str, frozenset[str]]
     # (sid, operator, lhs, rhs, def var) for LT/GT/EQ statements
     comp: tuple[tuple[str, str, Operand, Operand, str], ...]
-    # Index: ADD def var -> its operands (the `add` rows of `math_op`).
-    add_operands: dict[str, tuple[Operand, ...]]
+    # The def vars of the `add` rows of `math_op`.
+    adds: frozenset[str]
     # The dataflow graph: variable -> the variables it flows into in one
     # step, and the reverse.
     succ: dict[str, list[str]]
@@ -161,10 +162,10 @@ class FactDb:
     def conditions_controlling(self, sid: str) -> frozenset[str]:
         return self.controlled_by.get(sid, frozenset())
 
-    def value_controls(self, x: Operand, sid: str) -> bool:
-        """x determines whether sid runs: x flows into a branch condition
-        the CFG says the statement depends on."""
-        return not self.influenced(x).isdisjoint(self.conditions_controlling(sid))
+    def deciders(self, sid: str) -> frozenset[str]:
+        """The variables that decide whether sid runs: those flowing into a
+        branch condition the CFG says the statement depends on."""
+        return frozenset().union(*map(self.influencers, self.conditions_controlling(sid)))
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
@@ -310,7 +311,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         controls=tuple(controls),
         fn_selectors=fn_selectors,
         comp=tuple(comp),
-        add_operands={d: ops for d, op, ops in math_op if op == "add"},
+        adds=frozenset(d for d, op, _ in math_op if op == "add"),
         succ=succ,
         pred=pred,
         sloads=tuple(sloads),

@@ -245,33 +245,29 @@ def build_sdg(
     for store in db.sstores:
         if store.slot not in role_slots:
             continue
+        deciders = db.deciders(store.sid)
         for selector in sorted(db.selectors_of(store.sid)):
-            guarded = any(
-                db.value_controls(d, store.sid) for d in decisions.get(selector, ())
-            )
             writes.append(
                 SlotWrite(
                     store.slot,
                     store.sid,
                     selector,
                     store.value,
-                    guarded,
+                    not deciders.isdisjoint(decisions.get(selector, ())),
                     _free_branches(db, store.sid, selector),
                 )
             )
 
-    pause_slots = sorted({r.slot for r in roles if r.role is StorageRole.PAUSE})
+    pause_slots = {r.slot for r in roles if r.role is StorageRole.PAUSE}
     pause_edges: list[PauseEdge] = []
-    seen: set[tuple[int, str, str]] = set()
-    for slot in pause_slots:
-        for x in db.slot_loads.get(slot, ()):
-            for t in transfers:
-                key = (slot, t.call_site, t.selector)
-                if key in seen:
-                    continue
-                if db.value_controls(x, t.call_site):
-                    seen.add(key)
-                    pause_edges.append(PauseEdge(slot, t.call_site, t.selector))
+    # Without a pause slot, no transfer's deciders are walked.
+    for t in transfers if pause_slots else ():
+        deciders = db.deciders(t.call_site)
+        pause_edges += [
+            PauseEdge(slot, t.call_site, t.selector)
+            for slot in pause_slots
+            if not deciders.isdisjoint(db.slot_loads.get(slot, ()))
+        ]
 
     return StateDependencyGraph(
         nodes=nodes,
@@ -312,19 +308,25 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
     controlling = db.conditions_controlling(site)
     operands = db.program.statement(site).uses
     branches = db.branches.get(selector, ())
+    # Condition -> the (function, block) of each branch on it.
+    where: dict[str, list[tuple[str, str]]] = {}
+    for br in branches:
+        where.setdefault(br.cond, []).append((br.function, br.block))
+    conds = frozenset(where)
     free = []
     for br in branches:
         if br.sets is None or br.cond in controlling:
             continue
-        reads = {
-            *operands,
-            *(
-                other.cond
-                for other in branches
-                if other.function != br.function or other.block not in br.blocks
-            ),
-        }
-        if all(db.influenced(v).isdisjoint(reads) for v in br.sets):
+        # Each condition a set variable meets must sit only inside br's arms.
+        if all(
+            reached.isdisjoint(operands)
+            and all(
+                f == br.function and b in br.blocks
+                for c in reached.intersection(conds)
+                for f, b in where[c]
+            )
+            for reached in map(db.influenced, br.sets)
+        ):
             free.append((br.function, br.block, br.short_arm))
     return frozenset(free)
 

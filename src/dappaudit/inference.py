@@ -179,13 +179,13 @@ def infer_storage_roles(
 
     # A load whose value decides whether a nonzero constant is stored back
     # to the same slot marks a pause flag.
-    flag_stores: dict[int, list[str]] = {}
+    flag_stores: dict[int, list[tuple[str, frozenset[str]]]] = {}
     for store in db.sstores:
         if db.const_of(store.value):
-            flag_stores.setdefault(store.slot, []).append(store.sid)
+            flag_stores.setdefault(store.slot, []).append((store.sid, db.deciders(store.sid)))
     for load in db.sloads:
-        for site in flag_stores.get(load.slot, ()):
-            if db.value_controls(load.value, site):
+        for site, deciders in flag_stores.get(load.slot, ()):
+            if load.value in deciders:
                 found += [
                     StorageRoleFact(StorageRole.PAUSE, load.slot, sel, RULE_PAUSE_GUARD, site)
                     for sel in sorted(db.selectors_of(load.sid))
@@ -218,10 +218,7 @@ def _controls_anything(db: FactDb, x: str) -> bool:
 
 def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:
     """stored is ADD-derived from a load of the same slot."""
-    loaded = db.slot_influenced(slot)
-    # An ADD with an operand in `loaded` is in `loaded` itself.
-    return any(
-        not loaded.isdisjoint(ops) and db.df(r, stored)
-        for r in loaded
-        if (ops := db.add_operands.get(r)) is not None
-    )
+    # An ADD def is neither a formal nor a call-site def, so only its
+    # operands flow into it: a load influences it exactly when it
+    # influences one of them.
+    return db.df_any(db.slot_influenced(slot).intersection(db.adds), stored)

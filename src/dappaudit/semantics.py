@@ -289,13 +289,14 @@ def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     after = False
     for w in writes:
         write_sels = db.selectors_of(w.store_site)
+        gates = db.deciders(w.store_site)
         reached = loaded | db.influenced(w.value)
         for sid, _, lhs, rhs, defvar in db.comp:
             if lhs not in reached and rhs not in reached:
                 continue
             if db.selectors_of(sid).isdisjoint(write_sels):
                 continue
-            if db.value_controls(defvar, w.store_site):
+            if defvar in gates:
                 before = True
             else:
                 after = True

@@ -223,7 +223,7 @@ function f public sig 0x00000001 params () {{
     assert (g.slot, g.load_site, g.compare_site) == (0, "f.B0.0", "f.B0.4")
 
 
-def test_value_controls_through_iszero():
+def test_deciders_through_iszero():
     text = f"""contract {ADDR}
 function f public sig 0x00000001 params () {{
   block B0:
@@ -238,9 +238,9 @@ function f public sig 0x00000001 params () {{
 }}
 """
     db = build_facts(parse_ir(text))
-    # The loaded flag feeds the branch condition, so it controls the store.
-    assert db.value_controls("vp", "f.B1.0")
-    assert not db.value_controls("vp", "f.B0.0")
+    # The loaded flag feeds the branch condition, so it decides the store.
+    assert "vp" in db.deciders("f.B1.0")
+    assert "vp" not in db.deciders("f.B0.0")
 
 
 def test_empty_contract_facts():

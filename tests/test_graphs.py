@@ -1,7 +1,9 @@
 """Fund-transfer graph, state dependency graph and the execution plan."""
 from __future__ import annotations
 
+import gc
 import random
+import time
 from collections import defaultdict
 
 from dappaudit.facts import build_facts
@@ -15,6 +17,7 @@ from dappaudit.inference import (
 )
 from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
+from dappaudit.pipeline import analyze_ir
 from dappaudit.semantics import summarize_semantics
 from helpers import ADDR, floyd_warshall_dataflow, random_program
 
@@ -457,3 +460,59 @@ def test_plan_follows_only_branches_no_checkpoint_depends_on():
     follows = {e.call_site: e.follow for e in ftg.edges}
     assert follows == {"pay.B2.2": {("pay", "B0", "B2")}, "pay.B2.4": frozenset()}
     assert plan.entry("0x00000007").follow == frozenset()
+
+
+def _diamonds_text(k: int) -> str:
+    """A refund to CALLER behind k sequential diamonds on k parameters; no
+    arm sets anything the CALL reads, so the plan follows every branch."""
+    lines = [
+        f"contract {ADDR}",
+        f"function refund public sig 0x00000007 params ({', '.join(f'vp{i}' for i in range(k))}) {{",
+    ]
+    for i in range(k):
+        lines += [
+            f"  block B{i}:",
+            f"    0: vc{i} = LT vp{i} {i + 7}",
+            f"    jumpi vc{i} T{i} E{i}",
+            f"  block T{i}:",
+            f"    0: vt{i} = ADD vp{i} 3",
+            f"    jump B{i + 1}",
+            f"  block E{i}:",
+            f"    0: ve{i} = SUB vp{i} 5",
+            f"    jump B{i + 1}",
+        ]
+    lines += [
+        f"  block B{k}:",
+        "    0: vw = CALLER",
+        "    1: vv = CALLVALUE",
+        "    2: CALL vw vv",
+        "    stop",
+        "}",
+        "",
+    ]
+    return "\n".join(lines)
+
+
+def test_audit_of_sequential_diamonds_grows_linearly():
+    # Finding the free branches of a checkpoint once rebuilt, for every
+    # branch, the set of all other branch conditions: 4x per doubling of k.
+    small, large = _diamonds_text(1000), _diamonds_text(2000)
+    (entry,) = analyze_ir(small).plan.entries
+    assert len(entry.follow) == 1000
+
+    def wall(text: str) -> float:
+        start = time.perf_counter()
+        analyze_ir(text)
+        return time.perf_counter() - start
+
+    best_small = best_large = float("inf")
+    # Best of 3, the sizes alternating and the collector off (see the chain
+    # tests in test_facts.py).
+    gc.disable()
+    try:
+        for _ in range(3):
+            best_small = min(best_small, wall(small))
+            best_large = min(best_large, wall(large))
+    finally:
+        gc.enable()
+    assert best_large <= 3 * best_small, (best_small, best_large)
