@@ -317,7 +317,8 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
     for br in branches:
         if br.sets is None or br.cond in controlling:
             continue
-        # Each condition a set variable meets must sit only inside br's arms.
+        # What br sets reaches no operand, and every branch on a condition
+        # it reaches sits inside br's arms.
         if all(
             reached.isdisjoint(operands)
             and all(
