@@ -9,7 +9,6 @@ transient failures.
 """
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
@@ -17,7 +16,7 @@ from typing import Protocol
 
 from .keccak import keccak_256
 from .model import WORD
-from .transport import ATTEMPTS, PermanentError, post_json, request
+from .transport import ATTEMPTS, PermanentError, post_json, read_json, request
 
 _HEX = re.compile(r"0x[0-9a-fA-F]+")
 _BYTES = re.compile(r"0x(?:[0-9a-fA-F]{2})*")
@@ -131,6 +130,8 @@ class MockChain(ChainState):
     File format: {"<address>": {"code": "0x...",
                                 "storage": {"0x<slot>": "0x<word>"}}}.
     Absent slots read as the zero word, matching chain semantics.
+    Addresses match in any case, so two addresses equal up to case, like
+    two slot keys naming one slot, are a format error.
     """
 
     def __init__(self, data: dict):
@@ -149,19 +150,21 @@ class MockChain(ChainState):
                 raise MockFormatError(f"{address}.storage: expected an object")
             slots = {}
             for key, val in storage.items():
-                slots[_to_word(key, f"{address}.storage key")] = _to_word(
-                    val, f"{address}.storage[{key}]"
-                )
+                slot = _to_word(key, f"{address}.storage key")
+                if slot in slots:
+                    raise MockFormatError(f"{address}.storage: key {key!r} repeats slot {slot:#x}")
+                slots[slot] = _to_word(val, f"{address}.storage[{key}]")
+            if address.lower() in self._storage:
+                raise MockFormatError(f"address {address!r} repeats one in another case")
             self._storage[address.lower()] = slots
 
     @classmethod
     def from_file(cls, path: str) -> "MockChain":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as err:
-                raise MockFormatError(f"{path}: {err}") from None
-        return cls(data)
+        """The mock in the file at `path`; every format error names the file."""
+        try:
+            return cls(read_json(path))
+        except (ValueError, MockFormatError) as err:
+            raise MockFormatError(f"{path}: {err}") from None
 
     def get_storage(self, address: str, slot: int) -> int:
         return self._storage.get(address.lower(), {}).get(slot, 0)

@@ -13,12 +13,11 @@ numeric raises a ConflictingClaims warning but never overwrites.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from math import isfinite
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .tokens import DEFAULT_TOKENIZER, Token
 
@@ -48,18 +47,24 @@ class ConflictingClaims(Warning):
         super().__init__(f"segments disagree on {attribute}")
 
 
-@dataclass(frozen=True)
-class FrontendAttributes:
+class _FrontendAttributes(NamedTuple):
     reward_rate_percent: Fraction | None = None
     fee_rate_percent: Fraction | None = None
-    fee_claimed: bool = False
+    # Not stated (None) becomes whether a fee rate is stated: a stated rate
+    # is itself a fee disclosure.  A stated value, even false, wins.
+    fee_claimed: bool | None = None
     lock_time_seconds: int | None = None
     total_supply: int | None = None
     pause_disclosed: bool = False
     fund_flow_disclosed: bool = False
     nft_permanence_claimed: bool | None = None
 
-    def __post_init__(self):
+
+class FrontendAttributes(_FrontendAttributes):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FrontendAttributes:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("reward_rate_percent", "fee_rate_percent"):
             v = getattr(self, name)
             if v is not None and not 0 <= v <= _RATE_MAX:
@@ -68,6 +73,9 @@ class FrontendAttributes:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative: {v}")
+        if self.fee_claimed is None:
+            return self._replace(fee_claimed=self.fee_rate_percent is not None)
+        return self
 
     @classmethod
     def from_json(cls, doc: dict) -> "FrontendAttributes":
@@ -111,7 +119,7 @@ class FrontendAttributes:
         return cls(
             reward_rate_percent=rational("reward_rate_percent"),
             fee_rate_percent=rational("fee_rate_percent"),
-            fee_claimed=flag("fee_claimed", False),
+            fee_claimed=flag("fee_claimed", None),
             lock_time_seconds=number("lock_time_seconds", int),
             total_supply=number("total_supply", int),
             pause_disclosed=flag("pause_disclosed", False),
@@ -125,11 +133,10 @@ class FrontendAttributes:
                 return int(v) if v.denominator == 1 else float(v)
             return v
 
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: plain(v) for name, v in zip(self._fields, self)}
 
 
-@dataclass(frozen=True)
-class LabeledResponse:
+class LabeledResponse(NamedTuple):
     """One endpoint response together with the attribute it was asked for."""
 
     attribute: str
@@ -233,8 +240,5 @@ def extract_attributes(responses: Sequence[LabeledResponse]) -> FrontendAttribut
                 warnings.warn(ConflictingClaims(attr))
             continue
         values[attr] = found
-    if "fee_claimed" not in values and values.get("fee_rate_percent") is not None:
-        # A stated fee rate is itself a fee disclosure.
-        values["fee_claimed"] = True
-    # Attributes no response stated keep the dataclass defaults.
+    # Attributes no response stated keep their defaults.
     return FrontendAttributes(**values)

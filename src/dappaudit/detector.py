@@ -22,9 +22,8 @@ dropping the check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .chain import ChainState, ChainUnavailable, NotAString
 from .claims import FrontendAttributes
@@ -36,14 +35,13 @@ CENTRALIZED_SCHEMES = ("http://", "https://")
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One detected inconsistency: scalar claim/computation fields first,
     then supporting evidence (statement ids, slots, rendered expressions)."""
 
     type: str
-    detail: Mapping[str, Any] = field(default_factory=dict)
-    evidence: Mapping[str, Any] = field(default_factory=dict)
+    detail: Mapping[str, Any]
+    evidence: Mapping[str, Any]
     # None for a confirmed finding; INDETERMINATE when chain data was
     # required but unavailable.
     status: str | None = None
@@ -57,8 +55,7 @@ class Finding:
         return out
 
 
-@dataclass(frozen=True)
-class InconsistencyReport:
+class InconsistencyReport(NamedTuple):
     contract: str
     findings: tuple[Finding, ...]
     budget_exceeded: bool = False

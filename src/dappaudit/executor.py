@@ -54,7 +54,7 @@ budget keeps reports and `symexec` dumps bounded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .feasibility import Feasibility, check_feasible
 from .graphs import AnalysisPlan
@@ -86,20 +86,24 @@ from .symexpr import (
 MAX_EXPR_NODES = 1 << 16
 
 
-@dataclass(frozen=True)
-class Limits:
+class _Limits(NamedTuple):
     max_depth: int = 64
     loop_bound: int = 3
     max_states: int = 512
 
-    def __post_init__(self) -> None:
-        for name in ("max_depth", "loop_bound", "max_states"):
-            if getattr(self, name) < 1:
+
+class Limits(_Limits):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Limits:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class CheckpointState:
+class CheckpointState(NamedTuple):
     """Pre-statement snapshot at a plan checkpoint."""
 
     checkpoint: str
@@ -111,8 +115,7 @@ class CheckpointState:
     feasibility: Feasibility
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     checkpoints: tuple[CheckpointState, ...]
     budget_exceeded: bool
     states_explored: int
@@ -123,8 +126,9 @@ class ExecutionResult:
         )
 
 
-@dataclass
 class _State:
+    """The mutable state of one path; a fork explores a `clone`."""
+
     fn: IrFunction
     bid: str
     idx: int
@@ -137,21 +141,26 @@ class _State:
     stack: list[tuple[IrFunction, str, int, str | None]]
     occ: dict[str, int]
     # A budget cut this path, a fork of it, or a value it bound.
-    budget_hit: bool = False
+    budget_hit: bool
+    __slots__ = tuple(__annotations__)
 
-    def clone(self) -> "_State":
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def clone(self) -> _State:
         return _State(
-            fn=self.fn,
-            bid=self.bid,
-            idx=self.idx,
-            env=dict(self.env),
-            storage=dict(self.storage),
-            path=self.path,
-            depth=self.depth,
-            counts=dict(self.counts),
-            stack=list(self.stack),
-            occ=dict(self.occ),
-            budget_hit=self.budget_hit,
+            self.fn,
+            self.bid,
+            self.idx,
+            dict(self.env),
+            dict(self.storage),
+            self.path,
+            self.depth,
+            dict(self.counts),
+            list(self.stack),
+            dict(self.occ),
+            self.budget_hit,
         )
 
 
@@ -171,18 +180,7 @@ def execute_function(
     follow = {(f, b): arm for f, b, arm in entry.follow}
 
     env = {p: calldata(selector, i) for i, p in enumerate(fn.params)}
-    first = _State(
-        fn=fn,
-        bid=fn.entry.bid,
-        idx=0,
-        env=env,
-        storage={},
-        path=(),
-        depth=1,
-        counts={(fn.name, fn.entry.bid): 1},
-        stack=[],
-        occ={},
-    )
+    first = _State(fn, fn.entry.bid, 0, env, {}, (), 1, {(fn.name, fn.entry.bid): 1}, [], {}, False)
 
     captured: list[CheckpointState] = []
     stack = [first]

@@ -24,8 +24,8 @@ and are left out of the TSV dumps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .cfg import branch_structure
 from .model import (
@@ -37,13 +37,13 @@ from .model import (
     OP_NAMES,
     Opcode,
     Operand,
+    Record,
     TermKind,
     WORD,
 )
 
 
-@dataclass(frozen=True)
-class StorageOp:
+class StorageOp(NamedTuple):
     """An SLOAD or SSTORE whose slot resolves to a constant."""
 
     sid: str
@@ -52,8 +52,7 @@ class StorageOp:
     value: Operand
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """A reachable JUMPI on a variable."""
 
     function: str
@@ -73,8 +72,7 @@ class Branch:
     sets: frozenset[str] | None
 
 
-@dataclass(frozen=True)
-class FactDb:
+class FactDb(Record):
     program: IrProgram
     constant: dict[str, int]
     # (call site, target operand, selector operand) for ABI-decoded calls.
@@ -114,12 +112,12 @@ class FactDb:
     branches: dict[str, tuple[Branch, ...]]
     # Variable -> the variables it influences, or that influence it, itself
     # included: the walks of `succ` and `pred` asked for so far.
-    _influenced: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _influencers: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _influenced: dict[str, frozenset[str]]
+    _influencers: dict[str, frozenset[str]]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, **relations) -> None:
+        super().__init__(*(relations[name] for name in self._fields), {}, {})
 
     @property
     def dataflow(self) -> frozenset[tuple[str, str]]:

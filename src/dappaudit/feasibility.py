@@ -12,7 +12,6 @@ feasible to preserve recall.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Sequence
 
@@ -25,11 +24,13 @@ class Feasibility(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
 class _Interval:
-    lo: int = 0
-    hi: int = MASK
-    holes: set[int] = field(default_factory=set)
+    __slots__ = ("lo", "hi", "holes")
+
+    def __init__(self) -> None:
+        self.lo = 0
+        self.hi = MASK
+        self.holes: set[int] = set()
 
     def pick(self) -> int | None:
         v = self.lo

@@ -48,8 +48,8 @@ dominates every use other than a PHI's, rules that out.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from enum import Enum, unique
+from typing import NamedTuple
 
 from .facts import FactDb
 from .inference import (
@@ -62,7 +62,7 @@ from .inference import (
     infer_storage_roles,
     infer_transfers,
 )
-from .model import Operand
+from .model import Operand, Record
 
 # (function, block, successor): follow only `successor` at that branch.
 Follow = frozenset[tuple[str, str, str]]
@@ -75,8 +75,7 @@ class RecipientClass(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class FtgEdge:
+class FtgEdge(NamedTuple):
     """One transfer out of the contract, under one reaching selector."""
 
     call_site: str
@@ -93,13 +92,11 @@ class FtgEdge:
     follow: Follow
 
 
-@dataclass(frozen=True)
-class FundTransferGraph:
+class FundTransferGraph(NamedTuple):
     edges: tuple[FtgEdge, ...]
 
 
-@dataclass(frozen=True)
-class SlotWrite:
+class SlotWrite(NamedTuple):
     slot: int
     store_site: str
     selector: str
@@ -110,8 +107,7 @@ class SlotWrite:
     follow: Follow
 
 
-@dataclass(frozen=True)
-class PauseEdge:
+class PauseEdge(NamedTuple):
     """The value of pause slot `slot` decides whether the transfer runs."""
 
     slot: int
@@ -119,26 +115,30 @@ class PauseEdge:
     selector: str
 
 
-@dataclass(frozen=True)
-class StateDependencyGraph:
+class StateDependencyGraph(Record):
     # (slot, role name) for every inferred storage role.
     nodes: tuple[tuple[int, str], ...]
     writes: tuple[SlotWrite, ...]
     pause_edges: tuple[PauseEdge, ...]
-    _writes_index: dict[int, list[SlotWrite]] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
+    _writes_index: dict[int, list[SlotWrite]]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
-        for w in self.writes:
-            self._writes_index.setdefault(w.slot, []).append(w)
+    def __init__(
+        self,
+        nodes: tuple[tuple[int, str], ...],
+        writes: tuple[SlotWrite, ...],
+        pause_edges: tuple[PauseEdge, ...],
+    ) -> None:
+        index: dict[int, list[SlotWrite]] = {}
+        for w in writes:
+            index.setdefault(w.slot, []).append(w)
+        super().__init__(nodes, writes, pause_edges, index)
 
     def writes_to(self, slot: int) -> tuple[SlotWrite, ...]:
         return tuple(self._writes_index.get(slot, ()))
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     selector: str
     # Statement ids to capture state at: transfer calls and role-slot stores.
     checkpoints: tuple[str, ...]
@@ -146,15 +146,13 @@ class PlanEntry:
     follow: Follow
 
 
-@dataclass(frozen=True)
-class AnalysisPlan:
+class AnalysisPlan(Record):
     entries: tuple[PlanEntry, ...]
-    _entry_index: dict[str, PlanEntry] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
+    _entry_index: dict[str, PlanEntry]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
-        self._entry_index.update({e.selector: e for e in self.entries})
+    def __init__(self, entries: tuple[PlanEntry, ...]) -> None:
+        super().__init__(entries, {e.selector: e for e in entries})
 
     def selectors(self) -> tuple[str, ...]:
         return tuple(e.selector for e in self.entries)

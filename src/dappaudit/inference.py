@@ -6,8 +6,8 @@ participate in guard and role inference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple
 
 from .facts import FactDb
 from .model import Operand, TermKind
@@ -21,8 +21,7 @@ class TransferKind(Enum):
     ETHER = "ether"
 
 
-@dataclass(frozen=True)
-class TransferFact:
+class TransferFact(NamedTuple):
     call_site: str
     recipient: Operand
     amount: Operand
@@ -30,8 +29,7 @@ class TransferFact:
     kind: TransferKind
 
 
-@dataclass(frozen=True)
-class SenderGuardFact:
+class SenderGuardFact(NamedTuple):
     """Execution under `selector` compares storage slot `slot` to the caller."""
 
     slot: int
@@ -64,8 +62,7 @@ _RULE_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class StorageRoleFact:
+class StorageRoleFact(NamedTuple):
     role: StorageRole
     slot: int
     selector: str

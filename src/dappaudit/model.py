@@ -1,7 +1,6 @@
 """Three-address SSA form for decompiled contract bytecode."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Iterator, NamedTuple, Union
 
@@ -90,8 +89,17 @@ class TermKind(Enum):
     __hash__ = object.__hash__  # as for Opcode
 
 
-@dataclass(frozen=True)
-class Terminator:
+# Records.  A record that only stores its fields is a `NamedTuple`: its
+# class compiles one small `__new__` where a frozen dataclass compiles five
+# methods, and an instance costs half as much to build (0.45 against
+# 0.93 us for a statement, CPython 3.11).  A field read costs about 11 ns
+# more than a slot's (15 against 4 ns), so a loop reading three or more
+# fields of a record unpacks it once.  A record that checks its values
+# derives from a `NamedTuple` of its fields and checks them in `__new__`;
+# one with private state, such as an index, is a `Record`.  A `NamedTuple`
+# equals a plain tuple, or a record of another class, with the same
+# fields, so no set, dict key or `in` test mixes them.
+class Terminator(NamedTuple):
     kind: TermKind
     cond: Operand | None = None
     targets: tuple[str, ...] = ()
@@ -101,13 +109,6 @@ class Terminator:
     ret_target: str | None = None
 
 
-# Statements are the most numerous records and only the parser builds
-# them.  As a named tuple a statement is as immutable and hashable as a
-# frozen dataclass and costs about half as much to construct (0.45 against
-# 0.93 us on CPython 3.11).  Reading a field costs about 18 ns, 9 more than
-# a dataclass field, so a loop that reads three or more fields unpacks the
-# statement once instead.  Like any tuple it also equals a plain tuple of
-# the same fields, which no code builds.
 class IrStatement(NamedTuple):
     """One three-address statement; `sid` is `function.block.index`."""
 
@@ -124,25 +125,61 @@ class IrStatement(NamedTuple):
         return str(self.args[0])
 
 
-@dataclass(frozen=True)
-class IrBlock:
+class IrBlock(NamedTuple):
     bid: str
     statements: tuple[IrStatement, ...]
     terminator: Terminator
 
 
-@dataclass(frozen=True)
-class IrFunction:
+class Record:
+    """A read-only record with private state besides its fields, such as
+    an index.  A subclass annotates its fields, then its private state
+    (names with a leading underscore), sets `__slots__` to their names,
+    and hands `Record.__init__` one value for each, in that order.  As for
+    a `NamedTuple`, equality, hashing and `repr` see the fields only."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name}={value!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class IrFunction(Record):
     name: str
     selector: str | None  # "0x" + 8 hex digits for public entry points
     params: tuple[str, ...]
     blocks: tuple[IrBlock, ...]
-    _block_index: dict[str, IrBlock] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
+    _block_index: dict[str, IrBlock]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
-        self._block_index.update({b.bid: b for b in self.blocks})
+    def __init__(
+        self, name: str, selector: str | None, params: tuple[str, ...], blocks: tuple[IrBlock, ...]
+    ) -> None:
+        super().__init__(name, selector, params, blocks, {b.bid: b for b in blocks})
 
     @property
     def is_public(self) -> bool:
@@ -156,22 +193,20 @@ class IrFunction:
         return self._block_index[bid]
 
 
-@dataclass(frozen=True)
-class IrProgram:
+class IrProgram(Record):
     address: str  # "0x" + 40 hex digits, lowercase
     functions: tuple[IrFunction, ...]
-    _fn_index: dict[str, IrFunction] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
-    _selector_index: dict[str, IrFunction] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
+    _fn_index: dict[str, IrFunction]
+    _selector_index: dict[str, IrFunction]
+    __slots__ = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
-        self._fn_index.update({f.name: f for f in self.functions})
+    def __init__(self, address: str, functions: tuple[IrFunction, ...]) -> None:
         # The first function with a selector wins, as a scan would find it.
-        self._selector_index.update(
-            {f.selector: f for f in reversed(self.functions) if f.is_public}
+        super().__init__(
+            address,
+            functions,
+            {f.name: f for f in functions},
+            {f.selector: f for f in reversed(functions) if f.is_public},
         )
 
     def function(self, name: str) -> IrFunction:

@@ -11,12 +11,10 @@ results identical to sequential runs.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .chain import ChainState, MockChain, RpcChain
 from .claims import (
@@ -35,6 +33,7 @@ from .parser import IrProgram, parse_ir
 from .prompts import build_prompts
 from .semantics import ContractSemantics, summarize_semantics
 from .symexpr import render
+from .transport import read_json
 
 CHAIN_ENV = "CHAIN_RPC_URL"
 _BACKENDS_LOCK = threading.Lock()
@@ -49,8 +48,7 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError("jobs must be positive")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfig(NamedTuple):
     ir_path: Path
     attrs_path: Path | None = None
     description_path: Path | None = None
@@ -59,11 +57,16 @@ class RunConfig:
     llm_url: str | None = None
     out_path: Path | None = None
     facts_dump: Path | None = None
-    limits: Limits = field(default_factory=Limits)
+    limits: Limits = Limits()
     strict_supply_check: bool = False
     jobs: int = 1
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.attrs_path is None) == (self.description_path is None):
             raise ConfigError(
                 "exactly one of an attributes file or a description file is required"
@@ -71,10 +74,10 @@ class RunConfig:
         if self.chain_mock is not None and self.chain_rpc is not None:
             raise ConfigError("choose one chain backend: mock file or RPC URL")
         _check_jobs(self.jobs)
+        return self
 
 
-@dataclass(frozen=True)
-class ContractAnalysis:
+class ContractAnalysis(NamedTuple):
     """Every intermediate product of one contract's static pipeline."""
 
     program: IrProgram
@@ -124,6 +127,8 @@ def extract_from_description(
     if jobs == 1:
         answers = [client.complete(p) for p in prompts]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here: only jobs > 1 needs it
+
         pool = ThreadPoolExecutor(max_workers=jobs)
         try:
             answers = list(pool.map(client.complete, prompts))
@@ -135,8 +140,10 @@ def extract_from_description(
 
 def load_attributes(cfg: RunConfig) -> FrontendAttributes:
     if cfg.attrs_path is not None:
-        doc = json.loads(cfg.attrs_path.read_text())
-        return FrontendAttributes.from_json(doc)
+        try:
+            return FrontendAttributes.from_json(read_json(cfg.attrs_path))
+        except ValueError as err:
+            raise ValueError(f"{cfg.attrs_path}: {err}") from None
     description = cfg.description_path.read_text()
     client = LlmClient(url=cfg.llm_url)
     return extract_from_description(description, client, jobs=cfg.jobs)
@@ -209,6 +216,8 @@ def audit_many(
     backends: dict = {}
     if jobs == 1:
         return [audit_contract(c, backends) for c in configs]
+    from concurrent.futures import ThreadPoolExecutor  # here: only jobs > 1 needs it
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda c: audit_contract(c, backends), configs))
 

@@ -10,9 +10,9 @@ segment and only the description is ever split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .tokens import DEFAULT_TOKENIZER, Tokenizer
 
@@ -27,8 +27,7 @@ def _load_template(name: str) -> str:
     return path.read_text(encoding="utf-8").strip()
 
 
-@dataclass(frozen=True)
-class PromptSegment:
+class PromptSegment(NamedTuple):
     system: str
     user: str
     description: str
@@ -37,8 +36,7 @@ class PromptSegment:
         return f"{self.system}\n\n{self.user}\n\n{self.description}"
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     segments: tuple[PromptSegment, ...]
 
 

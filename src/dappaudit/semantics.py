@@ -13,8 +13,7 @@ come from the storage-role graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .executor import CheckpointState, ExecutionResult
 from .facts import FactDb
@@ -23,16 +22,14 @@ from .inference import StorageRole, TransferKind
 from .symexpr import SymExpr, const, leaves, render
 
 
-@dataclass(frozen=True)
-class DynamicFlags:
+class DynamicFlags(NamedTuple):
     """Which non-constant inputs the amount expression depends on."""
 
     balance_self: bool
     store_written: bool
 
 
-@dataclass(frozen=True)
-class TransferSummary:
+class TransferSummary(NamedTuple):
     call_site: str
     selector: str
     kind: TransferKind
@@ -44,8 +41,7 @@ class TransferSummary:
     shares_amount_source: bool
 
 
-@dataclass(frozen=True)
-class FeeCandidate:
+class FeeCandidate(NamedTuple):
     """A fraction-shaped transfer to a preset recipient: amount = base*k/d."""
 
     call_site: str
@@ -62,8 +58,7 @@ class FeeCandidate:
     fee_slot_modifiable: bool
 
 
-@dataclass(frozen=True)
-class SupplyStatus:
+class SupplyStatus(NamedTuple):
     slot: int
     store_sites: tuple[str, ...]
     # A bound comparison on the slot's value gates the accumulating store.
@@ -73,23 +68,20 @@ class SupplyStatus:
     bound_checked_after_add: bool
 
 
-@dataclass(frozen=True)
-class PauseStatus:
+class PauseStatus(NamedTuple):
     slot: int
     owner_modifiable: bool
     write_sites: tuple[str, ...]
     gated_call_sites: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LockStatus:
+class LockStatus(NamedTuple):
     slot: int
     publicly_settable: bool
     write_sites: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ContractSemantics:
+class ContractSemantics(NamedTuple):
     address: str
     transfers: tuple[TransferSummary, ...]
     fee_candidates: tuple[FeeCandidate, ...]

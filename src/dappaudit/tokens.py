@@ -10,14 +10,13 @@ tokens, the percent sign, words, and other punctuation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Numbers first so "250M" and "1,000.5" survive as one token.
 _PATTERN = r"\d+(?:,\d{3})*(?:\.\d+)?[KMBkmb]?|[A-Za-z_]+|[^\w\s]"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int
     tag: str

@@ -1,9 +1,9 @@
-"""JSON over HTTP for the chain node and the description endpoint: one POST
-and one retry policy.
+"""JSON in and out: the one reader of input files, and, over HTTP for the
+chain node and the description endpoint, one POST and one retry policy.
 
-`post_json` opens only `http` and `https` URLs and raises PermanentError
-for what no retry mends; `request` retries every other failure with
-exponential backoff.
+`read_json` refuses a key repeated within an object.  `post_json` opens
+only `http` and `https` URLs and raises PermanentError for what no retry
+mends; `request` retries every other failure with exponential backoff.
 """
 from __future__ import annotations
 
@@ -15,6 +15,27 @@ BACKOFF_S = 0.5
 
 class PermanentError(Exception):
     """An unsupported URL scheme, or an HTTP 4xx other than 408 or 429."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The pairs of one JSON object as a dict; a repeated key raises."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {repeated!r}")
+    return out
+
+
+# One decoder for every file: `json.load` with a hook builds a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def read_json(path) -> object:
+    """The JSON document in the UTF-8 file at `path`.  Text that is not
+    JSON, and a key repeated within one object, raise ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        return _DECODER.decode(fh.read())
 
 
 def post_json(url: str, payload: dict, timeout: float):

@@ -130,6 +130,25 @@ def test_mock_from_file(tmp_path):
     assert MockChain.from_file(str(path)).get_storage(ADDR, 3) == 42
 
 
+# A duplicate would be silently overwritten by the later value; each one
+# names the repeated key instead.
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (f'{{"{ADDR}": {{"storage": {{"0x1": "0x5", "0x1": "0x9"}}}}}}', "'0x1'"),
+        (f'{{"{ADDR}": {{"storage": {{"0x1": "0x5", "0x01": "0x9"}}}}}}', "'0x01'"),
+        (f'{{"{ADDR}": {{}}, "{ADDR.upper().replace("0X", "0x")}": {{}}}}', ADDR[-6:].upper()),
+        (f'{{"{ADDR}": {{}}, "{ADDR}": {{}}}}', f"'{ADDR}'"),
+    ],
+    ids=["same slot key", "same slot", "address in another case", "same address"],
+)
+def test_mock_from_file_rejects_a_repeated_key(tmp_path, text, key):
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    with pytest.raises(MockFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(key)}"):
+        MockChain.from_file(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Storage string codec
 

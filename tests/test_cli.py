@@ -151,6 +151,58 @@ def test_audit_rejects_mistyped_attr_value(workdir, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_fee_rate_without_fee_claimed_is_a_disclosure(tmp_path, capsys):
+    # A stated rate discloses a fee, as a description stating one does.
+    fixtures = Path(__file__).parent / "fixtures"
+    outputs = []
+    for name, doc in (
+        ("rate_only", {"fee_rate_percent": 5}),
+        ("claimed", {"fee_claimed": True, "fee_rate_percent": 5}),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        args = [
+            "audit",
+            "--ir", str(fixtures / "corpus" / "fee_forwarder.ir"),
+            "--attrs", str(tmp_path / f"{name}.json"),
+            "--chain-mock", str(fixtures / "chain.json"),
+        ]
+        assert main(args) == 0, name
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["findings"] == []
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"fee_claimed": true "x": 1}', "Expecting ',' delimiter"),
+        (
+            '{"fee_claimed": true, "fee_rate_percent": 5, "fee_rate_percent": 3}',
+            "duplicate key 'fee_rate_percent'",
+        ),
+    ],
+    ids=["malformed", "repeated key"],
+)
+def test_bad_attrs_file_error_names_the_file(workdir, capsys, text, reason):
+    (workdir / "bad.json").write_text(text)
+    assert main(_audit_args(workdir, attrs="bad.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workdir / 'bad.json'}: {reason}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "storage, key",
+    [({"0x1": "0x5", "0x01": "0x9"}, "'0x01'"), ({"0x01": "0x9", "0x1": "0x5"}, "'0x1'")],
+)
+def test_mock_file_naming_one_slot_twice_exits_two(workdir, capsys, storage, key):
+    (workdir / "chain.json").write_text(json.dumps({ADDR: {"storage": storage}}))
+    assert main(_audit_args(workdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workdir / 'chain.json'}: ") and key in err
+    assert len(err.splitlines()) == 1
+
+
 def test_audit_rejects_mock_file_that_is_not_an_object(workdir, capsys):
     (workdir / "chain.json").write_text("[]")
     assert main(_audit_args(workdir)) == 2
@@ -432,10 +484,12 @@ def test_report_under_a_regular_file_exits_two(workdir, capsys):
 
 def test_cli_import_leaves_the_http_stack_unloaded():
     # urllib.request pulls in http.client and ssl; only a request needs them.
-    probe = (
-        "import sys, dappaudit.cli\n"
-        "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
-    )
+    # Only a pool of more than one job needs concurrent.futures, and no
+    # record is a dataclass, so neither dataclasses nor inspect loads.
+    unloaded = {
+        "urllib.request", "http.client", "ssl", "dataclasses", "inspect", "concurrent.futures"
+    }
+    probe = f"import sys, dappaudit.cli\nprint(sorted({unloaded!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )

@@ -1,10 +1,11 @@
 """Source hygiene: every module-level import in the package is used and
 comes from the standard library or the package itself, every module-level
 private name, every public function and class, and every field of a
-dataclass or `NamedTuple` record is used, every function reads each of its
-parameters, some call in the package passes each defaulted parameter, only
-`facts.py` touches the storage of the dataflow graph and its closure, and
-only `transport.py` imports `urllib`."""
+record (a dataclass, a `NamedTuple` or a class with `__slots__`) is used,
+every function reads each of its parameters, some call in the package
+passes each defaulted parameter, only `facts.py` touches the storage of the
+dataflow graph and its closure, only `transport.py` imports `urllib`, and
+no module imports `dataclasses`."""
 from __future__ import annotations
 
 import ast
@@ -127,8 +128,8 @@ UNREAD_FIELDS_KEPT = {("SenderGuardFact", "load_site")}
 
 
 def _is_record(node: ast.ClassDef) -> bool:
-    """Decorated with `@dataclass` or `@dataclass(...)`, or derived from
-    `NamedTuple` (or `typing.NamedTuple`)."""
+    """Decorated with `@dataclass` or `@dataclass(...)`, derived from
+    `NamedTuple` (or `typing.NamedTuple`), or given `__slots__`."""
     for d in node.decorator_list:
         if isinstance(d, ast.Call):
             d = d.func
@@ -138,12 +139,39 @@ def _is_record(node: ast.ClassDef) -> bool:
         (isinstance(b, ast.Name) and b.id == "NamedTuple")
         or (isinstance(b, ast.Attribute) and b.attr == "NamedTuple")
         for b in node.bases
-    )
+    ) or any(_slots(item) is not None for item in node.body)
+
+
+def _slots(item: ast.stmt) -> ast.expr | None:
+    """The value of `item` when it assigns `__slots__`."""
+    if isinstance(item, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+    ):
+        return item.value
+    return None
+
+
+def _record_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """(line, name) of each annotated name in the class body and each name
+    a literal `__slots__` tuple or list spells out, `__weakref__` and the
+    like excepted."""
+    fields = []
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            fields.append((item.lineno, item.target.id))
+        elif isinstance(value := _slots(item), (ast.Tuple, ast.List)):
+            fields += [
+                (e.lineno, e.value)
+                for e in value.elts
+                if isinstance(e, ast.Constant) and not e.value.startswith("__")
+            ]
+    return fields
 
 
 def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str, str]]:
-    """(module, line, class, field) for each field of a `@dataclass` or
-    `NamedTuple` class that no module reads as an attribute.
+    """(module, line, class, field) for each field of a record class (see
+    `_is_record`; its fields are `_record_fields`) that no module reads as
+    an attribute.
 
     A read is an attribute load of the field's name on any object that is
     not the target of a call (`plan.selectors()` calls a method, it reads
@@ -163,11 +191,7 @@ def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, int, str
             ):
                 read.add(node.attr)
             elif isinstance(node, ast.ClassDef) and _is_record(node):
-                fields += [
-                    (module, item.lineno, node.name, item.target.id)
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                ]
+                fields += [(module, line, node.name, f) for line, f in _record_fields(node)]
     return [
         f
         for f in fields
@@ -297,16 +321,16 @@ def closure_accesses(source: str) -> list[tuple[int, str]]:
     )
 
 
-def urllib_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) for each import of `urllib` or a submodule of it,
-    wherever the import stands."""
+def imports_of(source: str, root: str) -> list[tuple[int, str]]:
+    """(line, module) for each import of the module `root` or a submodule
+    of it, wherever the import stands."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [(node.lineno, a.name) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module))
-    return sorted((line, m) for line, m in found if m.split(".")[0] == "urllib")
+    return sorted((line, m) for line, m in found if m.split(".")[0] == root)
 
 
 def test_unused_imports_are_detected():
@@ -457,12 +481,18 @@ def test_unread_dataclass_fields_are_detected():
             "class Pair(typing.NamedTuple):\n"
             "    lost: int\n"
             "    called: int\n"
+            "class Interval:\n"
+            "    __slots__ = ('lo', 'hi', '__weakref__')\n"
+            "class Indexed(Record):\n"
+            "    site: str\n"
+            "    _index: dict\n"
+            "    __slots__ = tuple(__annotations__)\n"
         ),
         "b.py": (
             "def f(edge, other, match):\n"
             "    edge.planted = True\n"
             "    match.called()\n"
-            "    return edge.site, other.shared\n"
+            "    return edge.site, other.shared, other.lo\n"
         ),
     }
     assert unread_dataclass_fields(sources) == [
@@ -470,6 +500,8 @@ def test_unread_dataclass_fields_are_detected():
         ("a.py", 14, "Row", "dropped"),
         ("a.py", 16, "Pair", "lost"),
         ("a.py", 17, "Pair", "called"),
+        ("a.py", 19, "Interval", "hi"),
+        ("a.py", 22, "Indexed", "_index"),
     ]
 
 
@@ -585,7 +617,7 @@ def test_urllib_imports_are_detected():
         "def f():\n"
         "    from urllib.error import HTTPError\n"
     )
-    assert urllib_imports(source) == [
+    assert imports_of(source, "urllib") == [
         (1, "urllib.request"),
         (2, "urllib"),
         (6, "urllib.error"),
@@ -598,6 +630,20 @@ def test_only_transport_imports_urllib():
     leaks = [
         f"{path.name}:{line}: {module}"
         for path in modules
-        for line, module in urllib_imports(path.read_text())
+        for line, module in imports_of(path.read_text(), "urllib")
     ]
     assert leaks == [], "urllib imported outside transport.py:\n" + "\n".join(leaks)
+
+
+def test_package_never_imports_dataclasses():
+    # A dataclass compiles its methods when its module loads, and
+    # `dataclasses` pulls in `inspect`: both slow the CLI's start-up.
+    # Records are `NamedTuple`s or `model.Record`s instead.
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in modules
+        for line, module in imports_of(path.read_text(), "dataclasses")
+    ]
+    assert found == [], "dataclasses imported by the package:\n" + "\n".join(found)

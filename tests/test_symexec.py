@@ -6,7 +6,6 @@ reference interpreter in helpers.py.
 """
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -26,7 +25,7 @@ from dappaudit.executor import (
 )
 from dappaudit.facts import build_facts
 from dappaudit.feasibility import Feasibility, check_feasible
-from dappaudit.graphs import build_graphs
+from dappaudit.graphs import AnalysisPlan, build_graphs
 from dappaudit import symexpr
 from dappaudit.parser import parse_ir
 from dappaudit.pipeline import analyze_ir
@@ -1146,10 +1145,7 @@ def test_feasible_checkpoints_have_concrete_witness():
 
 def _unpruned(plan):
     """The same plan with every branch forking again."""
-    return dataclasses.replace(
-        plan,
-        entries=tuple(dataclasses.replace(e, follow=frozenset()) for e in plan.entries),
-    )
+    return AnalysisPlan(tuple(e._replace(follow=frozenset()) for e in plan.entries))
 
 
 def _kept(res):
