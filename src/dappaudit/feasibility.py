@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum, unique
 from typing import Sequence
 
-from .symexpr import MASK, SymExpr, eval_concrete, leaves
+from .symexpr import MASK, SymExpr, eval_concrete, leaves, render
 
 @unique
 class Feasibility(Enum):
@@ -67,12 +67,12 @@ def _assert_nonzero(e: SymExpr, ivs: dict[str, _Interval]) -> None:
         elif op in ("lt", "gt", "eq"):
             lhs, rhs = e.args
             if _is_leaf(lhs) and rhs.is_const:
-                _apply_atom(ivs, lhs.render(), op, rhs.value, neg)
+                _apply_atom(ivs, render(lhs), op, rhs.value, neg)
             elif _is_leaf(rhs) and lhs.is_const:
                 flip = {"lt": "gt", "gt": "lt", "eq": "eq"}[op]
-                _apply_atom(ivs, rhs.render(), flip, lhs.value, neg)
+                _apply_atom(ivs, render(rhs), flip, lhs.value, neg)
         elif _is_leaf(e):
-            _apply_atom(ivs, e.render(), "eq", 0, not neg)
+            _apply_atom(ivs, render(e), "eq", 0, not neg)
 
 
 def _apply_atom(ivs: dict[str, _Interval], key: str, op: str, c: int, neg: bool) -> None:

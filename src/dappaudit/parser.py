@@ -11,10 +11,11 @@ Grammar (one construct per line, `#` starts a comment):
     returnprivate <target> <vars> | revert | stop
     }
 
-Operands are `v`-prefixed variable names, decimal or 0x literals, or the
-`slot(<n>)` sugar for a literal storage slot.  Textual statement labels are
-accepted but discarded; statements are identified positionally as
-`function.block.index`, which is what the printer emits.
+Operands are `v`-prefixed variable names, literals (ASCII decimal or 0x
+hex digits, below 2**256), or the `slot(<n>)` sugar for a literal storage
+slot.  Textual statement labels are accepted but discarded; statements are
+identified positionally as `function.block.index`, which is what the
+printer emits.
 
 Each line is split into tokens once, after cutting a comment (only when
 the line holds a `#`).  Statements are most of a program, so a line whose
@@ -51,12 +52,15 @@ from .model import (
     TermKind,
     Terminator,
     UnknownOpcode,
+    WORD,
     validate,
 )
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 _VAR_RE = re.compile(r"^v[A-Za-z0-9_]*$")
-_SLOT_RE = re.compile(r"^slot\((0x[0-9a-fA-F]+|\d+)\)$")
+# A literal: ASCII decimal or 0x hex digits, bare or as `slot(<n>)`.
+_LITERAL_RE = re.compile(r"0[xX][0-9a-fA-F]+|[0-9]+")
+_SLOT_RE = re.compile(r"slot\((.*)\)")
 _FUNCTION_RE = re.compile(
     r"^function\s+(\w+)\s+(public\s+sig\s+(0x[0-9a-fA-F]{8})|private)"
     r"\s+params\s*\(([^)]*)\)\s*\{$"
@@ -99,13 +103,18 @@ _OPCODES: dict[str, tuple[Opcode, int, int | None, bool, bool]] = {
 def _operand(tok: str, line: int) -> str | int:
     if _VAR_RE.match(tok):
         return tok
-    m = _SLOT_RE.match(tok)
-    if m:
-        tok = m.group(1)
-    try:
-        return int(tok, 16) if tok.lower().startswith("0x") else int(tok, 10)
-    except ValueError:
-        raise IrSyntaxError(line, f"bad operand {tok!r}") from None
+    m = _SLOT_RE.fullmatch(tok)
+    lit = m[1] if m else tok
+    if _LITERAL_RE.fullmatch(lit):
+        hexa = lit[:2] in ("0x", "0X")
+        digits = (lit[2:] if hexa else lit).lstrip("0") or "0"
+        # No word needs more than 78 digits; the cap also keeps a long
+        # decimal string within what int() converts.
+        if len(digits) <= 78:
+            n = int(digits, 16 if hexa else 10)
+            if n < WORD:
+                return n
+    raise IrSyntaxError(line, f"bad operand {tok!r}")
 
 
 def parse_ir(text: str) -> IrProgram:

@@ -48,6 +48,18 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError("jobs must be positive")
 
 
+def _fan_out(fn, items, jobs: int) -> list:
+    """`[fn(x) for x in items]`, over a pool of `jobs` threads when jobs > 1.
+    Results keep item order.  Once a call raises, the calls not yet started
+    are cancelled (`Executor.map` does so) and the error is raised."""
+    if jobs == 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # here: only jobs > 1 needs it
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 class _RunConfig(NamedTuple):
     ir_path: Path
     attrs_path: Path | None = None
@@ -123,18 +135,7 @@ def extract_from_description(
         for attr in attributes
         for segment in build_prompts(description, kind, attribute=attr).segments
     ]
-    prompts = [prompt for _, prompt in asked]
-    if jobs == 1:
-        answers = [client.complete(p) for p in prompts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here: only jobs > 1 needs it
-
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        try:
-            answers = list(pool.map(client.complete, prompts))
-        finally:
-            # A failed request leaves the queued prompts unsent.
-            pool.shutdown(cancel_futures=True)
+    answers = _fan_out(client.complete, [prompt for _, prompt in asked], jobs)
     return extract_attributes([LabeledResponse(a, t) for (a, _), t in zip(asked, answers)])
 
 
@@ -214,12 +215,7 @@ def audit_many(
     once per run, where the first config naming it needs it, under a lock."""
     _check_jobs(jobs)
     backends: dict = {}
-    if jobs == 1:
-        return [audit_contract(c, backends) for c in configs]
-    from concurrent.futures import ThreadPoolExecutor  # here: only jobs > 1 needs it
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda c: audit_contract(c, backends), configs))
+    return _fan_out(lambda c: audit_contract(c, backends), configs, jobs)
 
 
 def checkpoint_dump(analysis: ContractAnalysis) -> dict:

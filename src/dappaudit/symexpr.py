@@ -1,4 +1,4 @@
-"""Symbolic expressions over 256-bit words, hash-consed into a DAG.
+"""Symbolic expressions over 256-bit words, as DAGs of plain value nodes.
 
 Leaves name transaction inputs (caller, callvalue, timestamp, calldata
 arguments), environment reads (the contract's own balance, initial storage
@@ -7,33 +7,22 @@ Every expression renders to a canonical prefix form, e.g.
 ``div(sub(store(1), calldata(0x11223344,0)), 100)``; leaf renderings double
 as the binding keys for concrete evaluation.
 
-Nodes are interned (Filliâtre & Conchon, "Type-safe modular hash-consing",
-ML 2006).  Every constructor below looks its node up in one table keyed on
-the operator, the identities of the already-interned arguments, the value
-and the name, so equal expressions built on different paths are one object
-and a value like ``add(v, v)`` shares ``v`` instead of copying it.  A node
-is a plain value: its constructor sets every field, its tree size among
-them (``1 + sum(child sizes)``), and nothing writes it afterwards.  The
-queries keep no state on the nodes; each handles every distinct node once
-per pass, without recursion:
+A node is a plain value: its constructor sets every field, its tree size
+among them (``1 + sum(child sizes)``), and nothing writes it afterwards.
+Subterms are shared because the executor binds each variable to one node,
+so a value like ``add(v, v)`` holds ``v`` twice instead of copying it.
+``==`` and ``hash`` are structural.  The queries keep no state on the
+nodes; each handles every distinct node once per pass, without recursion:
 
+- ``==`` compares each pair of distinct nodes once, from a work stack;
 - ``render`` first counts the uses of each operator node inside the
   expression, then writes the text into one list.  A subterm used more
   than once is rendered once and its text reused; every other node is
   written inline, so the cost is linear in the text produced;
 - ``leaves`` walks the DAG with a seen-set;
 - ``eval_concrete`` evaluates each distinct node once.
-
-Interning is an optimisation, not an invariant: ``==`` and ``hash`` stay
-structural, so two equal nodes built by threads racing on the same table
-entry still compare equal.  The table holds its nodes weakly, so an entry
-lives exactly as long as some expression still uses its node and the
-table does not grow from one audit to the next.
 """
 from __future__ import annotations
-
-import weakref
-from functools import partial
 
 from .model import WORD
 
@@ -64,12 +53,16 @@ class UnboundLeaf(KeyError):
 
 
 class SymExpr:
-    """One interned expression node; build it with the constructors below."""
+    """One expression node; build it with the constructors below."""
 
-    __slots__ = ("op", "args", "value", "name", "size", "_hash", "__weakref__")
+    __slots__ = ("op", "args", "value", "name", "size", "_hash")
 
     def __init__(
-        self, op: str, args: tuple[SymExpr, ...], value: int | None, name: str | None
+        self,
+        op: str,
+        args: tuple[SymExpr, ...] = (),
+        value: int | None = None,
+        name: str | None = None,
     ) -> None:
         self.op = op
         self.args = args
@@ -87,84 +80,67 @@ class SymExpr:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, SymExpr):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.op == other.op
-            and self.value == other.value
-            and self.name == other.name
-            and self.args == other.args
-        )
+        # Pairs of nodes still to compare; a pair of distinct nodes met
+        # again through a shared subterm is compared once.
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if (
+                a._hash != b._hash
+                or a.op != b.op
+                or a.value != b.value
+                or a.name != b.name
+                or len(a.args) != len(b.args)
+            ):
+                return False
+            seen.add((id(a), id(b)))
+            stack += zip(a.args, b.args)
+        return True
 
     def __repr__(self) -> str:
         return f"SymExpr({render(self)})"
-
-    def render(self) -> str:
-        return render(self)
 
     @property
     def is_const(self) -> bool:
         return self.op == "const"
 
 
-# (op, value, name, *ids of args) -> weak reference to the node.  A node
-# holds its args, so their ids cannot be reused while it lives; when it
-# dies, its reference's callback drops the entry.
-_table: dict[tuple, weakref.ref] = {}
-
-
-def _intern(
-    op: str, args: tuple[SymExpr, ...] = (), value: int | None = None, name: str | None = None
-) -> SymExpr:
-    key = (op, value, name, *map(id, args))
-    ref = _table.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        node = SymExpr(op, args, value, name)
-        _table[key] = weakref.ref(node, partial(_forget, key))
-    return node
-
-
-def _forget(key: tuple, ref: weakref.ref) -> None:
-    # A racing thread may have replaced the entry meanwhile; keep its node.
-    if _table.get(key) is ref:
-        _table.pop(key, None)
-
-
 def const(value: int) -> SymExpr:
-    return _intern("const", value=value % WORD)
+    return SymExpr("const", value=value % WORD)
 
 
 def fresh(name: str) -> SymExpr:
-    return _intern("fresh", name=name)
+    return SymExpr("fresh", name=name)
 
 
 def caller() -> SymExpr:
-    return _intern("caller")
+    return SymExpr("caller")
 
 
 def callvalue() -> SymExpr:
-    return _intern("callvalue")
+    return SymExpr("callvalue")
 
 
 def timestamp() -> SymExpr:
-    return _intern("timestamp")
+    return SymExpr("timestamp")
 
 
 def balance_self() -> SymExpr:
-    return _intern("balance_self")
+    return SymExpr("balance_self")
 
 
 def store(slot: int) -> SymExpr:
     """The word sitting in storage slot `slot` when the call starts."""
-    return _intern("store", value=slot)
+    return SymExpr("store", value=slot)
 
 
 def calldata(selector: str, index: int) -> SymExpr:
-    return _intern("calldata", value=index, name=selector)
+    return SymExpr("calldata", value=index, name=selector)
 
 
 def binop(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
@@ -176,13 +152,13 @@ def binop(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
         return const(_BINARY[op](lhs.value, rhs.value))
     if op in ("div", "mod") and rhs.is_const and rhs.value == 0:
         return const(0)
-    return _intern(op, (lhs, rhs))
+    return SymExpr(op, (lhs, rhs))
 
 
 def iszero(x: SymExpr) -> SymExpr:
     if x.is_const:
         return const(int(x.value == 0))
-    return _intern("iszero", (x,))
+    return SymExpr("iszero", (x,))
 
 
 def _text_of(n: SymExpr) -> str:

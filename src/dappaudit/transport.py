@@ -1,9 +1,10 @@
 """JSON in and out: the one reader of input files, and, over HTTP for the
 chain node and the description endpoint, one POST and one retry policy.
 
-`read_json` refuses a key repeated within an object.  `post_json` opens
-only `http` and `https` URLs and raises PermanentError for what no retry
-mends; `request` retries every other failure with exponential backoff.
+`read_json` and `post_json` refuse a key repeated within an object, as
+they refuse text that is not JSON.  `post_json` opens only `http` and
+`https` URLs and raises PermanentError for what no retry mends; `request`
+retries every other failure with exponential backoff.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-# One decoder for every file: `json.load` with a hook builds a new one per call.
+# One decoder for every file and reply: `json.load` with a hook builds a new
+# one per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
@@ -39,7 +41,8 @@ def read_json(path) -> object:
 
 
 def post_json(url: str, payload: dict, timeout: float):
-    """POST `payload` as JSON and decode the reply."""
+    """POST `payload` as JSON and decode the UTF-8 reply.  A reply that is
+    not JSON, or repeats a key within one object, raises ValueError."""
     import urllib.request  # here, not at import: it pulls in http.client and ssl
     req = urllib.request.Request(
         url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
@@ -48,7 +51,7 @@ def post_json(url: str, payload: dict, timeout: float):
         raise PermanentError(f"unsupported URL scheme: {url!r}")
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return json.load(resp)
+            return _DECODER.decode(resp.read().decode("utf-8"))
     except urllib.request.HTTPError as err:
         with err:  # the error holds the open reply
             if 400 <= err.code < 500 and err.code not in (408, 429):

@@ -353,6 +353,15 @@ def test_rpc_default_transport_retries_then_fails(status, reply):
     assert naps == [0.5, 1.0]
 
 
+def test_rpc_reply_repeating_a_key_fails_after_retries():
+    reply = b'{"jsonrpc": "2.0", "id": 1, "result": "0x05", "result": "0x09"}'
+    with local_endpoint(lambda body: (200, reply)) as (url, log):
+        chain = RpcChain(url, sleep=lambda s: None)
+        with pytest.raises(RpcError, match="failed after 3 attempts: duplicate key 'result'"):
+            chain.get_storage(ADDR, 0)
+    assert len(log) == ATTEMPTS
+
+
 def test_rpc_default_transport_opens_no_file_url(tmp_path):
     reply = tmp_path / "reply.json"
     reply.write_text('{"result": "0x05"}')

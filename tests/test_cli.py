@@ -117,6 +117,26 @@ def test_audit_missing_ir_names_the_path(workdir, capsys):
     assert err.startswith("error:")
 
 
+def test_audit_of_a_negative_slot_exits_two(workdir, capsys):
+    # int() alone would read "-1" as a slot and report findings on it.
+    (workdir / "contract.ir").write_text(
+        f"contract {ADDR}\n"
+        "function f public sig 0x01020304 params () {\n"
+        "  block B0:\n"
+        "    0: v1 = SLOAD -1\n"
+        "    1: v2 = CALLVALUE\n"
+        "    2: v3 = ADD v1 v2\n"
+        "    3: SSTORE -1 v3\n"
+        "    stop\n"
+        "}\n"
+    )
+    assert main(_audit_args(workdir)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "bad operand '-1'" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_audit_requires_a_claim_source(workdir, capsys):
     args = ["audit", "--ir", str(workdir / "contract.ir"),
             "--chain-mock", str(workdir / "chain.json")]
@@ -397,8 +417,8 @@ def test_directory_audit_parallel_matches_sequential(corpus_dir, capsys):
 
 
 def test_parallel_audit_of_shared_expressions_matches_sequential(tmp_path):
-    # Threads intern the same expressions into one table at once; the
-    # reports must not depend on who wins.
+    # Threads build and compare deeply shared expressions at once; the
+    # reports must not depend on how they interleave.
     corpus = tmp_path / "corpus"
     shutil.copytree(Path(__file__).parent / "fixtures" / "corpus", corpus)
     attrs = corpus / "fee_forwarder_consistent.attrs.json"

@@ -186,6 +186,14 @@ def test_default_transport_retries_a_503_then_reads_the_text():
     assert naps == [0.5]
 
 
+def test_default_transport_refuses_a_reply_repeating_a_key():
+    reply = b'{"text": "yes", "text": "no"}'
+    with local_endpoint(lambda body: (200, reply)) as (url, log):
+        with pytest.raises(LlmError, match="duplicate key 'text'"):
+            LlmClient(url=url, sleep=lambda s: None).complete("x")
+    assert len(log) == ATTEMPTS
+
+
 def test_default_transport_gives_up_at_once_on_a_404():
     naps: list[float] = []
     with local_endpoint(lambda body: (404, b"{}")) as (url, log):

@@ -258,6 +258,27 @@ def _in_block(*lines: str) -> str:
         (_in_block("0: SSTORE slot(x) v0", "stop"), IrSyntaxError, "line 4: bad operand 'slot(x)'"),
         (_in_block("jumpi v-1 B0 B0"), IrSyntaxError, "line 4: bad operand 'v-1'"),
         (_in_block("return v0 1x"), IrSyntaxError, "line 4: bad operand '1x'"),
+        (_in_block("0: v1 = SLOAD -1", "stop"), IrSyntaxError, "line 4: bad operand '-1'"),
+        (_in_block("0: v1 = CONST +7", "stop"), IrSyntaxError, "line 4: bad operand '+7'"),
+        (_in_block("0: v1 = CONST 1_000", "stop"), IrSyntaxError,
+         "line 4: bad operand '1_000'"),
+        (_in_block("0: v1 = CONST 0x_ff", "stop"), IrSyntaxError,
+         "line 4: bad operand '0x_ff'"),
+        (_in_block("0: v1 = CONST \u0663", "stop"), IrSyntaxError,
+         "line 4: bad operand '\u0663'"),
+        (_in_block("0: v1 = CONST 0x", "stop"), IrSyntaxError, "line 4: bad operand '0x'"),
+        (_in_block(f"0: v1 = CONST {2**256}", "stop"), IrSyntaxError,
+         f"line 4: bad operand '{2**256}'"),
+        (_in_block(f"0: v1 = CONST {hex(2**256)}", "stop"), IrSyntaxError,
+         f"line 4: bad operand '{hex(2**256)}'"),
+        (_in_block("0: v1 = CONST 1" + "0" * 100, "stop"), IrSyntaxError,
+         "line 4: bad operand '1" + "0" * 100 + "'"),
+        (_in_block("0: SSTORE slot(-1) v0", "stop"), IrSyntaxError,
+         "line 4: bad operand 'slot(-1)'"),
+        (_in_block("0: SSTORE slot(\u0663) v0", "stop"), IrSyntaxError,
+         "line 4: bad operand 'slot(\u0663)'"),
+        (_in_block(f"0: SSTORE slot({2**256}) v0", "stop"), IrSyntaxError,
+         f"line 4: bad operand 'slot({2**256})'"),
         # close_block and close_function
         (_in_block("0: v1 = CONST 1"), IrSyntaxError, "line 5: block B0 has no terminator"),
         (_in_block("0: v1 = CONST 1", "block B1:", "stop"), IrSyntaxError,
@@ -359,6 +380,26 @@ def test_parse_error_table(text, exc, message):
         parser.parse_ir(text)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        ("0", 0),
+        ("007", 7),
+        ("0X2a", 42),
+        (str(2**256 - 1), 2**256 - 1),
+        (hex(2**256 - 1), 2**256 - 1),
+        ("0" * 5000 + "1", 1),
+        ("0x" + "0" * 5000 + "1", 1),
+    ],
+    ids=["zero", "padded", "upper-hex", "max-decimal", "max-hex", "long-decimal", "long-hex"],
+)
+def test_literal_operands_are_words(literal, value):
+    text = _in_block(f"0: v1 = CONST {literal}", f"1: SSTORE slot({literal}) v1", "stop")
+    const, sstore = parser.parse_ir(text).functions[0].blocks[0].statements
+    assert const.args == (value,)
+    assert sstore.args == (value, "v1")
 
 
 def test_accepted_line_shapes():

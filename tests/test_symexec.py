@@ -6,12 +6,10 @@ reference interpreter in helpers.py.
 """
 from __future__ import annotations
 
-import gc
 import itertools
 import random
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -26,7 +24,6 @@ from dappaudit.executor import (
 from dappaudit.facts import build_facts
 from dappaudit.feasibility import Feasibility, check_feasible
 from dappaudit.graphs import AnalysisPlan, build_graphs
-from dappaudit import symexpr
 from dappaudit.parser import parse_ir
 from dappaudit.pipeline import analyze_ir
 from dappaudit.symexpr import (
@@ -253,7 +250,7 @@ def _build_dag(steps):
         else:
             args = (nodes[step[1] % len(nodes)], nodes[step[2] % len(nodes)])
             e = binop(step[0], *args)
-        # The table must hand back the node asked for, or a folded constant.
+        # The constructor must build the node asked for, or a folded constant.
         assert e.is_const or (e.op, e.args) == (step[0], args)
         nodes.append(e)
     return nodes
@@ -286,22 +283,20 @@ def test_cached_queries_match_tree_walks_on_shared_dags(steps, order):
 @seed(20261019)
 @_ORACLE
 @given(steps=_dag_steps)
-def test_equal_expressions_are_one_object(steps):
+def test_equal_expressions_compare_and_hash_alike(steps):
     first = _build_dag(steps)
     again = _build_dag(steps)
     for a, b in zip(first, again):
-        assert a is b
-    for a, b in itertools.product(first, repeat=2):
+        assert a == b and hash(a) == hash(b)
+    for a, b in itertools.product(first, again):
         equal = _ref_equal(a, b)
         assert (a == b) == equal
-        assert (a is b) == equal
         if equal:
             assert hash(a) == hash(b)
 
 
 def test_equality_stays_structural_without_interning():
-    # A node made outside the table, as when two threads race to intern the
-    # same expression, still equals and hashes like the interned one.
+    # A copy made field by field equals and hashes like the original.
     e = binop("add", callvalue(), store(1))
     twin = SymExpr(e.op, e.args, e.value, e.name)
     assert twin is not e
@@ -361,14 +356,35 @@ def test_queries_on_a_linear_chain_hold_memory_linear_in_depth(query, operand):
     assert large < 4_000_000
 
 
-def test_intern_table_drops_nodes_no_expression_uses():
-    before = len(symexpr._table)
-    text = (Path(__file__).parent / "fixtures" / "corpus" / "staking_rewards.ir").read_text()
-    analysis = analyze_ir(text)
-    assert len(symexpr._table) > before
-    del analysis
-    gc.collect()
-    assert len(symexpr._table) == before
+def _chain_copies(leaf):
+    """A 5000-deep linear add chain and a 22-level doubling chain over
+    `leaf`, built node by node with SymExpr rather than binop."""
+    linear = leaf
+    for i in range(5000):
+        linear = SymExpr("add", (linear, SymExpr("calldata", (), i, "0x01020304")), None, None)
+    doubling = leaf
+    for _ in range(22):
+        doubling = SymExpr("add", (doubling, doubling), None, None)
+    return linear, doubling
+
+
+def test_deep_and_doubling_chains_compare_without_recursion():
+    # Two copies share no node, so == must walk both: a recursive walk
+    # overflows the stack on the linear chain and visits the 2**23 - 1
+    # tree nodes of the doubling one.
+    start = time.perf_counter()
+    linear = _add_chain(5000, lambda i: calldata("0x01020304", i))
+    doubling = callvalue()
+    for _ in range(22):
+        doubling = binop("add", doubling, doubling)
+    copies = _chain_copies(SymExpr("callvalue", (), None, None))
+    others = _chain_copies(SymExpr("caller", (), None, None))
+    for e, copy, other in zip((linear, doubling), copies, others):
+        assert copy is not e
+        assert copy == e and e == copy
+        assert hash(copy) == hash(e)
+        assert copy != other and e != other
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
