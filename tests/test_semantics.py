@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dappaudit.claims import FrontendAttributes
+from dappaudit.detector import detect_all
 from dappaudit.executor import execute_function
 from dappaudit.facts import build_facts
 from dappaudit.graphs import RecipientClass, build_graphs
@@ -142,6 +144,66 @@ def test_forked_paths_with_equal_amounts_merge():
     sem = _semantics(CALLDATA_AMOUNT_MERGE)
     (t,) = sem.transfers
     assert t.amount == "calldata(0x0000000b,0)"
+
+
+# An owner-gated function whose two diamond arms feed different amounts
+# into one fee CALL (pay.P4.3) and one caller payout (pay.P4.4).  The
+# executor reaches the arms in the order P2, P3, so each site meets its
+# amounts in the reverse of their text order.
+TWO_AMOUNTS_PER_SITE = f"""contract {ADDR}
+function pay public sig 0x0000000c params (vamt) {{
+  block P0:
+    0: vown = SLOAD 0
+    1: vsnd = CALLER
+    2: vis = EQ vown vsnd
+    jumpi vis P1 P9
+  block P1:
+    0: vself = CONST {ADDR}
+    1: vbal = BALANCE vself
+    2: vin = CALLVALUE
+    3: vg = GT vamt 0x5
+    jumpi vg P2 P3
+  block P2:
+    0: va = DIV vbal 0x2
+    1: vm = MUL vin 0x3
+    2: vfa = DIV vm 0x64
+    jump P4
+  block P3:
+    0: vb = ADD vbal 0x1
+    1: vfb = DIV vin 0x64
+    jump P4
+  block P4:
+    0: vx = PHI va vb
+    1: vf = PHI vfa vfb
+    2: vw = CONST 0xbeef
+    3: CALL vw vf
+    4: CALL vsnd vx
+    stop
+  block P9:
+    revert
+}}
+"""
+
+
+def test_amounts_at_one_site_are_ordered_by_text():
+    sem = _semantics(TWO_AMOUNTS_PER_SITE)
+    fees = ["div(callvalue, 100)", "div(mul(callvalue, 3), 100)"]
+    payouts = ["add(balance(self), 1)", "div(balance(self), 2)"]
+    assert [(t.call_site, t.amount) for t in sem.transfers] == [
+        *(("pay.P4.3", a) for a in fees),
+        *(("pay.P4.4", a) for a in payouts),
+    ]
+    assert [(c.call_site, c.amount, c.base) for c in sem.fee_candidates] == [
+        ("pay.P4.3", a, "callvalue") for a in fees
+    ]
+    attrs = FrontendAttributes.from_json(
+        {"reward_rate_percent": 3, "fund_flow_disclosed": False, "fee_claimed": False}
+    )
+    findings = {f.type: f for f in detect_all(attrs, sem).findings}
+    assert set(findings) == {"UR", "HF", "UFF"}
+    assert findings["UR"].evidence["amount_exprs"] == payouts
+    assert findings["UFF"].evidence["amount_exprs"] == fees + payouts
+    assert findings["HF"].evidence["amount_expr"] == fees[0]
 
 
 # ---------------------------------------------------------------------------
