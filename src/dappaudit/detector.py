@@ -107,15 +107,16 @@ def _split_forwarding(
     group = [t for t in sem.transfers if t.selector == cand.selector]
     if any(t.recipient_class is RecipientClass.CALLER for t in group):
         return False
+    # Expressions compare as their texts would: distinct ones never render alike.
     shaped = {
-        (c.call_site, c.amount): c
+        (c.call_site, c.amount_expr): c
         for c in sem.fee_candidates
         if c.selector == cand.selector
     }
     total = Fraction(0)
     for t in group:
-        c = shaped.get((t.call_site, t.amount))
-        if c is None or c.base != cand.base:
+        c = shaped.get((t.call_site, t.amount_expr))
+        if c is None or c.base_expr != cand.base_expr:
             return False
         num, den = resolve_rate(c, chain, sem.address)
         total += Fraction(num, den)

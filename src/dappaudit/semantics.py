@@ -9,10 +9,16 @@ base shares an origin with user money (CallValue in the expression, a
 data-flow ancestor shared with a sibling transfer, or leaves shared with
 a caller payout under the same selector). Supply, pause, and lock status
 come from the storage-role graph.
+
+Amounts are kept as expressions; their text (`amount`, `base`) is rendered
+on each read, which only a finding's evidence does.  Records are listed by
+selector, call site and amount text, rendered only to order two or more
+amounts at one site.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .executor import CheckpointState, ExecutionResult
@@ -34,11 +40,13 @@ class TransferSummary(NamedTuple):
     selector: str
     kind: TransferKind
     recipient_class: RecipientClass
-    amount: str
     amount_expr: SymExpr
     dynamic: DynamicFlags
     owner_gated: bool
     shares_amount_source: bool
+
+    # The amount's text, rendered on each read.
+    amount = property(lambda self: render(self.amount_expr))
 
 
 class FeeCandidate(NamedTuple):
@@ -47,15 +55,19 @@ class FeeCandidate(NamedTuple):
     call_site: str
     selector: str
     recipient_class: RecipientClass
-    base: str
+    base_expr: SymExpr
     numerator: SymExpr
     denominator: int
-    amount: str
+    amount_expr: SymExpr
     # Set when the numerator is a storage word, so the live rate and the
     # slot's modifiability can be looked up.
     fee_slot: int | None
     # True when some statement in the program stores to fee_slot.
     fee_slot_modifiable: bool
+
+    # The texts of base_expr and amount_expr, rendered on each read.
+    base = property(lambda self: render(self.base_expr))
+    amount = property(lambda self: render(self.amount_expr))
 
 
 class SupplyStatus(NamedTuple):
@@ -164,7 +176,6 @@ def summarize_semantics(
                     selector=edge.selector,
                     kind=edge.kind,
                     recipient_class=edge.recipient_class,
-                    amount=render(amount_expr),
                     amount_expr=amount_expr,
                     dynamic=_dynamic_flags(amount_leaves, written_slots),
                     owner_gated=edge.privileged_owner is not None,
@@ -172,7 +183,14 @@ def summarize_semantics(
                 ),
                 amount_leaves,
             ))
-    kept.sort(key=lambda k: (k[0].selector, k[0].call_site, k[0].amount))
+    # Report order: selector, call site, then amount text, which is
+    # rendered only where one site holds two or more amounts.
+    per_site = Counter((t.selector, t.call_site) for t, _ in kept)
+    kept.sort(key=lambda k: (
+        k[0].selector,
+        k[0].call_site,
+        k[0].amount if per_site[k[0].selector, k[0].call_site] > 1 else "",
+    ))
 
     payout_leaves: dict[str, frozenset[str]] = {}
     for t, amount_leaves in kept:
@@ -181,6 +199,7 @@ def summarize_semantics(
                 t.selector, frozenset()
             ) | amount_leaves
 
+    # Taken from `kept` in its order, which is already the report order.
     fee_candidates: list[FeeCandidate] = []
     for t, amount_leaves in kept:
         if t.recipient_class is RecipientClass.CALLER:
@@ -204,16 +223,15 @@ def summarize_semantics(
                 call_site=t.call_site,
                 selector=t.selector,
                 recipient_class=t.recipient_class,
-                base=render(base),
+                base_expr=base,
                 numerator=k,
                 denominator=d,
-                amount=t.amount,
+                amount_expr=t.amount_expr,
                 fee_slot=fee_slot,
                 fee_slot_modifiable=fee_slot is not None
                 and fee_slot in written_slots,
             )
         )
-    fee_candidates.sort(key=lambda c: (c.selector, c.call_site, c.amount))
 
     role_slots: dict[str, list[int]] = {}
     for slot, role in sdg.nodes:
@@ -275,18 +293,23 @@ def summarize_semantics(
 
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
-    gate the store (before) or merely exist under the same selector (after)?"""
-    loaded = db.slot_influenced(slot)
+    gate the store (before) or merely exist under the same selector (after)?
+    The reach sets are built only for a write that some comparison shares a
+    selector with."""
+    loaded = None
     before = False
     after = False
     for w in writes:
         write_sels = db.selectors_of(w.store_site)
+        rows = [r for r in db.comp if not db.selectors_of(r[0]).isdisjoint(write_sels)]
+        if not rows:
+            continue
+        if loaded is None:
+            loaded = db.slot_influenced(slot)
         gates = db.deciders(w.store_site)
         reached = loaded | db.influenced(w.value)
-        for sid, _, lhs, rhs, defvar in db.comp:
+        for _, _, lhs, rhs, defvar in rows:
             if lhs not in reached and rhs not in reached:
-                continue
-            if db.selectors_of(sid).isdisjoint(write_sels):
                 continue
             if defvar in gates:
                 before = True

@@ -3,8 +3,10 @@ chain node and the description endpoint, one POST and one retry policy.
 
 `read_json` and `post_json` refuse a key repeated within an object, as
 they refuse text that is not JSON.  `post_json` opens only `http` and
-`https` URLs and raises PermanentError for what no retry mends; `request`
-retries every other failure with exponential backoff.
+`https` URLs, reads at most MAX_REPLY_BYTES of a reply and refuses a
+longer one as it refuses one that is not JSON, and raises PermanentError
+for what no retry mends; `request` retries every other failure with
+exponential backoff.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import json
 
 ATTEMPTS = 3
 BACKOFF_S = 0.5
+# Ample for a storage word or a completion.
+MAX_REPLY_BYTES = 1 << 20
 
 
 class PermanentError(Exception):
@@ -42,7 +46,8 @@ def read_json(path) -> object:
 
 def post_json(url: str, payload: dict, timeout: float):
     """POST `payload` as JSON and decode the UTF-8 reply.  A reply that is
-    not JSON, or repeats a key within one object, raises ValueError."""
+    not JSON, repeats a key within one object, or is longer than
+    MAX_REPLY_BYTES raises ValueError."""
     import urllib.request  # here, not at import: it pulls in http.client and ssl
     req = urllib.request.Request(
         url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
@@ -51,12 +56,15 @@ def post_json(url: str, payload: dict, timeout: float):
         raise PermanentError(f"unsupported URL scheme: {url!r}")
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return _DECODER.decode(resp.read().decode("utf-8"))
+            data = resp.read(MAX_REPLY_BYTES + 1)
     except urllib.request.HTTPError as err:
         with err:  # the error holds the open reply
             if 400 <= err.code < 500 and err.code not in (408, 429):
                 raise PermanentError(f"HTTP {err.code} from {url}") from None
             raise
+    if len(data) > MAX_REPLY_BYTES:
+        raise ValueError(f"reply longer than {MAX_REPLY_BYTES} bytes")
+    return _DECODER.decode(data.decode("utf-8"))
 
 
 def request(post, url: str, payload: dict, timeout: float, sleep):

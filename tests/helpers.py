@@ -48,6 +48,11 @@ def local_endpoint(reply):
         server.server_close()
 
 
+def padded(reply: bytes, size: int) -> bytes:
+    """`reply` with blanks appended up to `size` bytes: the same JSON."""
+    return reply + b" " * (size - len(reply))
+
+
 def counted_loop_text(k: int) -> str:
     """A loop whose header runs until its counter reaches k, then a refund
     of CALLVALUE to the caller; selector 0x0000000f."""
@@ -68,6 +73,19 @@ function refund public sig 0x0000000f params () {{
     stop
 }}
 """
+
+
+def doubling_chain_text(n: int) -> str:
+    """A refund to the caller of CALLVALUE doubled n times by ADD v v."""
+    lines = [
+        f"contract {ADDR}",
+        "function refund public sig 0x0badf00d params () {",
+        "  block R0:",
+        "    0: v0 = CALLVALUE",
+    ]
+    lines += [f"    {i}: v{i} = ADD v{i - 1} v{i - 1}" for i in range(1, n + 1)]
+    lines += [f"    {n + 1}: vwho = CALLER", f"    {n + 2}: CALL vwho v{n}", "    stop", "}"]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

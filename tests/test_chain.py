@@ -24,8 +24,8 @@ from dappaudit.chain import (
 )
 from dappaudit.keccak import keccak_256
 from dappaudit.signatures import load_signatures
-from dappaudit.transport import ATTEMPTS, post_json
-from helpers import ADDR, local_endpoint
+from dappaudit.transport import ATTEMPTS, MAX_REPLY_BYTES, post_json
+from helpers import ADDR, local_endpoint, padded
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +360,19 @@ def test_rpc_reply_repeating_a_key_fails_after_retries():
         with pytest.raises(RpcError, match="failed after 3 attempts: duplicate key 'result'"):
             chain.get_storage(ADDR, 0)
     assert len(log) == ATTEMPTS
+
+
+def test_rpc_reply_over_the_size_cap_fails_after_retries():
+    word = b'{"jsonrpc": "2.0", "id": 1, "result": "0x2a"}'
+    with local_endpoint(lambda body: (200, padded(word, MAX_REPLY_BYTES))) as (url, log):
+        assert RpcChain(url).get_storage(ADDR, 0) == 42
+    naps: list[float] = []
+    with local_endpoint(lambda body: (200, padded(word, MAX_REPLY_BYTES + 1))) as (url, log):
+        chain = RpcChain(url, sleep=naps.append)
+        with pytest.raises(RpcError, match="failed after 3 attempts: reply longer than 1048576"):
+            chain.get_storage(ADDR, 0)
+    assert len(log) == ATTEMPTS
+    assert naps == [0.5, 1.0]
 
 
 def test_rpc_default_transport_opens_no_file_url(tmp_path):

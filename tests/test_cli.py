@@ -3,6 +3,7 @@ mode, relation dumps, checkpoint dumps, and description extraction."""
 
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 import subprocess
@@ -12,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from dappaudit import cli
+from dappaudit import cli, pipeline
 from dappaudit.chain import MockChain, RpcChain
 from dappaudit.cli import main
 from dappaudit.executor import MAX_EXPR_NODES, Limits
+from dappaudit.llm import LlmClient
 from dappaudit.pipeline import (
     ConfigError,
     RunConfig,
@@ -24,8 +26,11 @@ from dappaudit.pipeline import (
     chain_backend,
     expand_directory,
 )
+from dappaudit.transport import ATTEMPTS, MAX_REPLY_BYTES
 
-from helpers import ADDR, counted_loop_text, local_endpoint
+from helpers import ADDR, counted_loop_text, doubling_chain_text, local_endpoint, padded
+
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
 
 AUDIT_IR = f"""contract {ADDR}
@@ -276,23 +281,10 @@ def test_audit_loop_bound_cut_lands_in_metadata(workdir, capsys, k, flagged):
     assert doc.get("metadata") == want
 
 
-def _doubling_chain_ir(n: int) -> str:
-    """A refund to the caller of CALLVALUE doubled n times by ADD v v."""
-    lines = [
-        f"contract {ADDR}",
-        "function refund public sig 0x0badf00d params () {",
-        "  block R0:",
-        "    0: v0 = CALLVALUE",
-    ]
-    lines += [f"    {i}: v{i} = ADD v{i - 1} v{i - 1}" for i in range(1, n + 1)]
-    lines += [f"    {n + 1}: vwho = CALLER", f"    {n + 2}: CALL vwho v{n}", "    stop", "}"]
-    return "\n".join(lines) + "\n"
-
-
 def test_audit_expression_budget_lands_in_metadata(workdir, capsys):
     # The amount's tree has 2**65 - 1 nodes; past MAX_EXPR_NODES the
     # executor binds an opaque leaf instead and flags the cutoff.
-    (workdir / "contract.ir").write_text(_doubling_chain_ir(64))
+    (workdir / "contract.ir").write_text(doubling_chain_text(64))
     start = time.perf_counter()
     assert main(_audit_args(workdir, attrs="clean.attrs.json")) in (0, 1)
     assert time.perf_counter() - start < 1.0
@@ -303,7 +295,7 @@ def test_audit_expression_budget_lands_in_metadata(workdir, capsys):
 def test_symexec_keeps_values_under_the_expression_budget(workdir, capsys):
     # 15 doublings make 65,535 tree nodes, the most that still fits.
     assert 2**16 - 1 <= MAX_EXPR_NODES
-    (workdir / "contract.ir").write_text(_doubling_chain_ir(15))
+    (workdir / "contract.ir").write_text(doubling_chain_text(15))
     assert main(["symexec", "--ir", str(workdir / "contract.ir")]) == 0
     (sel,) = json.loads(capsys.readouterr().out)["selectors"]
     assert sel["budget_exceeded"] is False
@@ -423,7 +415,7 @@ def test_parallel_audit_of_shared_expressions_matches_sequential(tmp_path):
     shutil.copytree(Path(__file__).parent / "fixtures" / "corpus", corpus)
     attrs = corpus / "fee_forwarder_consistent.attrs.json"
     for n in (15, 40):
-        (corpus / f"deep{n}.ir").write_text(_doubling_chain_ir(n))
+        (corpus / f"deep{n}.ir").write_text(doubling_chain_text(n))
         shutil.copy(attrs, corpus / f"deep{n}.attrs.json")
     chain = Path(__file__).parent / "fixtures" / "chain.json"
     runs = {}
@@ -633,6 +625,41 @@ def test_extract_without_endpoint_exits_two(tmp_path, capsys, monkeypatch):
     desc.write_text("whatever")
     assert main(["extract", "--description", str(desc)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_extract_with_an_oversized_reply_exits_two(tmp_path, capsys, monkeypatch):
+    naps: list[float] = []
+    monkeypatch.setattr(cli, "LlmClient", functools.partial(LlmClient, sleep=naps.append))
+    reply = padded(json.dumps({"text": "Answer: no."}).encode(), MAX_REPLY_BYTES + 1)
+    desc = tmp_path / "desc.txt"
+    desc.write_text("A token with no promises at all.")
+    with local_endpoint(lambda body: (200, reply)) as (url, log):
+        assert main(["extract", "--description", str(desc), "--endpoint", url]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"reply longer than {MAX_REPLY_BYTES} bytes" in err
+    assert len(log) == ATTEMPTS
+    assert naps == [0.5, 1.0]
+
+
+def test_audit_with_an_oversized_rpc_reply_leaves_vna_indeterminate(capsys, monkeypatch):
+    naps: list[float] = []
+    monkeypatch.setattr(pipeline, "RpcChain", functools.partial(RpcChain, sleep=naps.append))
+    reply = padded(b'{"jsonrpc": "2.0", "id": 1, "result": "0x0"}', MAX_REPLY_BYTES + 1)
+    nft = CORPUS / "api_hosted_nft"
+    with local_endpoint(lambda body: (200, reply)) as (url, log):
+        args = [
+            "audit",
+            "--ir", str(nft.with_suffix(".ir")),
+            "--attrs", str(nft.with_suffix(".attrs.json")),
+            "--chain-rpc", url,
+        ]
+        assert main(args) == 1
+    (finding,) = json.loads(capsys.readouterr().out)["findings"]
+    assert (finding["type"], finding["status"]) == ("VNA", "indeterminate")
+    assert len(log) == ATTEMPTS
+    assert naps == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("command", ["audit", "extract"])

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+from dappaudit import semantics
 from dappaudit.claims import FrontendAttributes
 from dappaudit.detector import detect_all
 from dappaudit.executor import execute_function
-from dappaudit.facts import build_facts
+from dappaudit.facts import FactDb, build_facts
 from dappaudit.graphs import RecipientClass, build_graphs
 from dappaudit.inference import TransferKind
 from dappaudit.parser import parse_ir
+from dappaudit.pipeline import analyze_ir
 from dappaudit.semantics import summarize_semantics
+from dappaudit.symexpr import render
 
-from helpers import ADDR
+from helpers import ADDR, doubling_chain_text
+
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
 
 def _semantics(text):
@@ -206,6 +213,40 @@ def test_amounts_at_one_site_are_ordered_by_text():
     assert findings["HF"].evidence["amount_expr"] == fees[0]
 
 
+# Claims that would print an amount if they fired; none fires on a refund
+# of the caller's own CALLVALUE.
+SILENT_CLAIMS = {"reward_rate_percent": 3, "fund_flow_disclosed": False, "fee_claimed": False}
+
+
+def test_amounts_render_only_when_read(monkeypatch):
+    # The deep_expr workload's refund, at the most doublings that fit the
+    # expression budget: its text is 524,281 characters.
+    rendered = []
+
+    def counting_render(e):
+        rendered.append(e)
+        return render(e)
+
+    monkeypatch.setattr(semantics, "render", counting_render)
+    sem = analyze_ir(doubling_chain_text(15)).semantics
+    (t,) = sem.transfers
+    assert t.amount_expr.size == 2**16 - 1
+    report = detect_all(FrontendAttributes.from_json(SILENT_CLAIMS), sem)
+    assert report.findings == ()
+    assert rendered == []
+    assert t.amount.count("callvalue") == 2**15
+    assert rendered == [t.amount_expr]
+
+
+def test_amount_texts_are_the_rendered_expressions():
+    for path in sorted(CORPUS.glob("*.ir")):
+        sem = analyze_ir(path.read_text()).semantics
+        for t in sem.transfers:
+            assert t.amount == render(t.amount_expr)
+        for c in sem.fee_candidates:
+            assert (c.amount, c.base) == (render(c.amount_expr), render(c.base_expr))
+
+
 # ---------------------------------------------------------------------------
 # Supply status
 
@@ -274,6 +315,53 @@ def test_bound_check_after_add_distinguished():
     (s,) = sem.supplies
     assert not s.bound_checked
     assert s.bound_checked_after_add
+
+
+def _stored_chain_text(n: int) -> str:
+    """A sum of n loads that stores each partial sum back to the slot it
+    loaded, so every slot is a supply; the function compares nothing.  A
+    second function holds the contract's one comparison."""
+    body = ["v0 = CALLVALUE"]
+    for i in range(1, n + 1):
+        body += [f"vl{i} = SLOAD {i}", f"v{i} = ADD v{i - 1} vl{i}", f"SSTORE {i} v{i}"]
+    return "\n".join([
+        f"contract {ADDR}",
+        "function f public sig 0x00000001 params () {",
+        "  block B0:",
+        *(f"    {k}: {line}" for k, line in enumerate(body)),
+        "    stop",
+        "}",
+        "function g public sig 0x00000002 params (vx) {",
+        "  block G0:",
+        "    0: vg = GT vx 0x5",
+        "    jumpi vg G1 G2",
+        "  block G1:",
+        "    stop",
+        "  block G2:",
+        "    revert",
+        "}",
+        "",
+    ])
+
+
+def test_supply_without_a_comparison_builds_no_reach_set(monkeypatch):
+    n = 50
+    program = parse_ir(_stored_chain_text(n))
+    db = build_facts(program)
+    ftg, sdg, plan = build_graphs(db)
+    executions = [execute_function(program, sel, plan) for sel in plan.selectors()]
+    want = summarize_semantics(executions, db, ftg, sdg).supplies
+    assert [(s.slot, s.store_sites) for s in want] == [
+        (i, (f"f.B0.{3 * i}",)) for i in range(1, n + 1)
+    ]
+    assert not any(s.bound_checked or s.bound_checked_after_add for s in want)
+
+    def refuse(*args):
+        raise AssertionError("a reach set was built")
+
+    for query in ("slot_influenced", "deciders", "influenced"):
+        monkeypatch.setattr(FactDb, query, refuse)
+    assert summarize_semantics(executions, db, ftg, sdg).supplies == want
 
 
 # ---------------------------------------------------------------------------
