@@ -10,10 +10,9 @@ data-flow ancestor shared with a sibling transfer, or leaves shared with
 a caller payout under the same selector). Supply, pause, and lock status
 come from the storage-role graph.
 
-Amounts are kept as expressions; their text (`amount`, `base`) is rendered
-on each read, which only a finding's evidence does.  Records are listed by
-selector, call site and amount text, rendered only to order two or more
-amounts at one site.
+Amount texts (`amount`, `base`) are rendered on each read, which only a
+finding's evidence does.  Records are listed by selector, call site and
+amount text, rendered only to order two or more amounts at one site.
 """
 
 from __future__ import annotations
@@ -183,8 +182,6 @@ def summarize_semantics(
                 ),
                 amount_leaves,
             ))
-    # Report order: selector, call site, then amount text, which is
-    # rendered only where one site holds two or more amounts.
     per_site = Counter((t.selector, t.call_site) for t, _ in kept)
     kept.sort(key=lambda k: (
         k[0].selector,
