@@ -10,11 +10,22 @@ kept in program order, except the sorted `comp`; `stmt_func` is a view.
 The same pass records the dataflow graph, one step in both directions:
 operands flow into the def (a CALL's result is a fresh source), actuals
 into formals at CALLPRIVATE, and returned values into the def at each call
-site.  Dataflow queries are answered on demand from it: `influenced`
-walks the successors of one variable and `influencers` its predecessors,
-each on first use, and the result is kept in a private memo; `deciders`
-joins the `influencers` of the conditions a statement depends on.  Only
-the `dataflow` view, through `dataflow_closure`, fills the whole closure.
+site.  Dataflow queries are answered on demand from it:
+
+- `influenced(x)` walks the successors of one variable and `influencers(v)`
+  its predecessors, each on first use; the result is kept in a private memo.
+- `df(src, dst)` and `df_any(sources, dst)` test membership in
+  `influencers(dst)`; `slot_influenced(slot)` joins the `influenced` of the
+  slot's loads, and `deciders(sid)` the `influencers` of the conditions the
+  statement depends on.  They walk only where those memos have no entry.
+- `reached_from(sources)` walks forward from all sources at once, on every
+  call, and keeps nothing: a rule asks it once and tests membership.
+- `flows_through(sources, via, dst)` searches backward from dst on every
+  call, keeps nothing, and stops at the first witness; without a source
+  it answers at once.
+
+Only the `dataflow` view, through `dataflow_closure`, fills the whole
+closure.
 
 Besides the relations, the database keeps two indexes of `controls` (by
 statement and by condition), the ADD defs, and,
@@ -153,6 +164,32 @@ class FactDb(Record):
 
     def df_any(self, sources, dst: Operand) -> bool:
         return bool(sources) and not self.influencers(dst).isdisjoint(sources)
+
+    def reached_from(self, sources) -> set[str]:
+        """The variables some source influences, the sources included: one
+        forward walk from all of them, kept in no memo."""
+        return _reach(self.succ, [s for s in sources if s in self.succ])
+
+    def flows_through(self, sources, via, dst: Operand) -> bool:
+        """Does some source influence a member of `via` that influences dst?
+        A backward search from dst over (variable, passed a member of `via`)
+        states, stopped at the first witness; literals influence nothing."""
+        sources = set(sources)
+        if not sources or dst not in self.pred:
+            return False
+        # Breadth first, so the nearest witness ends the search.
+        work = [(dst, dst in via)]
+        seen = set(work)
+        for v, passed in work:  # `work` grows while it is read
+            if passed and v in sources:
+                return True
+            for u in self.pred[v]:
+                # Every witness of (u, False) is one of (u, True).
+                state = (u, passed or u in via)
+                if state not in seen and (u, True) not in seen:
+                    seen.add(state)
+                    work.append(state)
+        return False
 
     def selectors_of(self, sid: str) -> frozenset[str]:
         return self.fn_selectors.get(sid.partition(".")[0], frozenset())
@@ -337,15 +374,20 @@ def _walk(graph: dict[str, list[str]], memo: dict, start: Operand) -> frozenset[
     and kept in memo; none when start is not a node (a literal)."""
     if start not in graph or start in memo:
         return memo.get(start, frozenset())
-    seen = {start}
-    work = [start]
+    memo[start] = frozenset(_reach(graph, [start]))
+    return memo[start]
+
+
+def _reach(graph: dict[str, list[str]], starts: list[str]) -> set[str]:
+    """The nodes reachable in graph from the nodes `starts`, those included."""
+    seen = set(starts)
+    work = list(seen)
     while work:
         for nxt in graph[work.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
-    memo[start] = frozenset(seen)
-    return memo[start]
+    return seen
 
 
 # The audit needs only the base facts; dataflow is answered on demand.

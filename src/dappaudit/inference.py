@@ -2,7 +2,10 @@
 
 Every rule premise is evaluated against the base relations; rules fire once
 per (site, reaching public selector).  Only constant storage slots
-participate in guard and role inference.
+participate in guard and role inference.  The sender-guard, lock-time and
+supply rules ask the dataflow graph one question each from their sources
+(the caller defs, the timestamp defs and then the public parameters, the
+loads of a stored slot), so the work per site is a set-membership test.
 """
 from __future__ import annotations
 
@@ -102,15 +105,18 @@ def infer_sender_guards(db: FactDb) -> tuple[SenderGuardFact, ...]:
     # Loaded variable -> the comparisons where it meets the caller: one
     # side reached by a caller def, the other by the load.
     loaded = {load.value for load in db.sloads}
+    caller_fed = db.reached_from(db.caller_defs)
     compare_sites: dict[str, set[str]] = {}
     for sid, _, lhs, rhs, _ in db.comp:
         for a, b in ((lhs, rhs), (rhs, lhs)):
-            if db.df_any(db.caller_defs, b):
+            if b in caller_fed:
                 for v in loaded.intersection(db.influencers(a)):
                     compare_sites.setdefault(v, set()).add(sid)
     out: dict[tuple[int, str], SenderGuardFact] = {}
     for load in db.sloads:
-        sites = compare_sites.get(load.value, ())
+        sites = compare_sites.get(load.value)
+        if not sites:
+            continue
         for selector in sorted(db.selectors_of(load.sid)):
             own = [sid for sid in sites if selector in db.selectors_of(sid)]
             if own:
@@ -140,8 +146,11 @@ def infer_storage_roles(
     for load in db.sloads:
         x = load.value
         for selector in sorted(db.selectors_of(load.sid)):
-            returns_x = _flows_to_return(db, x, selector)
-            if selector in owner_selectors and returns_x:
+            # Only the owner and standard getters read their return values.
+            role = getter_roles.get(selector)
+            owner = selector in owner_selectors
+            returns_x = (owner or role is not None) and _flows_to_return(db, x, selector)
+            if owner and returns_x:
                 found.append(
                     StorageRoleFact(StorageRole.OWNER, load.slot, selector, RULE_OWNER_ACCESS, load.sid)
                 )
@@ -149,24 +158,29 @@ def infer_storage_roles(
                 found.append(
                     StorageRoleFact(StorageRole.OWNER, load.slot, selector, RULE_OWNER_ACCESS, load.sid)
                 )
-            role = getter_roles.get(selector)
             if role is not None and returns_x:
                 found.append(
                     StorageRoleFact(role, load.slot, selector, RULE_STANDARD_SELECTOR, load.sid)
                 )
 
-    # Store-side rules.
-    public_params = [v for _, v, _ in db.func_arg]
+    # Store-side rules.  A stored value fed by a timestamp and a public
+    # parameter marks a lock time; the parameters are walked from only
+    # when some stored value is timestamp-fed.
+    stamped = db.reached_from(db.timestamp_defs)
+    param_fed: set[str] = set()
+    if any(store.value in stamped for store in db.sstores):
+        param_fed = db.reached_from(v for _, v, _ in db.func_arg)
     for store in db.sstores:
         z = store.value
-        if db.df_any(db.timestamp_defs, z) and db.df_any(public_params, z):
+        if z in stamped and z in param_fed:
             for selector in sorted(db.selectors_of(store.sid)):
                 found.append(
                     StorageRoleFact(
                         StorageRole.LOCK_TIME, store.slot, selector, RULE_TIME_LOCK_SUM, store.sid
                     )
                 )
-        if _accumulates_own_slot(db, store.slot, z):
+        # Supply: the stored value is ADD-derived from a load of its slot.
+        if db.flows_through(db.slot_loads.get(store.slot, ()), db.adds, z):
             for selector in sorted(db.selectors_of(store.sid)):
                 found.append(
                     StorageRoleFact(
@@ -211,11 +225,3 @@ def _flows_to_return(db: FactDb, x: str, selector: str) -> bool:
 
 def _controls_anything(db: FactDb, x: str) -> bool:
     return not db.influenced(x).isdisjoint(db.region)
-
-
-def _accumulates_own_slot(db: FactDb, slot: int, stored: Operand) -> bool:
-    """stored is ADD-derived from a load of the same slot."""
-    # An ADD def is neither a formal nor a call-site def, so only its
-    # operands flow into it: a load influences it exactly when it
-    # influences one of them.
-    return db.df_any(db.slot_influenced(slot).intersection(db.adds), stored)

@@ -46,10 +46,17 @@ def function_name(signature: str) -> str:
     return signature.split("(", 1)[0]
 
 
+@lru_cache(maxsize=1)
+def _selectors_by_name() -> dict[str, frozenset[str]]:
+    """Function name -> the selectors of its signatures, built once."""
+    index: dict[str, set[str]] = {}
+    for sel, sig in load_signatures().items():
+        index.setdefault(function_name(sig), set()).add(sel)
+    return {name: frozenset(sels) for name, sels in index.items()}
+
+
 def selectors_named(name: str) -> frozenset[str]:
-    return frozenset(
-        sel for sel, sig in load_signatures().items() if function_name(sig) == name
-    )
+    return _selectors_by_name().get(name, frozenset())
 
 
 def transfer_shape(selector_value: int) -> tuple[int, int, str] | None:

@@ -333,21 +333,43 @@ def test_queries_in_any_order_match_the_oracle():
             sources = order.sample(operands, order.randint(0, 4))
             want = any((s, v) in closure for s in sources)
             queries.append((db.df_any, (sources, v), want))
+        def some(xs, k: int) -> list:
+            return order.sample(sorted(xs, key=str), order.randint(0, min(k, len(xs))))
+
+        for v in operands:
+            # One walk from many sources, some of them literals.
+            sources = some(operands, 4)
+            want = frozenset().union(*(fwd.get(s, frozenset()) for s in sources))
+            queries.append((db.reached_from, (sources,), want))
+            # Through a random set that may hold an influencer of v, and
+            # through the ADD defs.  The sources may hold an influencer of
+            # a member of `via`, the member itself, or v.
+            for via in (some(operands, 3) + some(back.get(v, ()), 1), db.adds):
+                sources = some(operands, 2) + [v] * order.randint(0, 1)
+                for m in some(via, 1):
+                    sources += some(back.get(m, {m}), 1)
+                want = any(
+                    (s, m) in closure and (m, v) in closure for s in sources for m in via
+                )
+                queries.append((db.flows_through, (sources, via, v), want))
         order.shuffle(queries)
         for query, args, want in queries:
             assert query(*args) == want, f"instance {i}, {query.__name__}{args}"
         assert set(db.dataflow) == closure, f"instance {i}"
 
 
-def _chain_text(n: int, loads: bool, returns: bool) -> str:
+def _chain_text(n: int, loads: bool, returns: bool, stores: bool = False) -> str:
     """One public function: an n-long chain of ADDs from CALLVALUE, each
-    adding 1 or a load of its own slot, sent to the caller by plain CALL."""
+    adding 1 or a load of its own slot and maybe stored back to that slot,
+    sent to the caller by plain CALL."""
     body = ["v0 = CALLVALUE"]
     for i in range(1, n + 1):
         if loads:
             body += [f"vl{i} = SLOAD {i}", f"v{i} = ADD v{i - 1} vl{i}"]
         else:
             body.append(f"v{i} = ADD v{i - 1} 1")
+        if stores:
+            body.append(f"SSTORE {i} v{i}")
     body += ["vc = CALLER", f"CALL vc v{n}"]
     return "\n".join(
         [
@@ -363,14 +385,15 @@ def _chain_text(n: int, loads: bool, returns: bool) -> str:
 
 
 @pytest.mark.parametrize(
-    "loads, returns",
-    [(False, False), (True, False), (True, True)],
-    ids=["add", "sum_of_loads", "sum_of_loads_returned"],
+    "loads, returns, stores",
+    [(False, False, False), (True, False, False), (True, True, False), (True, False, True)],
+    ids=["add", "sum_of_loads", "sum_of_loads_returned", "stores"],
 )
-def test_audit_of_a_chain_grows_linearly(loads, returns):
+def test_audit_of_a_chain_grows_linearly(loads, returns, stores):
     # A dataflow closure built for every variable would hold about n**2 / 2
     # entries: a peak 4x as high, and a wall time 4x as long, per doubling.
-    small, large = (_chain_text(n, loads, returns) for n in (2000, 4000))
+    # With `stores`, every link is a supply candidate of its own slot.
+    small, large = (_chain_text(n, loads, returns, stores) for n in (2000, 4000))
 
     def peak(text: str) -> int:
         tracemalloc.start()

@@ -5,7 +5,7 @@ import gc
 import random
 import time
 
-from dappaudit.facts import build_facts
+from dappaudit.facts import FactDb, build_facts
 from dappaudit.inference import (
     StorageRole,
     TransferKind,
@@ -15,6 +15,7 @@ from dappaudit.inference import (
 )
 from dappaudit.model import Opcode, TermKind
 from dappaudit.parser import parse_ir
+from dappaudit.signatures import function_name, load_signatures, selectors_named
 from helpers import (
     ADDR,
     floyd_warshall_dataflow,
@@ -415,6 +416,65 @@ function mint public sig 0x00000007 params (vamt) {{
     assert by_sel[(StorageRole.SUPPLY, 2, "0x18160ddd")] == "standard-selector"
     assert by_sel[(StorageRole.SUPPLY, 2, "0x00000007")] == "supply-accumulate"
     assert len(roles) == 2
+
+
+def _walk_test_program(stored: str) -> str:
+    """The caller's value and the parameters meet no comparison and are sent
+    away; `stored` goes to slot 1."""
+    return f"""contract {ADDR}
+function f public sig 0x00000001 params (vA, vB) {{
+  block B0:
+    0: vo = SLOAD 0
+    1: vc = CALLER
+    2: vnow = TIMESTAMP
+    3: vlt = LT vo vA
+    4: veq = EQ vB vo
+    5: vgt = GT vnow 100
+    6: vsum = ADD vnow vA
+    7: SSTORE 1 {stored}
+    8: CALL vc vB
+    stop
+}}
+"""
+
+
+def test_guard_and_lock_time_rules_walk_once_from_their_sources(monkeypatch):
+    asked: list[str] = []
+    influencers = FactDb.influencers
+    monkeypatch.setattr(
+        FactDb, "influencers", lambda self, v: asked.append(v) or influencers(self, v)
+    )
+    walks: list[list[str]] = []
+    reached_from = FactDb.reached_from
+
+    def recording(self, sources):
+        walks.append(sorted(sources))
+        return reached_from(self, walks[-1])
+
+    monkeypatch.setattr(FactDb, "reached_from", recording)
+
+    # No caller def reaches a comparison: no side asks for its influencers.
+    db = _facts(_walk_test_program("vA"))
+    assert infer_sender_guards(db) == ()
+    assert (asked, walks) == ([], [["vc"]])
+    # No stored value is timestamp-fed: the parameters are not walked from.
+    walks.clear()
+    assert infer_storage_roles(db, ()) == ()
+    assert walks == [["vnow"]]
+    # A timestamp-fed store makes the second walk, and the rule fires.
+    walks.clear()
+    roles = infer_storage_roles(_facts(_walk_test_program("vsum")), ())
+    assert [(r.role, r.slot) for r in roles] == [(StorageRole.LOCK_TIME, 1)]
+    assert walks == [["vnow"], ["vA", "vB"]]
+
+
+def test_selectors_named_matches_a_scan_of_the_table():
+    table = load_signatures()
+    names = {function_name(sig) for sig in table.values()}
+    assert {"owner", "totalSupply", "transfer"} <= names
+    for name in [*sorted(names), "noSuchFunction"]:
+        scan = {sel for sel, sig in table.items() if function_name(sig) == name}
+        assert selectors_named(name) == scan, name
 
 
 # ---------------------------------------------------------------------------
