@@ -23,9 +23,7 @@ site.  Dataflow queries are answered on demand from it:
 - `flows_through(sources, via, dst)` searches backward from dst on every
   call, keeps nothing, and stops at the first witness; without a source
   it answers at once.
-
-Only the `dataflow` view, through `dataflow_closure`, fills the whole
-closure.
+- The `dataflow` view, through `dataflow_closure`, fills the whole closure.
 
 Besides the relations, the database keeps two indexes of `controls` (by
 statement and by condition), the ADD defs, and,

@@ -146,7 +146,7 @@ def infer_storage_roles(
     for load in db.sloads:
         x = load.value
         for selector in sorted(db.selectors_of(load.sid)):
-            # Only the owner and standard getters read their return values.
+            # Only the owner and getter rules ask whether x is returned.
             role = getter_roles.get(selector)
             owner = selector in owner_selectors
             returns_x = (owner or role is not None) and _flows_to_return(db, x, selector)

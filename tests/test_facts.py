@@ -333,6 +333,7 @@ def test_queries_in_any_order_match_the_oracle():
             sources = order.sample(operands, order.randint(0, 4))
             want = any((s, v) in closure for s in sources)
             queries.append((db.df_any, (sources, v), want))
+
         def some(xs, k: int) -> list:
             return order.sample(sorted(xs, key=str), order.randint(0, min(k, len(xs))))
 
