@@ -4,13 +4,19 @@ The stored relations: constants (with folding), external calls, call
 arguments, math ops, function arguments, control dependence, function
 ownership by public selector, syntactic comparisons, and the storage and
 environment relations (constant-slot SLOAD/SSTORE, CALLER, TIMESTAMP,
-plain CALL).  All are collected once, when the database is built, and
-kept in program order, except the sorted `comp`; `stmt_func` is a view.
+plain CALL).  All are collected in one walk over the statements, when
+the database is built, and kept in program order, except the sorted
+`comp`; `stmt_func` is a view.  The walk also records the CONST defs and
+queues the ADD/SUB/MUL/DIV statements, folded once it ends.  A slot's
+constant may be defined in a block listed after its SLOAD or SSTORE, so
+slots are named only after folding.
 
-The same pass records the dataflow graph, one step in both directions:
+The same walk records the dataflow graph, one step in both directions:
 operands flow into the def (a CALL's result is a fresh source), actuals
 into formals at CALLPRIVATE, and returned values into the def at each call
-site.  Dataflow queries are answered on demand from it:
+site.  A def's predecessors are its statement's own `uses`, shared, not
+copied; parameters and call defs, which gain edges, hold lists.  Dataflow
+queries are answered on demand from the graph:
 
 - `influenced(x)` walks the successors of one variable and `influencers(v)`
   its predecessors, each on first use; the result is kept in a private memo.
@@ -33,6 +39,7 @@ and are left out of the TSV dumps.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,7 +110,7 @@ class FactDb(Record):
     # The dataflow graph: variable -> the variables it flows into in one
     # step, and the reverse.
     succ: dict[str, list[str]]
-    pred: dict[str, list[str]]
+    pred: dict[str, list[str] | tuple[str, ...]]
     # Constant-slot storage operations, in program order.
     sloads: tuple[StorageOp, ...]
     sstores: tuple[StorageOp, ...]
@@ -203,55 +210,58 @@ class FactDb(Record):
 
 def derive_base_facts(program: IrProgram) -> FactDb:
     """All relations and the dataflow graph; no dataflow query is answered."""
-    constant = _fold_constants(program)
-
+    constant: dict[str, int] = {}
+    # ADD/SUB/MUL/DIV statements by def, and the SLOADs and SSTOREs whose
+    # slots are named once these are folded (see the module).
+    foldable: dict[str, IrStatement] = {}
+    storage: list[IrStatement] = []
     external_call: list[tuple[str, Operand, Operand]] = []
     call_arg: list[tuple[str, Operand, int]] = []
     math_op: list[tuple[str, str, tuple[Operand, ...]]] = []
     comp: list[tuple[str, str, Operand, Operand, str]] = []
-    sloads: list[StorageOp] = []
-    sstores: list[StorageOp] = []
     caller_defs: list[str] = []
     timestamp_defs: list[str] = []
     plain_calls: list[IrStatement] = []
-    # Loads whose slot the constant folding cannot name.
-    unnamed_loads: list[str] = []
 
-    # The dataflow graph.  A PHI may use a variable before its definition,
-    # so a node is made when first met and never reset.
+    # The dataflow graph; `pred` shares each def's `uses` (see the module).
     succ: dict[str, list[str]] = {p: [] for fn in program.functions for p in fn.params}
-    pred: dict[str, list[str]] = {p: [] for p in succ}
-    private_calls: list[tuple[str, str, str | None]] = []  # (caller, callee, def)
-    returned: dict[str, list[Operand]] = {}  # function -> values it returns
+    pred: dict[str, list[str] | tuple[str, ...]] = {p: [] for p in succ}
+    private_calls: list[tuple[str, str, IrStatement]] = []  # (caller, callee, call)
+    returned: dict[str, list[Operand]] = {fn.name: [] for fn in program.functions}
     # Enum members are class attributes, slow to look up in a loop.
     SLOAD, SSTORE, CALLER, TIMESTAMP = Opcode.SLOAD, Opcode.SSTORE, Opcode.CALLER, Opcode.TIMESTAMP
-    CALL, CALLPRIVATE = Opcode.CALL, Opcode.CALLPRIVATE
+    CALL, CALLPRIVATE, CONST = Opcode.CALL, Opcode.CALLPRIVATE, Opcode.CONST
     RETURNPRIVATE, JUMPI = TermKind.RETURNPRIVATE, TermKind.JUMPI
     for fn in program.functions:
         for b in fn.blocks:
             for s in b.statements:
                 sid, op, d, args, uses = s
                 if d is not None:
-                    succ.setdefault(d, [])
-                    pred.setdefault(d, [])
+                    if d not in succ:
+                        succ[d] = []
                     # External call results are fresh, unconstrained sources.
-                    if op is not CALL and op is not CALLPRIVATE:
-                        pred[d] += uses
+                    if op is CALL or op is CALLPRIVATE:
+                        pred[d] = []
+                    else:
+                        pred[d] = uses
                         for v in uses:
-                            succ.setdefault(v, []).append(d)
+                            # A PHI, or a block listed before the one
+                            # defining v, uses v before its definition.
+                            try:
+                                succ[v].append(d)
+                            except KeyError:
+                                succ[v] = [d]
                 # Opcodes missing here add to no relation.
-                if op in ARITH_OPS:
+                if op is CONST:
+                    constant[d] = args[0] % WORD
+                elif op in ARITH_OPS:
                     math_op.append((d, OP_NAMES[op], args))
+                    if op in _FOLD:
+                        foldable[d] = s
                 elif op in COMPARE_OPS:
                     comp.append((sid, OP_NAMES[op], args[0], args[1], d))
-                elif op is SLOAD:
-                    if (slot := _const_of(constant, args[0])) is not None:
-                        sloads.append(StorageOp(sid, slot, d))
-                    else:
-                        unnamed_loads.append(d)
-                elif op is SSTORE:
-                    if (slot := _const_of(constant, args[0])) is not None:
-                        sstores.append(StorageOp(sid, slot, args[1]))
+                elif op is SLOAD or op is SSTORE:
+                    storage.append(s)
                 elif op is CALL:
                     if len(args) >= 3:
                         external_call.append((sid, args[0], args[2]))
@@ -263,21 +273,36 @@ def derive_base_facts(program: IrProgram) -> FactDb:
                 elif op is TIMESTAMP:
                     timestamp_defs.append(d)
                 elif op is CALLPRIVATE:
-                    private_calls.append((fn.name, args[0], d))
-                    formals = program.function(args[0]).params
-                    for actual, formal in zip(args[1:], formals):
-                        if isinstance(actual, str):
-                            succ.setdefault(actual, []).append(formal)
-                            pred[formal].append(actual)
+                    private_calls.append((fn.name, args[0], s))
             t = b.terminator
             if t.kind is RETURNPRIVATE:
-                returned.setdefault(fn.name, []).extend(t.values)
-    # Returned values flow to the def at every site calling the function.
-    for _, callee, d in private_calls:
-        for v in returned.get(callee, ()):
-            if d is not None and isinstance(v, str):
-                succ[v].append(d)
-                pred[d].append(v)
+                returned[fn.name] += t.values
+    # At each private call site, once every node is made, the actuals flow
+    # into the formals and the returned values into the def.
+    for _, callee, (_, _, d, args, _) in private_calls:
+        for actual, formal in zip(args[1:], program.function(callee).params):
+            if isinstance(actual, str):
+                succ[actual].append(formal)
+                pred[formal].append(actual)
+        if d is not None:
+            for v in returned[callee]:
+                if isinstance(v, str):
+                    succ[v].append(d)
+                    pred[d].append(v)
+
+    _fold_constants(constant, foldable, succ)
+    sloads: list[StorageOp] = []
+    sstores: list[StorageOp] = []
+    # Loads whose slot the constant folding cannot name.
+    unnamed_loads: list[str] = []
+    for sid, op, d, args, _ in storage:
+        if (slot := _const_of(constant, args[0])) is None:
+            if op is SLOAD:
+                unnamed_loads.append(d)
+        elif op is SLOAD:
+            sloads.append(StorageOp(sid, slot, d))
+        else:
+            sstores.append(StorageOp(sid, slot, args[1]))
     slot_loads: dict[int, list[str]] = {}
     for load in sloads:
         slot_loads.setdefault(load.slot, []).append(load.value)
@@ -367,7 +392,7 @@ def dataflow_closure(db: FactDb) -> FactDb:
     return db
 
 
-def _walk(graph: dict[str, list[str]], memo: dict, start: Operand) -> frozenset[str]:
+def _walk(graph: Mapping[str, Sequence[str]], memo: dict, start: Operand) -> frozenset[str]:
     """The nodes reachable from start in graph, start included, walked once
     and kept in memo; none when start is not a node (a literal)."""
     if start not in graph or start in memo:
@@ -376,7 +401,7 @@ def _walk(graph: dict[str, list[str]], memo: dict, start: Operand) -> frozenset[
     return memo[start]
 
 
-def _reach(graph: dict[str, list[str]], starts: list[str]) -> set[str]:
+def _reach(graph: Mapping[str, Sequence[str]], starts: list[str]) -> set[str]:
     """The nodes reachable in graph from the nodes `starts`, those included."""
     seen = set(starts)
     work = list(seen)
@@ -404,47 +429,37 @@ _FOLD = {
 }
 
 
-def _fold_constants(program: IrProgram) -> dict[str, int]:
-    """CONST defs plus ADD/SUB/MUL/DIV folded to fixpoint; division by zero
-    leaves the result non-constant.  A worklist folds each statement once:
-    a newly constant variable queues the foldable statements using it."""
-    out: dict[str, int] = {}
-    users: dict[str, list[IrStatement]] = {}
-    work: list[IrStatement] = []
-    CONST = Opcode.CONST
-    for fn in program.functions:
-        for b in fn.blocks:
-            for s in b.statements:
-                if (op := s.opcode) is CONST:
-                    out[s.defvar] = s.args[0] % WORD
-                elif op in _FOLD:
-                    work.append(s)
-                    for v in s.uses:
-                        users.setdefault(v, []).append(s)
+def _fold_constants(
+    constant: dict[str, int], foldable: dict[str, IrStatement], succ: dict[str, list[str]]
+) -> None:
+    """Add the ADD/SUB/MUL/DIV defs of `foldable` to `constant`, the CONST
+    defs, folded to fixpoint; division by zero leaves the result
+    non-constant.  A worklist folds each statement once: a newly constant
+    variable queues the foldable statements among its successors."""
 
     def val(op: Operand) -> int | None:
         if isinstance(op, int):
             return op % WORD
-        return out.get(op)
+        return constant.get(op)
 
+    work = list(foldable.values())
     while work:
         _, op, d, (x, y), _ = work.pop()
-        if d in out:
+        if d in constant:
             continue
         a, b = val(x), val(y)
         if a is None or b is None:
             continue
         if (value := _FOLD[op](a, b)) is not None:
-            out[d] = value
-            work += users.get(d, ())
-    return out
+            constant[d] = value
+            work += [foldable[u] for u in succ[d] if u in foldable]
 
 
 def _function_selectors(
-    program: IrProgram, calls: list[tuple[str, str, str | None]]
+    program: IrProgram, calls: list[tuple[str, str, IrStatement]]
 ) -> dict[str, frozenset[str]]:
     """Function name -> public selectors whose entry points reach it
-    through the (caller, callee, def) private calls."""
+    through the (caller, callee, call) private calls."""
     callees: dict[str, list[str]] = {fn.name: [] for fn in program.functions}
     for caller, callee, _ in calls:
         callees[caller].append(callee)

@@ -33,9 +33,11 @@ in the loop that converts the operands.  Within one `parse_ir` call each
 statement operand token is converted once and looked up afterwards (a
 defined variable's name is entered with its definition); a token that
 fails to convert is never remembered, so each occurrence raises with its
-own line and message.  Statements are built as `NamedTuple` records
-(see `model`).  Validation runs once the whole text
-has parsed, so a syntax error anywhere wins over a validation error.
+own line and message.  Statements are `NamedTuple` records (see
+`model`), built with `tuple.__new__` from their five fields, which skips
+the record class's Python-level `__new__`; no other record is built that
+way.  Validation runs once the whole text has parsed, so a syntax error
+anywhere wins over a validation error.
 """
 from __future__ import annotations
 
@@ -136,6 +138,9 @@ def parse_ir(text: str) -> IrProgram:
     # variable's name is entered when its definition is read.
     operands: dict[str, str | int] = {}
     CALLPRIVATE, CONST = Opcode.CALLPRIVATE, Opcode.CONST
+    # The record class's own __new__ is a Python frame; this builds the
+    # same tuple without it.
+    new_tuple = tuple.__new__
 
     def close_block(line: int) -> None:
         nonlocal blk_id, blk_stmts, blk_term
@@ -207,9 +212,8 @@ def parse_ir(text: str) -> IrProgram:
                 raise ArityMismatch(lineno, f"{opcode.value} cannot define a variable")
 
             args = (toks[i + 1], *ops) if opcode is CALLPRIVATE else tuple(ops)
-            blk_stmts.append(
-                IrStatement(f"{blk_sid}{len(blk_stmts)}", opcode, defvar, args, tuple(uses))
-            )
+            sid = f"{blk_sid}{len(blk_stmts)}"
+            blk_stmts.append(new_tuple(IrStatement, (sid, opcode, defvar, args, tuple(uses))))
             continue
 
         line = raw.strip()

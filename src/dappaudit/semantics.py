@@ -291,14 +291,18 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?
-    The reach sets are built only for a write that some comparison shares a
-    selector with."""
+    The comparisons are indexed by selector once; the reach sets are built
+    only for a write that some comparison shares a selector with."""
+    comps: dict[str, list[tuple]] = {}  # selector -> its `comp` rows
+    for row in db.comp:
+        for sel in db.selectors_of(row[0]):
+            comps.setdefault(sel, []).append(row)
     loaded = None
     before = False
     after = False
     for w in writes:
-        write_sels = db.selectors_of(w.store_site)
-        rows = [r for r in db.comp if not db.selectors_of(r[0]).isdisjoint(write_sels)]
+        # A row shared by two selectors is met twice; it sets the same flag.
+        rows = [r for sel in db.selectors_of(w.store_site) for r in comps.get(sel, ())]
         if not rows:
             continue
         if loaded is None:

@@ -4,13 +4,14 @@ chain node and the description endpoint, one POST and one retry policy.
 `read_json` and `post_json` refuse a key repeated within an object, as
 they refuse text that is not JSON.  `post_json` opens only `http` and
 `https` URLs, reads at most MAX_REPLY_BYTES of a reply and refuses a
-longer one as it refuses one that is not JSON, and raises PermanentError
-for what no retry mends; `request` retries every other failure with
-exponential backoff.
+longer one as it refuses one that is not JSON, reads the reply against
+one deadline per request, and raises PermanentError for what no retry
+mends; `request` retries every other failure with exponential backoff.
 """
 from __future__ import annotations
 
 import json
+import time
 
 ATTEMPTS = 3
 BACKOFF_S = 0.5
@@ -47,16 +48,26 @@ def read_json(path) -> object:
 def post_json(url: str, payload: dict, timeout: float):
     """POST `payload` as JSON and decode the UTF-8 reply.  A reply that is
     not JSON, repeats a key within one object, or is longer than
-    MAX_REPLY_BYTES raises ValueError."""
+    MAX_REPLY_BYTES raises ValueError.  The body is read in chunks against
+    one deadline, `timeout` seconds after the request starts; a chunk that
+    arrives past it raises TimeoutError.  Each socket read is also bounded
+    by `timeout`, so an attempt whose headers arrive in time ends within
+    `timeout` plus one socket read."""
     import urllib.request  # here, not at import: it pulls in http.client and ssl
+    deadline = time.monotonic() + timeout
     req = urllib.request.Request(
         url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
     )
     if req.type not in ("http", "https"):
         raise PermanentError(f"unsupported URL scheme: {url!r}")
+    data = bytearray()
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            data = resp.read(MAX_REPLY_BYTES + 1)
+            # One byte past the cap is enough to refuse the reply.
+            while chunk := resp.read1(MAX_REPLY_BYTES + 1 - len(data)):
+                data += chunk
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"no whole reply from {url} within {timeout} s")
     except urllib.request.HTTPError as err:
         with err:  # the error holds the open reply
             if 400 <= err.code < 500 and err.code not in (408, 429):

@@ -5,7 +5,9 @@ import json
 import random
 import re
 import string
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -374,6 +376,41 @@ def test_rpc_reply_over_the_size_cap_fails_after_retries():
     assert len(log) == ATTEMPTS
     assert naps == [0.5, 1.0]
 
+
+
+def test_post_json_gives_up_on_a_dripping_reply():
+    # A valid 60-byte reply sent 4 bytes every 0.2 s takes 3 s in all; no
+    # socket read waits the whole 0.5 s timeout, so only the request's one
+    # deadline ends the read.
+    reply = padded(b'{"jsonrpc": "2.0", "id": 1, "result": "0x2a"}', 60)
+
+    class Dripping(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            try:
+                for i in range(0, len(reply), 4):
+                    self.wfile.write(reply[i : i + 4])
+                    self.wfile.flush()
+                    time.sleep(0.2)
+            except OSError:
+                pass  # the client gave up
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Dripping)
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="within 0.5 s"):
+            post_json(f"http://127.0.0.1:{server.server_address[1]}", {}, timeout=0.5)
+        assert time.monotonic() - start < 1.5
+    finally:
+        server.shutdown()
+        server.server_close()
 
 def test_rpc_default_transport_opens_no_file_url(tmp_path):
     reply = tmp_path / "reply.json"

@@ -569,6 +569,33 @@ function f public sig 0x00000001 params (vK, vV) {{
     assert db.slot_loads == {4: ("v2",)}
 
 
+
+def test_slots_are_named_after_folding():
+    # Block U, listed first after the entry, loads and stores a slot that
+    # block S, listed after it and dominating it, defines as ADD of two
+    # CONSTs: the walk meets the storage before the slot's constant.
+    text = f"""contract {ADDR}
+function f public sig 0x00000001 params (vV) {{
+  block E:
+    jump S
+  block U:
+    0: vl = SLOAD vs
+    1: SSTORE vs vV
+    stop
+  block S:
+    0: va = CONST 2
+    1: vb = CONST 3
+    2: vs = ADD va vb
+    jump U
+}}
+"""
+    program = parse_ir(text)
+    db = derive_base_facts(program)
+    assert [(o.sid, o.slot, o.value) for o in db.sloads] == [("f.U.0", 5, "vl")]
+    assert [(o.sid, o.slot, o.value) for o in db.sstores] == [("f.U.1", 5, "vV")]
+    assert db.slot_loads == {5: ("vl",)}
+    assert db.constant == _naive_constants(program)
+
 def test_fact_dump_is_deterministic(tmp_path):
     program = parse_ir(ERC20_CALL)
     db = build_facts(program)

@@ -364,6 +364,44 @@ def test_supply_without_a_comparison_builds_no_reach_set(monkeypatch):
     assert summarize_semantics(executions, db, ftg, sdg).supplies == want
 
 
+
+def test_bound_checks_index_comparisons_by_selector_once(monkeypatch):
+    # W mints each store an ADD of the supply slot 3; the first also
+    # compares the stored sum after the store.  One more function holds
+    # the other comparisons, under a selector no write has.
+    w, c = 4, 6
+    lines = [f"contract {ADDR}"]
+    for j in range(w):
+        lines += [
+            f"function mint{j} public sig 0x{j + 1:08x} params (va{j}) {{",
+            "  block M:",
+            f"    0: vl{j} = SLOAD 3",
+            f"    1: vs{j} = ADD vl{j} va{j}",
+            f"    2: SSTORE 3 vs{j}",
+            *(["    3: vk = GT vs0 0x64"] if j == 0 else []),
+            "    stop",
+            "}",
+        ]
+    lines += ["function check public sig 0x000000ff params (vx) {", "  block C:"]
+    lines += [f"    {k}: vc{k} = LT vx {k}" for k in range(c - 1)]
+    lines += ["    stop", "}", ""]
+    db = build_facts(parse_ir("\n".join(lines)))
+    _, sdg, _ = build_graphs(db)
+    writes = sdg.writes_to(3)
+    assert (len(writes), len(db.comp)) == (w, c)
+
+    calls = []
+    selectors_of = FactDb.selectors_of
+
+    def counting(self, sid):
+        calls.append(sid)
+        return selectors_of(self, sid)
+
+    monkeypatch.setattr(FactDb, "selectors_of", counting)
+    assert semantics._bound_checks(db, 3, writes) == (False, True)
+    # Scanning every row for every write makes w * (c + 1) calls.
+    assert len(calls) <= c + w
+
 # ---------------------------------------------------------------------------
 # Pause status
 
