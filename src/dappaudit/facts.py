@@ -14,8 +14,9 @@ slots are named only after folding.
 The same walk records the dataflow graph, one step in both directions:
 operands flow into the def (a CALL's result is a fresh source), actuals
 into formals at CALLPRIVATE, and returned values into the def at each call
-site.  A def's predecessors are its statement's own `uses`, shared, not
-copied; parameters and call defs, which gain edges, hold lists.  Dataflow
+site; the private-call edges are added once the walk ends.  A def's
+predecessors are its statement's own `uses`, shared, not copied;
+parameters and call defs, which gain those edges, hold lists.  Dataflow
 queries are answered on demand from the graph:
 
 - `influenced(x)` walks the successors of one variable and `influencers(v)`

@@ -138,9 +138,7 @@ def parse_ir(text: str) -> IrProgram:
     # variable's name is entered when its definition is read.
     operands: dict[str, str | int] = {}
     CALLPRIVATE, CONST = Opcode.CALLPRIVATE, Opcode.CONST
-    # The record class's own __new__ is a Python frame; this builds the
-    # same tuple without it.
-    new_tuple = tuple.__new__
+    new_tuple = tuple.__new__  # skips IrStatement's Python-level __new__ frame
 
     def close_block(line: int) -> None:
         nonlocal blk_id, blk_stmts, blk_term
