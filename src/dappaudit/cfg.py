@@ -5,8 +5,11 @@ Harvey & Kennedy ("A Simple, Fast Dominance Algorithm", 2001) run on the
 reversed control-flow graph from a synthetic exit node: one depth-first
 walk over predecessor edges ranks the blocks that can reach the exit in
 postorder, and a block's immediate post-dominator is the nearest common
-post-dominator of its successors, found by climbing both by rank. They
-are built only for a function with a reachable branch: most functions
+post-dominator of its successors, found by climbing both by rank. Passes
+over the blocks in reverse postorder repeat until none changes, except that
+a first pass which meets no back edge (a successor that can reach the exit
+but is not yet set) is final. They are built only for a function with a
+reachable branch, found in one stack walk from the entry: most functions
 have none, and without one no statement has a controlling branch.
 
 Control dependence takes the region form of Ferrante, Ottenstein &
@@ -78,7 +81,13 @@ def branch_structure(
     without a short arm."""
     order = [b.bid for b in fn.blocks]
     succ = _successors(fn)
-    reachable = _reach(order[0], succ)[0]
+    # The blocks the entry reaches, in one stack walk that never enters the exit.
+    reachable, work = {order[0], EXIT}, [order[0]]
+    while work:
+        for d, _ in succ[work.pop()]:
+            if d not in reachable:
+                reachable.add(d)
+                work.append(d)
 
     # Built on the first reachable branch, and on the first that cannot
     # reach the exit: most functions have neither.
@@ -86,7 +95,7 @@ def branch_structure(
     sink_ipdom: dict[str, str] | None = None
 
     JUMPI = TermKind.JUMPI
-    deps: dict[str, set[tuple[Operand, bool]]] = {n: set() for n in order}
+    deps: dict[str, set[tuple[Operand, bool]]] = {}
     arms: dict[str, tuple[str, frozenset[str]] | None] = {}
     for b in fn.blocks:
         t = b.terminator
@@ -104,9 +113,9 @@ def branch_structure(
         regions: list[set[str]] = []
         dist: list[float] = []
         for dst, branch in succ[b.bid]:
-            region, steps = _reach(dst, succ, stop=post[b.bid])
+            region, steps = _reach(dst, succ, post[b.bid])
             for n in region:
-                deps[n].add((t.cond, branch))
+                deps.setdefault(n, set()).add((t.cond, branch))
             regions.append(region)
             dist.append(float("inf") if steps is None else steps)
         if isinstance(t.cond, str):
@@ -116,9 +125,11 @@ def branch_structure(
                 if arm is not None:
                     arms[b.bid] = arm, frozenset(regions[0] | regions[1])
 
-    # One frozen set per block, shared by its statements.
+    # One frozen set per block of a region, shared by its statements; one
+    # empty set for the statements of every other block.
     frozen = {bid: frozenset(d) for bid, d in deps.items()}
-    deps_of = {s.sid: frozen[b.bid] for b in fn.blocks for s in b.statements}
+    none: frozenset[tuple[Operand, bool]] = frozenset()
+    deps_of = {s.sid: frozen.get(b.bid, none) for b in fn.blocks for s in b.statements}
     return deps_of, arms
 
 
@@ -148,6 +159,12 @@ def _longest_path(
     None when the region holds a cycle."""
     if start == stop:
         return 0
+    if len(region) == 1:
+        # The region is `start` alone: a cycle only through a self-loop.
+        for d, _ in succ[start]:
+            if d == start:
+                return None
+        return 1
     longest: dict[str, int] = {}
     on_path: set[str] = set()
     work = [(start, False)]
@@ -221,24 +238,27 @@ def _with_sink_exits(
 
 
 def _reach(
-    start: str, succ: dict[str, list[tuple[str, bool | None]]], stop: str = EXIT
+    start: str, succ: dict[str, list[tuple[str, bool | None]]], stop: str
 ) -> tuple[set[str], int | None]:
     """Blocks reachable from `start` without entering `stop` or the exit,
     and how many of them the shortest path to `stop` crosses (None when no
-    path gets there)."""
-    seen: set[str] = set()
+    path gets there); a breadth-first walk, one level at a time."""
+    if start == stop:
+        return set(), 0
+    seen = {start}
     steps = None
     level = [start]
-    depth = 0
+    depth = 1
     while level:
         nxt = []
         for n in level:
-            if n == stop:
-                if steps is None:
-                    steps = depth
-            elif n != EXIT and n not in seen:
-                seen.add(n)
-                nxt.extend(d for d, _ in succ[n])
+            for d, _ in succ[n]:
+                if d == stop:
+                    if steps is None:
+                        steps = depth
+                elif d != EXIT and d not in seen:
+                    seen.add(d)
+                    nxt.append(d)
         level = nxt
         depth += 1
     return seen, steps
@@ -270,6 +290,7 @@ def _post_dominators(
             walk.pop()
             post.append(n)
     rank = {n: i for i, n in enumerate(post)}
+    rpo = post[-2::-1]  # reverse postorder, the exit left out
 
     # A block's walk parent comes before it in reverse postorder, so every
     # block meets at least one successor with a post-dominator already set.
@@ -277,10 +298,12 @@ def _post_dominators(
     changed = True
     while changed:
         changed = False
-        for n in reversed(post[:-1]):
+        for n in rpo:
             new = None
             for d, _ in succ[n]:
                 if d not in ipdom:
+                    if d in rank:
+                        changed = True
                     continue
                 if new is None:
                     new = d
@@ -292,7 +315,9 @@ def _post_dominators(
                         a = ipdom[a]
                     while rank[new] < rank[a]:
                         new = ipdom[new]
-            if ipdom.get(n) != new:
+            old = ipdom.get(n)
+            if old != new:
                 ipdom[n] = new
-                changed = True
-    return {n: ipdom[n] for n in order if n in ipdom}
+                changed = changed or old is not None
+    del ipdom[EXIT]
+    return ipdom

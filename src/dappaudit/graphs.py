@@ -311,22 +311,23 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
     for br in branches:
         where.setdefault(br.cond, []).append((br.function, br.block))
     conds = frozenset(where)
+    influenced = db.influenced
     free = []
     for br in branches:
         if br.sets is None or br.cond in controlling:
             continue
         # What br sets reaches no operand, and every branch on a condition
         # it reaches sits inside br's arms.
-        if all(
-            reached.isdisjoint(operands)
-            and all(
-                f == br.function and b in br.blocks
-                for c in reached.intersection(conds)
-                for f, b in where[c]
-            )
-            for reached in map(db.influenced, br.sets)
-        ):
-            free.append((br.function, br.block, br.short_arm))
+        fn, blocks = br.function, br.blocks
+        for v in br.sets:
+            reached = influenced(v)
+            if not reached.isdisjoint(operands) or (
+                not reached.isdisjoint(conds)
+                and any(f != fn or b not in blocks for c in reached & conds for f, b in where[c])
+            ):
+                break
+        else:
+            free.append((fn, br.block, br.short_arm))
     return frozenset(free)
 
 

@@ -105,9 +105,11 @@ _OPCODES: dict[str, tuple[Opcode, int, int | None, bool, bool]] = {
 def _operand(tok: str, line: int) -> str | int:
     if _VAR_RE.match(tok):
         return tok
-    m = _SLOT_RE.fullmatch(tok)
+    # A plain decimal, the common literal, needs neither regex.
+    plain = tok.isascii() and tok.isdecimal()
+    m = None if plain else _SLOT_RE.fullmatch(tok)
     lit = m[1] if m else tok
-    if _LITERAL_RE.fullmatch(lit):
+    if plain or _LITERAL_RE.fullmatch(lit):
         hexa = lit[:2] in ("0x", "0X")
         digits = (lit[2:] if hexa else lit).lstrip("0") or "0"
         # No word needs more than 78 digits; the cap also keeps a long

@@ -500,3 +500,117 @@ def test_long_dead_end_region_is_linear():
     assert deps["f.D0.0"] == {("vc", True)}
     assert deps[f"f.D{n - 1}.0"] == {("vc", True), ("vc", False)}
     assert arms["B0"][0] == "X" and arms[f"D{n - 1}"] is None
+
+
+def _graph_text(order, succ) -> str:
+    """The IR of a `_random_graph` shape: block n defines `vcn` and stops,
+    jumps, or branches on it."""
+    lines = [f"contract {ADDR}", "function f public sig 0x00000001 params () {"]
+    for n in order:
+        lines += [f"  block {n}:", f"    0: vc{n} = CALLVALUE"]
+        targets = [d for d, _ in succ[n]]
+        if targets == [EXIT]:
+            lines.append("    stop")
+        elif len(targets) == 1:
+            lines.append(f"    jump {targets[0]}")
+        else:
+            lines.append(f"    jumpi vc{n} {targets[0]} {targets[1]}")
+    return "\n".join([*lines, "}"]) + "\n"
+
+
+def _region(start, stop, succ) -> set[str]:
+    """The blocks reachable from start without entering stop or the exit."""
+    seen, work = set(), [start]
+    while work:
+        n = work.pop()
+        if n not in seen and n != stop and n != EXIT:
+            seen.add(n)
+            work.extend(d for d, _ in succ[n])
+    return seen
+
+
+def _blocks_before(start, stop, succ) -> float:
+    """How many blocks the shortest path from start to stop crosses."""
+    level, seen, depth = [start], set(), 0
+    while level:
+        if stop in level:
+            return depth
+        seen.update(level)
+        level = [d for n in level if n != EXIT for d, _ in succ[n] if d not in seen]
+        depth += 1
+    return float("inf")
+
+
+def _most_blocks(start, region, succ) -> int | None:
+    """The most blocks a path from start crosses inside region, over every
+    simple path; None when the region holds a cycle."""
+    inner = {n: [(d, None) for d, _ in succ[n] if d in region] for n in region}
+    # n lies on a cycle when one of its inner successors leads back to it.
+    if any(n in _reach_all(d, inner) for n in region for d, _ in inner[n]):
+        return None
+
+    def longest(n, path):
+        return 1 + max(
+            (longest(d, path | {d}) for d, _ in inner[n] if d not in path), default=0
+        )
+
+    return longest(start, {start}) if start in region else 0
+
+
+def _reference_branch_structure(order, succ):
+    """Block -> (condition, outcome) pairs controlling it, and the arms of
+    each reachable branch, from the module docstring."""
+    live = _reference_post_dominators(order, succ)
+    sink = _reference_post_dominators(order, _reference_sink_exits(order, succ, live))
+    reachable = _reach_all(order[0], succ)
+    deps = {n: set() for n in order}
+    arms = {}
+    for n in order:
+        if n not in reachable or len(succ[n]) != 2:
+            continue
+        post = live if n in live else sink
+        regions = [_region(d, post[n], succ) for d, _ in succ[n]]
+        for (_, outcome), region in zip(succ[n], regions):
+            for m in region:
+                deps[m].add((f"vc{n}", outcome))
+        arms[n] = None
+        if post is live and post[n] != EXIT:
+            targets = [d for d, _ in succ[n]]
+            dist = [_blocks_before(d, post[n], succ) for d in targets]
+            i = 1 if dist[1] < dist[0] else 0
+            most = _most_blocks(targets[i], regions[i], succ)
+            if most is not None and most <= dist[1 - i]:
+                arms[n] = targets[i], regions[0] | regions[1]
+    return deps, arms
+
+
+def test_branch_structure_matches_the_definition_on_cyclic_graphs():
+    # Control dependence and short arms of random graphs with self-loops,
+    # back edges and dead ends, against the module docstring read plainly.
+    rng = random.Random(20261020)
+    seen = dict.fromkeys(
+        [
+            "short arm",
+            "short arm over three blocks or more",
+            "no short arm",
+            "branch into a back edge",
+            "branch that cannot reach the exit",
+        ],
+        0,
+    )
+    for i in range(1500):
+        order, succ = _random_graph(rng)
+        fn = _fn(_graph_text(order, succ))
+        deps_of, arms = branch_structure(fn)
+        want_deps, want_arms = _reference_branch_structure(order, succ)
+        assert {n: deps_of[f"f.{n}.0"] for n in order} == want_deps, f"graph {i}: {succ}"
+        assert arms == want_arms, f"graph {i}: {succ}"
+        rank = {n: j for j, n in enumerate(order)}
+        live = _reference_post_dominators(order, succ)
+        for n, arm in arms.items():
+            seen["short arm" if arm else "no short arm"] += 1
+            seen["short arm over three blocks or more"] += bool(arm) and len(arm[1]) > 2
+            seen["branch into a back edge"] += any(rank[d] <= rank[n] for d, _ in succ[n])
+            seen["branch that cannot reach the exit"] += n not in live
+    # The generator covers every shape the test is for.
+    assert min(seen.values()) > 100, dict(seen)

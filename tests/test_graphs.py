@@ -6,6 +6,7 @@ import random
 import time
 from collections import defaultdict
 
+from dappaudit.cfg import branch_structure
 from dappaudit.facts import build_facts
 from dappaudit.graphs import FtgEdge, RecipientClass, build_graphs
 from dappaudit.inference import (
@@ -19,7 +20,7 @@ from dappaudit.model import Opcode
 from dappaudit.parser import parse_ir
 from dappaudit.pipeline import analyze_ir
 from dappaudit.semantics import summarize_semantics
-from helpers import ADDR, floyd_warshall_dataflow, random_program
+from helpers import ADDR, floyd_warshall_dataflow, random_program, random_program_text
 
 
 def _graphs(text: str):
@@ -516,3 +517,89 @@ def test_audit_of_sequential_diamonds_grows_linearly():
     finally:
         gc.enable()
     assert best_large <= 3 * best_small, (best_small, best_large)
+
+
+def _reference_decisions(program, db, reach, site: str, selector: str):
+    """(function, block, short arm) -> the clause of the module docstring
+    that makes the branch deciding for the checkpoint at `site` under
+    `selector`, or None, for every branch under the selector; by the rule
+    read plainly, over the Floyd-Warshall closure."""
+    # The functions the selector's entry point reaches, and their branches.
+    names = [f.name for f in program.public_functions() if f.selector == selector]
+    for name in names:
+        names += [
+            s.callee
+            for b in program.function(name).blocks
+            for s in b.statements
+            if s.opcode is Opcode.CALLPRIVATE and s.callee not in names
+        ]
+    branches = [
+        (name, bid, program.function(name).block(bid).terminator.cond, arm)
+        for name in names
+        for bid, arm in branch_structure(program.function(name))[1].items()
+    ]
+    site_fn = program.function(site.partition(".")[0])
+    controlling = {c for c, _ in branch_structure(site_fn)[0][site]}
+    operands = {a for a in program.statement(site).args if isinstance(a, str)}
+    loads = [
+        (db.const_of(s.args[0]), s.defvar)
+        for _, _, s in program.statements()
+        if s.opcode is Opcode.SLOAD
+    ]
+    decisions = {}
+    for name, bid, cond, arm in branches:
+        key = (name, bid, arm and arm[0])
+        if cond in controlling:
+            decisions[key] = "a"
+            continue
+        if arm is None:
+            decisions[key] = "d"
+            continue
+        statements = [s for b in arm[1] for s in program.function(name).block(b).statements]
+        if any(s.opcode is Opcode.CALLPRIVATE for s in statements):
+            decisions[key] = "b"
+            continue
+        sets = {s.defvar for s in statements if s.defvar is not None}
+        for s in statements:
+            if s.opcode is Opcode.SSTORE:
+                slot = db.const_of(s.args[0])
+                sets |= {v for at, v in loads if None in (slot, at) or at == slot}
+        reached = set().union(*(reach[v] for v in sets))
+        outside = {c for f, b, c, _ in branches if f != name or b not in arm[1]}
+        if not reached.isdisjoint(operands):
+            decisions[key] = "c: an operand"
+        elif not reached.isdisjoint(outside):
+            decisions[key] = "c: a condition"
+        else:
+            decisions[key] = None
+    return decisions
+
+
+def test_free_branches_match_a_naive_oracle():
+    # Every checkpoint's free branches, against the rule of the module
+    # docstring.  The diamonds give one checkpoint many free branches; a
+    # transfer inside an arm is decided by (a) alone.
+    texts = [
+        random_program_text(random.Random(seed), 120, with_loops=seed % 2 == 1)
+        for seed in range(80)
+    ]
+    call_in_arm = REFUND_BEHIND_BRANCH.replace(
+        "vh = ADD vx 1\n", "vh = ADD vx 1\n    1: CALL vx vx\n"
+    )
+    seen = defaultdict(int)
+    for text in [*texts, _diamonds_text(50), call_in_arm]:
+        program = parse_ir(text)
+        db = build_facts(program)
+        ftg, sdg, _ = build_graphs(db)
+        reach = defaultdict(set)
+        for a, b in floyd_warshall_dataflow(program):
+            reach[a].add(b)
+        checkpoints = [(e.call_site, e.selector, e.follow) for e in ftg.edges]
+        checkpoints += [(w.store_site, w.selector, w.follow) for w in sdg.writes]
+        for site, selector, follow in checkpoints:
+            decisions = _reference_decisions(program, db, reach, site, selector)
+            assert follow == {br for br, why in decisions.items() if why is None}, (text, site)
+            for why in decisions.values():
+                seen[why or "free"] += 1
+    # Every clause decides some branch.
+    assert set(seen) == {"a", "b", "c: an operand", "c: a condition", "d", "free"}, dict(seen)

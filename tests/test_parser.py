@@ -273,6 +273,15 @@ def _in_block(*lines: str) -> str:
          f"line 4: bad operand '{hex(2**256)}'"),
         (_in_block("0: v1 = CONST 1" + "0" * 100, "stop"), IrSyntaxError,
          "line 4: bad operand '1" + "0" * 100 + "'"),
+        # Plain decimals: 78 digits above the word, 79 digits, digits that
+        # are not ASCII, and a digit that is not decimal.
+        (_in_block("0: v1 = CONST " + "9" * 78, "stop"), IrSyntaxError,
+         "line 4: bad operand '" + "9" * 78 + "'"),
+        (_in_block("return 1" + "0" * 78), IrSyntaxError,
+         "line 4: bad operand '1" + "0" * 78 + "'"),
+        (_in_block("0: v1 = CONST \u0661\u0662", "stop"), IrSyntaxError,
+         "line 4: bad operand '\u0661\u0662'"),
+        (_in_block("jumpi \u00b2 B0 B0"), IrSyntaxError, "line 4: bad operand '\u00b2'"),
         (_in_block("0: SSTORE slot(-1) v0", "stop"), IrSyntaxError,
          "line 4: bad operand 'slot(-1)'"),
         (_in_block("0: SSTORE slot(\u0663) v0", "stop"), IrSyntaxError,
@@ -390,16 +399,24 @@ def test_parse_error_table(text, exc, message):
         ("0X2a", 42),
         (str(2**256 - 1), 2**256 - 1),
         (hex(2**256 - 1), 2**256 - 1),
+        ("0" + str(2**256 - 1), 2**256 - 1),
         ("0" * 5000 + "1", 1),
         ("0x" + "0" * 5000 + "1", 1),
     ],
-    ids=["zero", "padded", "upper-hex", "max-decimal", "max-hex", "long-decimal", "long-hex"],
+    ids=[
+        "zero", "padded", "upper-hex", "max-decimal", "max-hex", "padded-max-decimal",
+        "long-decimal", "long-hex",
+    ],
 )
 def test_literal_operands_are_words(literal, value):
-    text = _in_block(f"0: v1 = CONST {literal}", f"1: SSTORE slot({literal}) v1", "stop")
-    const, sstore = parser.parse_ir(text).functions[0].blocks[0].statements
+    text = _in_block(
+        f"0: v1 = CONST {literal}", f"1: SSTORE slot({literal}) v1", f"return {literal}"
+    )
+    block = parser.parse_ir(text).functions[0].blocks[0]
+    const, sstore = block.statements
     assert const.args == (value,)
     assert sstore.args == (value, "v1")
+    assert block.terminator.values == (value,)
 
 
 def test_accepted_line_shapes():
