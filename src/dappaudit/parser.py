@@ -105,7 +105,8 @@ _OPCODES: dict[str, tuple[Opcode, int, int | None, bool, bool]] = {
 def _operand(tok: str, line: int) -> str | int:
     if _VAR_RE.match(tok):
         return tok
-    # A plain decimal, the common literal, needs neither regex.
+    # A plain decimal, the common literal, needs neither regex; isascii()
+    # keeps out the other scripts' digits, which int() would read.
     plain = tok.isascii() and tok.isdecimal()
     m = None if plain else _SLOT_RE.fullmatch(tok)
     lit = m[1] if m else tok

@@ -503,8 +503,8 @@ def test_long_dead_end_region_is_linear():
 
 
 def _graph_text(order, succ) -> str:
-    """The IR of a `_random_graph` shape: block n defines `vcn` and stops,
-    jumps, or branches on it."""
+    """The IR of a `_random_graph` shape: block n defines `vc<n>` and
+    stops, jumps, or branches on it."""
     lines = [f"contract {ADDR}", "function f public sig 0x00000001 params () {"]
     for n in order:
         lines += [f"  block {n}:", f"    0: vc{n} = CALLVALUE"]

@@ -526,7 +526,7 @@ def _reference_decisions(program, db, reach, site: str, selector: str):
     read plainly, over the Floyd-Warshall closure."""
     # The functions the selector's entry point reaches, and their branches.
     names = [f.name for f in program.public_functions() if f.selector == selector]
-    for name in names:
+    for name in names:  # `names` grows while it is read
         names += [
             s.callee
             for b in program.function(name).blocks
