@@ -16,21 +16,22 @@ operands flow into the def (a CALL's result is a fresh source), actuals
 into formals at CALLPRIVATE, and returned values into the def at each call
 site; the private-call edges are added once the walk ends.  A def's
 predecessors are its statement's own `uses`, shared, not copied;
-parameters and call defs, which gain those edges, hold lists.  Dataflow
-queries are answered on demand from the graph:
+parameters and call defs, which gain those edges, hold lists.  A rule asks
+each dataflow question once, as one walk over the graph from a set of
+variables, and tests membership in the answer; literals are dropped from
+the set, since they influence nothing:
 
-- `influenced(x)` walks the successors of one variable and `influencers(v)`
-  its predecessors, each on first use; the result is kept in a private memo.
-- `df(src, dst)` and `df_any(sources, dst)` test membership in
-  `influencers(dst)`; `slot_influenced(slot)` joins the `influenced` of the
-  slot's loads, and `deciders(sid)` the `influencers` of the conditions the
-  statement depends on.  They walk only where those memos have no entry.
-- `reached_from(sources)` walks forward from all sources at once, on every
-  call, and keeps nothing: a rule asks it once and tests membership.
-- `flows_through(sources, via, dst)` searches backward from dst on every
-  call, keeps nothing, and stops at the first witness; without a source
-  it answers at once.
-- The `dataflow` view, through `dataflow_closure`, fills the whole closure.
+- `reached_from(sources)`: the variables some source influences, one
+  forward walk.
+- `reaching(targets)`: the variables that influence some target, one
+  backward walk.
+- `deciders(sid)`: `reaching` the conditions the statement depends on.
+- `flows_through(sources, via, dst)`: a backward search from dst that stops
+  at the first witness; without a source it answers at once.
+
+No query keeps a memo.  The database's one cache is the whole closure,
+filled by `dataflow_closure` and read by the `dataflow` view, which fills
+it on first use; the audit never builds it.
 
 Besides the relations, the database keeps two indexes of `controls` (by
 statement and by condition), the ADD defs, and,
@@ -127,20 +128,20 @@ class FactDb(Record):
     region: dict[str, frozenset[str]]
     # Public selector -> branches in the functions its entry point reaches.
     branches: dict[str, tuple[Branch, ...]]
-    # Variable -> the variables it influences, or that influence it, itself
-    # included: the walks of `succ` and `pred` asked for so far.
-    _influenced: dict[str, frozenset[str]]
-    _influencers: dict[str, frozenset[str]]
+    # Variable -> the variables it influences, itself included, for every
+    # variable once `dataflow_closure` has run; empty before.
+    _closure: dict[str, set[str]]
     __slots__ = tuple(__annotations__)
 
     def __init__(self, **relations) -> None:
-        super().__init__(*(relations[name] for name in self._fields), {}, {})
+        super().__init__(*(relations[name] for name in self._fields), {})
 
     @property
     def dataflow(self) -> frozenset[tuple[str, str]]:
         """The whole closure as (src, dst) pairs."""
-        dataflow_closure(self)
-        return frozenset((a, b) for a, seen in self._influenced.items() for b in seen)
+        if not self._closure:
+            dataflow_closure(self)
+        return frozenset((a, b) for a, seen in self._closure.items() for b in seen)
 
     @property
     def stmt_func(self) -> dict[str, frozenset[str]]:
@@ -152,29 +153,15 @@ class FactDb(Record):
     def const_of(self, operand: Operand) -> int | None:
         return _const_of(self.constant, operand)
 
-    def influenced(self, x: Operand) -> frozenset[str]:
-        """The variables x influences, itself included; none for a literal."""
-        return _walk(self.succ, self._influenced, x)
-
-    def slot_influenced(self, slot: int) -> frozenset[str]:
-        """The variables the loads of `slot` influence, the loads included."""
-        return frozenset().union(*map(self.influenced, self.slot_loads.get(slot, ())))
-
-    def influencers(self, v: Operand) -> frozenset[str]:
-        """The variables that influence v, v included; none for a literal."""
-        return _walk(self.pred, self._influencers, v)
-
-    def df(self, src: Operand, dst: Operand) -> bool:
-        """Does src influence dst?  Literal operands influence nothing."""
-        return src in self.influencers(dst)
-
-    def df_any(self, sources, dst: Operand) -> bool:
-        return bool(sources) and not self.influencers(dst).isdisjoint(sources)
-
     def reached_from(self, sources) -> set[str]:
         """The variables some source influences, the sources included: one
         forward walk from all of them, kept in no memo."""
         return _reach(self.succ, [s for s in sources if s in self.succ])
+
+    def reaching(self, targets) -> set[str]:
+        """The variables that influence some target, the targets included:
+        one backward walk to all of them, kept in no memo."""
+        return _reach(self.pred, [t for t in targets if t in self.pred])
 
     def flows_through(self, sources, via, dst: Operand) -> bool:
         """Does some source influence a member of `via` that influences dst?
@@ -203,10 +190,10 @@ class FactDb(Record):
     def conditions_controlling(self, sid: str) -> frozenset[str]:
         return self.controlled_by.get(sid, frozenset())
 
-    def deciders(self, sid: str) -> frozenset[str]:
+    def deciders(self, sid: str) -> set[str]:
         """The variables that decide whether sid runs: those flowing into a
         branch condition the CFG says the statement depends on."""
-        return frozenset().union(*map(self.influencers, self.conditions_controlling(sid)))
+        return self.reaching(self.conditions_controlling(sid))
 
 
 def derive_base_facts(program: IrProgram) -> FactDb:
@@ -386,20 +373,11 @@ def derive_base_facts(program: IrProgram) -> FactDb:
 
 
 def dataflow_closure(db: FactDb) -> FactDb:
-    """Fill the memo of `influenced` for every variable, which makes it the
-    whole reflexive-transitive dataflow closure (see the module); returns db."""
-    for v in db.succ:
-        db.influenced(v)
+    """Fill the closure cache that `dataflow` reads with one forward walk
+    from every variable: the whole reflexive-transitive dataflow closure
+    (see the module); returns db."""
+    db._closure.update((v, _reach(db.succ, [v])) for v in db.succ)
     return db
-
-
-def _walk(graph: Mapping[str, Sequence[str]], memo: dict, start: Operand) -> frozenset[str]:
-    """The nodes reachable from start in graph, start included, walked once
-    and kept in memo; none when start is not a node (a literal)."""
-    if start not in graph or start in memo:
-        return memo.get(start, frozenset())
-    memo[start] = frozenset(_reach(graph, [start]))
-    return memo[start]
 
 
 def _reach(graph: Mapping[str, Sequence[str]], starts: list[str]) -> set[str]:
@@ -466,7 +444,7 @@ def _function_selectors(
         callees[caller].append(callee)
     reach: dict[str, set[str]] = {name: set() for name in callees}
     for fn in program.public_functions():
-        for name in _walk(callees, {}, fn.name):
+        for name in _reach(callees, [fn.name]):
             reach[name].add(fn.selector)
     return {name: frozenset(sels) for name, sels in reach.items()}
 

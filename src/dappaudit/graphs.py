@@ -177,20 +177,24 @@ def build_ftg(
     loaded = [l.value for l in db.sloads]
 
     def classify(recipient: Operand) -> RecipientClass:
-        if db.df_any(db.caller_defs, recipient):
+        sources = db.reaching((recipient,))
+        if not sources.isdisjoint(db.caller_defs):
             return RecipientClass.CALLER
         if db.const_of(recipient) is not None:
             return RecipientClass.CONSTANT_ADDRESS
-        if db.df_any(loaded, recipient):
+        if not sources.isdisjoint(loaded):
             return RecipientClass.STORAGE_LOADED
         return RecipientClass.OTHER
+
+    # One backward walk per recipient, not per edge.
+    classes = {r: classify(r) for r in {t.recipient for t in transfers}}
 
     shared = _shared_amount_edges(db, transfers)
     edges = tuple(
         FtgEdge(
             call_site=t.call_site,
             recipient=t.recipient,
-            recipient_class=classify(t.recipient),
+            recipient_class=classes[t.recipient],
             amount=t.amount,
             selector=t.selector,
             kind=t.kind,
@@ -214,7 +218,7 @@ def _shared_amount_edges(
 
     flagged: set[tuple[str, str]] = set()
     for selector, group in by_selector.items():
-        anc = [db.influencers(t.amount).difference(db.constant) for t in group]
+        anc = [db.reaching((t.amount,)).difference(db.constant) for t in group]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 if group[i].call_site == group[j].call_site:
@@ -310,8 +314,6 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
     where: dict[str, list[tuple[str, str]]] = {}
     for br in branches:
         where.setdefault(br.cond, []).append((br.function, br.block))
-    conds = frozenset(where)
-    influenced = db.influenced
     free = []
     for br in branches:
         if br.sets is None or br.cond in controlling:
@@ -319,14 +321,10 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
         # What br sets reaches no operand, and every branch on a condition
         # it reaches sits inside br's arms.
         fn, blocks = br.function, br.blocks
-        for v in br.sets:
-            reached = influenced(v)
-            if not reached.isdisjoint(operands) or (
-                not reached.isdisjoint(conds)
-                and any(f != fn or b not in blocks for c in reached & conds for f, b in where[c])
-            ):
-                break
-        else:
+        reached = db.reached_from(br.sets)
+        if reached.isdisjoint(operands) and all(
+            f == fn and b in blocks for c in reached.intersection(where) for f, b in where[c]
+        ):
             free.append((fn, br.block, br.short_arm))
     return frozenset(free)
 

@@ -2,10 +2,20 @@
 
 Every rule premise is evaluated against the base relations; rules fire once
 per (site, reaching public selector).  Only constant storage slots
-participate in guard and role inference.  The sender-guard, lock-time and
-supply rules ask the dataflow graph one question each from their sources
-(the caller defs, the timestamp defs and then the public parameters, the
-loads of a stored slot), so the work per site is a set-membership test.
+participate in guard and role inference.  Each rule asks the dataflow
+graph one question per set of sources or targets, and the work per site is
+a set-membership test:
+
+- sender guards: one walk forward from the caller defs, and one back from
+  each comparison side a caller def reaches;
+- owner and getter reads: one walk back from a selector's returned
+  operands, the first time a load under it asks;
+- guarded owner reads: one walk back from every branch condition, the
+  first time a guarded load asks;
+- lock time: one walk forward from the timestamp defs, and from the public
+  parameters only when a stored value is timestamp-fed;
+- supply: one backward search per store, stopped at the first witness;
+- pause: one walk back from the conditions each constant store depends on.
 """
 from __future__ import annotations
 
@@ -110,7 +120,7 @@ def infer_sender_guards(db: FactDb) -> tuple[SenderGuardFact, ...]:
     for sid, _, lhs, rhs, _ in db.comp:
         for a, b in ((lhs, rhs), (rhs, lhs)):
             if b in caller_fed:
-                for v in loaded.intersection(db.influencers(a)):
+                for v in loaded.intersection(db.reaching((a,))):
                     compare_sites.setdefault(v, set()).add(sid)
     out: dict[tuple[int, str], SenderGuardFact] = {}
     for load in db.sloads:
@@ -142,19 +152,25 @@ def infer_storage_roles(
         for sel in selectors_named(name)
     }
 
-    # Loads with constant slots drive the read-side rules.
+    # Loads with constant slots drive the read-side rules.  What flows into
+    # a selector's returned operands, and into any branch condition, is
+    # walked the first time a load asks.
+    returning: dict[str, set[str]] = {}
+    controlling: set[str] | None = None
     for load in db.sloads:
         x = load.value
         for selector in sorted(db.selectors_of(load.sid)):
             # Only the owner and getter rules ask whether x is returned.
             role = getter_roles.get(selector)
             owner = selector in owner_selectors
-            returns_x = (owner or role is not None) and _flows_to_return(db, x, selector)
-            if owner and returns_x:
-                found.append(
-                    StorageRoleFact(StorageRole.OWNER, load.slot, selector, RULE_OWNER_ACCESS, load.sid)
-                )
-            if (load.slot, selector) in guard_set and _controls_anything(db, x):
+            if (owner or role is not None) and selector not in returning:
+                returning[selector] = db.reaching(_returned(db, selector))
+            returns_x = x in returning.get(selector, ())
+            guarded = (load.slot, selector) in guard_set
+            if guarded and controlling is None:
+                controlling = db.reaching(db.region)
+            # A returned owner, or a guarded load that decides a branch.
+            if (owner and returns_x) or (guarded and x in controlling):
                 found.append(
                     StorageRoleFact(StorageRole.OWNER, load.slot, selector, RULE_OWNER_ACCESS, load.sid)
                 )
@@ -210,18 +226,9 @@ def infer_storage_roles(
     return tuple(unique.values())
 
 
-def _flows_to_return(db: FactDb, x: str, selector: str) -> bool:
-    """Does x reach a returned operand of the public function `selector`?"""
+def _returned(db: FactDb, selector: str) -> list[Operand]:
+    """The operands the public function `selector` returns."""
     fn = db.program.function_of_selector(selector)
     if fn is None:
-        return False
-    for b in fn.blocks:
-        if b.terminator.kind is TermKind.RETURN:
-            for v in b.terminator.values:
-                if db.df(x, v):
-                    return True
-    return False
-
-
-def _controls_anything(db: FactDb, x: str) -> bool:
-    return not db.influenced(x).isdisjoint(db.region)
+        return []
+    return [v for b in fn.blocks if b.terminator.kind is TermKind.RETURN for v in b.terminator.values]

@@ -291,8 +291,9 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?
-    The comparisons are indexed by selector once; the reach sets are built
-    only for a write that some comparison shares a selector with."""
+    The comparisons are indexed by selector once.  The slot's loads are
+    walked from once, and the stored value once per write, only for a write
+    that some comparison shares a selector with."""
     comps: dict[str, list[tuple]] = {}  # selector -> its `comp` rows
     for row in db.comp:
         for sel in db.selectors_of(row[0]):
@@ -306,9 +307,9 @@ def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
         if not rows:
             continue
         if loaded is None:
-            loaded = db.slot_influenced(slot)
+            loaded = db.reached_from(db.slot_loads.get(slot, ()))
         gates = db.deciders(w.store_site)
-        reached = loaded | db.influenced(w.value)
+        reached = loaded | db.reached_from((w.value,))
         for _, _, lhs, rhs, defvar in rows:
             if lhs not in reached and rhs not in reached:
                 continue

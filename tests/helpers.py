@@ -178,11 +178,16 @@ def random_program_text(
     with_calls: bool = True,
     with_private: bool = True,
     with_loops: bool = False,
+    with_slot_flow: bool = False,
 ) -> str:
     """A public function (optionally calling one private helper).  It is
     loop-free unless with_loops, which allows up to 5 blocks instead of 3
     and may send an arm of a branch through a loop of a constant trip count
-    of 1 to 6 before its target."""
+    of 1 to 6 before its target.  With with_slot_flow it has 3 to 5 blocks,
+    each but the last ending in a branch when it can, and every block after
+    the first stores to slot 6 and loads it back; the load is the block's
+    branch condition, or else it is sent.  What an arm stores then reaches
+    later branch conditions and checkpoint operands through storage."""
     counter = [0]
 
     def fresh() -> str:
@@ -210,7 +215,10 @@ def random_program_text(
 
     defined: list[str] = list(params)
     budget = rng.randint(1, max_stmts)
-    n_blocks = rng.randint(1, 5 if with_loops else 3)
+    if with_slot_flow:
+        n_blocks = rng.randint(3, 5)
+    else:
+        n_blocks = rng.randint(1, 5 if with_loops else 3)
     per_block = max(1, budget // n_blocks)
 
     def emit_stmt(i: int) -> str:
@@ -285,18 +293,33 @@ def random_program_text(
         lines.append(f"  block B{b}:")
         for i in range(per_block):
             lines.append(emit_stmt(i))
+        k = per_block  # the index of the block's next statement
+        loaded = None
+        if with_slot_flow and b:
+            v = fresh()
+            lines += [
+                f"    {k}: SSTORE 6 {rng.choice(defined) if defined else 1}",
+                f"    {k + 1}: {v} = SLOAD 6",
+            ]
+            k += 2
+            if b < n_blocks - 1 and rng.random() < 0.7:
+                loaded = v
+            else:
+                lines.append(f"    {k}: CALL {v} {v}")
+                k += 1
+                defined.append(v)
         last = b == n_blocks - 1
         if last:
             ret = rng.choice(defined) if defined and rng.random() < 0.7 else None
             lines.append(f"    return {ret}" if ret else "    stop")
-        elif defined and rng.random() < 0.5:
+        elif defined and (with_slot_flow or rng.random() < 0.5):
             arms = [f"B{rng.randint(b + 1, n_blocks - 1)}" for _ in range(2)]
             if with_loops and rng.random() < 0.5:
                 # The loop's variables stay out of `defined`: only the
                 # paths through the loop define them.
                 arm = rng.randrange(2)
                 start, i, n, go = fresh(), fresh(), fresh(), fresh()
-                lines.append(f"    {per_block}: {start} = CONST 0")
+                lines.append(f"    {k}: {start} = CONST 0")
                 loops += [
                     f"  block L{b}:",
                     f"    0: {i} = PHI {n} {start}",
@@ -305,7 +328,8 @@ def random_program_text(
                     f"    jumpi {go} L{b} {arms[arm]}",
                 ]
                 arms[arm] = f"L{b}"
-            lines.append(f"    jumpi {rng.choice(defined)} {arms[0]} {arms[1]}")
+            cond = loaded or rng.choice(defined)
+            lines.append(f"    jumpi {cond} {arms[0]} {arms[1]}")
         else:
             lines.append(f"    jump B{b + 1}")
     lines += loops

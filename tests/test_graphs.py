@@ -586,20 +586,37 @@ def test_free_branches_match_a_naive_oracle():
     call_in_arm = REFUND_BEHIND_BRANCH.replace(
         "vh = ADD vx 1\n", "vh = ADD vx 1\n    1: CALL vx vx\n"
     )
-    seen = defaultdict(int)
-    for text in [*texts, _diamonds_text(50), call_in_arm]:
-        program = parse_ir(text)
-        db = build_facts(program)
-        ftg, sdg, _ = build_graphs(db)
-        reach = defaultdict(set)
-        for a, b in floyd_warshall_dataflow(program):
-            reach[a].add(b)
-        checkpoints = [(e.call_site, e.selector, e.follow) for e in ftg.edges]
-        checkpoints += [(w.store_site, w.selector, w.follow) for w in sdg.writes]
-        for site, selector, follow in checkpoints:
-            decisions = _reference_decisions(program, db, reach, site, selector)
-            assert follow == {br for br, why in decisions.items() if why is None}, (text, site)
-            for why in decisions.values():
-                seen[why or "free"] += 1
+    # Arms that store to a slot which later blocks load into a branch
+    # condition or a sent value, so that clause (c) is met through storage.
+    slot_flow = [
+        random_program_text(
+            random.Random(seed), 120, with_private=False, with_loops=seed % 2 == 1,
+            with_slot_flow=True,
+        )
+        for seed in range(40)
+    ]
+
+    def decide(texts) -> dict[str, int]:
+        """The decisions for every checkpoint of `texts`, counted by why."""
+        seen = defaultdict(int)
+        for text in texts:
+            program = parse_ir(text)
+            db = build_facts(program)
+            ftg, sdg, _ = build_graphs(db)
+            reach = defaultdict(set)
+            for a, b in floyd_warshall_dataflow(program):
+                reach[a].add(b)
+            checkpoints = [(e.call_site, e.selector, e.follow) for e in ftg.edges]
+            checkpoints += [(w.store_site, w.selector, w.follow) for w in sdg.writes]
+            for site, selector, follow in checkpoints:
+                decisions = _reference_decisions(program, db, reach, site, selector)
+                assert follow == {br for br, why in decisions.items() if why is None}, (text, site)
+                for why in decisions.values():
+                    seen[why or "free"] += 1
+        return seen
+
+    seen = decide([*texts, _diamonds_text(50), call_in_arm])
     # Every clause decides some branch.
     assert set(seen) == {"a", "b", "c: an operand", "c: a condition", "d", "free"}, dict(seen)
+    seen = decide(slot_flow)
+    assert seen["c: an operand"] >= 20 and seen["c: a condition"] >= 20, dict(seen)

@@ -305,10 +305,10 @@ def unpassed_defaults(sources: dict[str, str]) -> list[tuple[str, int, str, str]
     return sorted(found)
 
 
-# Attributes holding the dataflow graph, its closure and the memos of its
-# walks; their format is private to facts.py, which answers every dataflow
-# query.
-CLOSURE_ATTRIBUTES = ("dataflow", "reach", "succ", "pred", "_influenced", "_influencers")
+# Attributes holding the dataflow graph, its closure and the cache of the
+# closure; their format is private to facts.py, which answers every
+# dataflow query.
+CLOSURE_ATTRIBUTES = ("dataflow", "reach", "succ", "pred", "_closure")
 
 
 def closure_accesses(source: str) -> list[tuple[int, str]]:
@@ -606,6 +606,29 @@ def test_only_facts_touches_the_closure():
         for line, attr in closure_accesses(path.read_text())
     ]
     assert leaks == [], "dataflow closure read outside facts.py:\n" + "\n".join(leaks)
+
+
+def test_audit_never_builds_the_closure(monkeypatch, tmp_path):
+    # Every rule asks its own walk; only the `dataflow` view and the fact
+    # dumps need the whole closure.
+    from dappaudit import facts
+    from dappaudit.pipeline import RunConfig, audit_contract
+
+    def refuse(db):
+        raise AssertionError("the audit built the dataflow closure")
+
+    monkeypatch.setattr(facts, "dataflow_closure", refuse)
+    fixtures = Path(__file__).parent / "fixtures"
+    corpus = sorted((fixtures / "corpus").glob("*.ir"))
+    assert len(corpus) == 14
+    # The mixed program has no claims of its own; any attributes file will do.
+    for ir, attrs in [
+        *((ir, ir.with_suffix(".attrs.json")) for ir in corpus),
+        (fixtures / "mixed_utilities.ir", corpus[0].with_suffix(".attrs.json")),
+    ]:
+        cfg = RunConfig(ir, attrs, chain_mock=fixtures / "chain.json", out_path=tmp_path / "r.json")
+        audit_contract(cfg)
+        assert (tmp_path / "r.json").read_text()
 
 
 def test_urllib_imports_are_detected():

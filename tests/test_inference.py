@@ -439,10 +439,10 @@ function f public sig 0x00000001 params (vA, vB) {{
 
 
 def test_guard_and_lock_time_rules_walk_once_from_their_sources(monkeypatch):
-    asked: list[str] = []
-    influencers = FactDb.influencers
+    asked: list = []
+    reaching = FactDb.reaching
     monkeypatch.setattr(
-        FactDb, "influencers", lambda self, v: asked.append(v) or influencers(self, v)
+        FactDb, "reaching", lambda self, vs: asked.append(vs) or reaching(self, vs)
     )
     walks: list[list[str]] = []
     reached_from = FactDb.reached_from
@@ -453,7 +453,7 @@ def test_guard_and_lock_time_rules_walk_once_from_their_sources(monkeypatch):
 
     monkeypatch.setattr(FactDb, "reached_from", recording)
 
-    # No caller def reaches a comparison: no side asks for its influencers.
+    # No caller def reaches a comparison: no side is walked back from.
     db = _facts(_walk_test_program("vA"))
     assert infer_sender_guards(db) == ()
     assert (asked, walks) == ([], [["vc"]])

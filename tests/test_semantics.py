@@ -359,7 +359,7 @@ def test_supply_without_a_comparison_builds_no_reach_set(monkeypatch):
     def refuse(*args):
         raise AssertionError("a reach set was built")
 
-    for query in ("slot_influenced", "deciders", "influenced"):
+    for query in ("reached_from", "reaching", "deciders"):
         monkeypatch.setattr(FactDb, query, refuse)
     assert summarize_semantics(executions, db, ftg, sdg).supplies == want
 
