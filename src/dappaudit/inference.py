@@ -231,4 +231,6 @@ def _returned(db: FactDb, selector: str) -> list[Operand]:
     fn = db.program.function_of_selector(selector)
     if fn is None:
         return []
-    return [v for b in fn.blocks if b.terminator.kind is TermKind.RETURN for v in b.terminator.values]
+    return [
+        v for b in fn.blocks if b.terminator.kind is TermKind.RETURN for v in b.terminator.values
+    ]
