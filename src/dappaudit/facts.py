@@ -33,11 +33,11 @@ No query keeps a memo.  The database's one cache is the whole closure,
 filled by `dataflow_closure` and read by the `dataflow` view, which fills
 it on first use; the audit never builds it.
 
-Besides the relations, the database keeps two indexes of `controls` (by
-statement and by condition), the ADD defs, and,
-per public selector, the branches its execution can meet with their short
-arms (see `cfg`) and what their regions may set.  These are not relations
-and are left out of the TSV dumps.
+Besides the relations, the database keeps `controls` indexed by
+statement, the set of its conditions, the ADD defs, and, per public
+selector, the branches its execution can meet with their short arms (see
+`cfg`) and what their regions may set.  These are not relations and are
+left out of the TSV dumps.
 """
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ from .model import (
     Record,
     TermKind,
     WORD,
+    WORD_OPS,
 )
 
 
@@ -122,10 +123,10 @@ class FactDb(Record):
     timestamp_defs: tuple[str, ...]
     # CALL statements without ABI arguments: ether sends.
     plain_calls: tuple[IrStatement, ...]
-    # Indexes of `controls`: sid -> conditions controlling it, and
-    # condition -> sids it controls under either outcome.
+    # `controls` indexed by sid: the conditions controlling it.
     controlled_by: dict[str, frozenset[str]]
-    region: dict[str, frozenset[str]]
+    # The conditions of `controls`.
+    conditions: frozenset[str]
     # Public selector -> branches in the functions its entry point reaches.
     branches: dict[str, tuple[Branch, ...]]
     # Variable -> the variables it influences, itself included, for every
@@ -310,10 +311,8 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         ]
         arms += [(fn, bid, arm) for bid, arm in fn_arms.items()]
     controlled_by: dict[str, set[str]] = {}
-    region: dict[str, set[str]] = {}
     for cond, sid, _ in controls:
         controlled_by.setdefault(sid, set()).add(cond)
-        region.setdefault(cond, set()).add(sid)
 
     every_load = frozenset(unnamed_loads).union(l.value for l in sloads)
 
@@ -367,7 +366,7 @@ def derive_base_facts(program: IrProgram) -> FactDb:
         timestamp_defs=tuple(timestamp_defs),
         plain_calls=tuple(plain_calls),
         controlled_by={sid: frozenset(c) for sid, c in controlled_by.items()},
-        region={cond: frozenset(sids) for cond, sids in region.items()},
+        conditions=frozenset(c for c, _, _ in controls),
         branches={sel: tuple(brs) for sel, brs in branches.items()},
     )
 
@@ -400,21 +399,15 @@ def _const_of(constant: dict[str, int], operand: Operand) -> int | None:
     return operand if isinstance(operand, int) else constant.get(operand)
 
 
-_FOLD = {
-    Opcode.ADD: lambda a, b: (a + b) % WORD,
-    Opcode.SUB: lambda a, b: (a - b) % WORD,
-    Opcode.MUL: lambda a, b: (a * b) % WORD,
-    Opcode.DIV: lambda a, b: a // b if b else None,
-}
+_FOLD = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV})
 
 
 def _fold_constants(
     constant: dict[str, int], foldable: dict[str, IrStatement], succ: dict[str, list[str]]
 ) -> None:
     """Add the ADD/SUB/MUL/DIV defs of `foldable` to `constant`, the CONST
-    defs, folded to fixpoint; division by zero leaves the result
-    non-constant.  A worklist folds each statement once: a newly constant
-    variable queues the foldable statements among its successors."""
+    defs, folded to fixpoint.  A worklist folds each statement once: a newly
+    constant variable queues the foldable statements among its successors."""
 
     def val(op: Operand) -> int | None:
         if isinstance(op, int):
@@ -427,11 +420,11 @@ def _fold_constants(
         if d in constant:
             continue
         a, b = val(x), val(y)
-        if a is None or b is None:
+        # Unlike `WORD_OPS`, division by zero leaves the result non-constant.
+        if a is None or b is None or (b == 0 and op is Opcode.DIV):
             continue
-        if (value := _FOLD[op](a, b)) is not None:
-            constant[d] = value
-            work += [foldable[u] for u in succ[d] if u in foldable]
+        constant[d] = WORD_OPS[OP_NAMES[op]](a, b)
+        work += [foldable[u] for u in succ[d] if u in foldable]
 
 
 def _function_selectors(

@@ -211,22 +211,13 @@ def _shared_amount_edges(
     db: FactDb, transfers: tuple[TransferFact, ...]
 ) -> set[tuple[str, str]]:
     """Edges whose amount shares a non-constant source with another edge
-    of the same selector."""
-    by_selector: dict[str, list[TransferFact]] = defaultdict(list)
+    of the same selector: the call sites each (selector, source) pair
+    reaches, flagged where a pair reaches two or more."""
+    sites: dict[tuple[str, str], set[str]] = defaultdict(set)
     for t in transfers:
-        by_selector[t.selector].append(t)
-
-    flagged: set[tuple[str, str]] = set()
-    for selector, group in by_selector.items():
-        anc = [db.reaching((t.amount,)).difference(db.constant) for t in group]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if group[i].call_site == group[j].call_site:
-                    continue
-                if anc[i] & anc[j]:
-                    flagged.add((group[i].call_site, selector))
-                    flagged.add((group[j].call_site, selector))
-    return flagged
+        for v in db.reaching((t.amount,)).difference(db.constant):
+            sites[t.selector, v].add(t.call_site)
+    return {(c, sel) for (sel, _), cs in sites.items() if len(cs) > 1 for c in cs}
 
 
 def build_sdg(

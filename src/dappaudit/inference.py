@@ -168,7 +168,7 @@ def infer_storage_roles(
             returns_x = x in returning.get(selector, ())
             guarded = (load.slot, selector) in guard_set
             if guarded and controlling is None:
-                controlling = db.reaching(db.region)
+                controlling = db.reaching(db.conditions)
             # A returned owner, or a guarded load that decides a branch.
             if (owner and returns_x) or (guarded and x in controlling):
                 found.append(

@@ -76,6 +76,20 @@ LOGIC_OPS = frozenset({Opcode.AND, Opcode.OR})
 # Lower-case name of each binary operator, as the facts relations and the
 # symbolic expressions spell it.
 OP_NAMES = {op: op.value.lower() for op in ARITH_OPS | COMPARE_OPS | LOGIC_OPS}
+# Each binary operator by name, under 256-bit wrapping semantics: division
+# and modulo by zero yield 0, comparisons yield 0 or 1.
+WORD_OPS = {
+    "add": lambda a, b: (a + b) % WORD,
+    "sub": lambda a, b: (a - b) % WORD,
+    "mul": lambda a, b: (a * b) % WORD,
+    "div": lambda a, b: a // b if b else 0,
+    "mod": lambda a, b: a % b if b else 0,
+    "lt": lambda a, b: int(a < b),
+    "gt": lambda a, b: int(a > b),
+    "eq": lambda a, b: int(a == b),
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+}
 
 @unique
 class TermKind(Enum):

@@ -291,8 +291,9 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?
-    The comparisons are indexed by selector once.  The slot's loads are
-    walked from once, and the stored value once per write, only for a write
+    The comparisons are indexed by selector once, and each store is handled
+    once, however many selectors (writes) reach it.  The slot's loads are
+    walked from once, and the stored value once per store, only for a store
     that some comparison shares a selector with."""
     comps: dict[str, list[tuple]] = {}  # selector -> its `comp` rows
     for row in db.comp:
@@ -301,15 +302,15 @@ def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     loaded = None
     before = False
     after = False
-    for w in writes:
+    for site, value in {w.store_site: w.value for w in writes}.items():
         # A row shared by two selectors is met twice; it sets the same flag.
-        rows = [r for sel in db.selectors_of(w.store_site) for r in comps.get(sel, ())]
+        rows = [r for sel in db.selectors_of(site) for r in comps.get(sel, ())]
         if not rows:
             continue
         if loaded is None:
             loaded = db.reached_from(db.slot_loads.get(slot, ()))
-        gates = db.deciders(w.store_site)
-        reached = loaded | db.reached_from((w.value,))
+        gates = db.deciders(site)
+        reached = loaded | db.reached_from((value,))
         for _, _, lhs, rhs, defvar in rows:
             if lhs not in reached and rhs not in reached:
                 continue

@@ -24,24 +24,9 @@ nodes; each handles every distinct node once per pass, without recursion:
 """
 from __future__ import annotations
 
-from .model import WORD
+from .model import WORD, WORD_OPS
 
 MASK = WORD - 1
-
-# Each binary operator under 256-bit wrapping semantics: division and
-# modulo by zero yield 0, comparisons yield 0 or 1.
-_BINARY = {
-    "add": lambda a, b: (a + b) % WORD,
-    "sub": lambda a, b: (a - b) % WORD,
-    "mul": lambda a, b: (a * b) % WORD,
-    "div": lambda a, b: a // b if b else 0,
-    "mod": lambda a, b: a % b if b else 0,
-    "lt": lambda a, b: int(a < b),
-    "gt": lambda a, b: int(a > b),
-    "eq": lambda a, b: int(a == b),
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-}
 
 
 class UnboundLeaf(KeyError):
@@ -146,10 +131,10 @@ def calldata(selector: str, index: int) -> SymExpr:
 def binop(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
     """Build an operator node, folding constants.  Division or modulo by a
     constant zero folds to 0 outright, so such a node is never built."""
-    if op not in _BINARY:
+    if op not in WORD_OPS:
         raise ValueError(f"unknown operator {op!r}")
     if lhs.is_const and rhs.is_const:
-        return const(_BINARY[op](lhs.value, rhs.value))
+        return const(WORD_OPS[op](lhs.value, rhs.value))
     if op in ("div", "mod") and rhs.is_const and rhs.value == 0:
         return const(0)
     return SymExpr(op, (lhs, rhs))
@@ -264,7 +249,7 @@ def eval_concrete(e: SymExpr, bindings: dict[str, int]) -> int:
                 if id(b) not in done:
                     stack.append(b)
                     continue
-                val = _BINARY[n.op](done[id(a)], done[id(b)])
+                val = WORD_OPS[n.op](done[id(a)], done[id(b)])
         elif n.op == "const":
             val = n.value
         else:

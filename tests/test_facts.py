@@ -629,7 +629,7 @@ def test_controls_indexes_agree_with_the_relation():
             by_sid.setdefault(sid, set()).add(cond)
             by_cond.setdefault(cond, set()).add(sid)
         assert db.controlled_by == by_sid
-        assert db.region == by_cond
+        assert db.conditions == set(by_cond)
         for _, _, s in db.program.statements():
             assert db.conditions_controlling(s.sid) == by_sid.get(s.sid, set())
 

@@ -357,11 +357,28 @@ def test_decided_fields_match_a_naive_oracle_on_random_programs():
                         after = True
             assert (supply.bound_checked, supply.bound_checked_after_add) == (before, after), seed
 
+        # An edge shares its amount when another call site under the same
+        # selector has a non-constant ancestor in common with it.
+        ancestors = defaultdict(set)
+        for a, bs in reach.items():
+            if a not in db.constant:
+                for b in bs:
+                    ancestors[b].add(a)
+        for e in ftg.edges:
+            want = any(
+                o.selector == e.selector
+                and o.call_site != e.call_site
+                and not ancestors[o.amount].isdisjoint(ancestors[e.amount])
+                for o in ftg.edges
+            )
+            assert e.shared_fee_ancestor == want, (seed, e.call_site, e.selector)
+
         seen["writes"] += len(want_writes)
         seen["writes under a guarded selector"] += sum(bool(decisions[w[2]]) for w in want_writes)
         seen["pause edges"] += len(want_pause)
         seen["bound checked"] += sum(s.bound_checked for s in supplies)
         seen["bound checked after add"] += sum(s.bound_checked_after_add for s in supplies)
+        seen["shared amount edges"] += sum(e.shared_fee_ancestor for e in ftg.edges)
     assert min(seen.values()) > 0, dict(seen)
 
 
@@ -494,12 +511,10 @@ def _diamonds_text(k: int) -> str:
     return "\n".join(lines)
 
 
-def test_audit_of_sequential_diamonds_grows_linearly():
-    # Finding the free branches of a checkpoint once rebuilt, for every
-    # branch, the set of all other branch conditions: 4x per doubling of k.
-    small, large = _diamonds_text(1000), _diamonds_text(2000)
-    (entry,) = analyze_ir(small).plan.entries
-    assert len(entry.follow) == 1000
+def _best_audit_walls(small: str, large: str) -> tuple[float, float]:
+    """The best `analyze_ir` wall time of each text over 3 runs, the sizes
+    alternating and the collector off (see the chain tests in
+    test_facts.py)."""
 
     def wall(text: str) -> float:
         start = time.perf_counter()
@@ -507,8 +522,6 @@ def test_audit_of_sequential_diamonds_grows_linearly():
         return time.perf_counter() - start
 
     best_small = best_large = float("inf")
-    # Best of 3, the sizes alternating and the collector off (see the chain
-    # tests in test_facts.py).
     gc.disable()
     try:
         for _ in range(3):
@@ -516,7 +529,41 @@ def test_audit_of_sequential_diamonds_grows_linearly():
             best_large = min(best_large, wall(large))
     finally:
         gc.enable()
+    return best_small, best_large
+
+
+def test_audit_of_sequential_diamonds_grows_linearly():
+    # Finding the free branches of a checkpoint once rebuilt, for every
+    # branch, the set of all other branch conditions: 4x per doubling of k.
+    small, large = _diamonds_text(1000), _diamonds_text(2000)
+    (entry,) = analyze_ir(small).plan.entries
+    assert len(entry.follow) == 1000
+    best_small, best_large = _best_audit_walls(small, large)
     assert best_large <= 3 * best_small, (best_small, best_large)
+
+
+def _sends_text(n: int) -> str:
+    """One function that sends its call value to the caller n times."""
+    lines = [
+        f"contract {ADDR}",
+        "function f public sig 0x00000001 params () {",
+        "  block B0:",
+        "    0: vv = CALLVALUE",
+        "    1: vc = CALLER",
+    ]
+    lines += [f"    {k + 2}: CALL vc vv" for k in range(n)]
+    lines += ["    stop", "}", ""]
+    return "\n".join(lines)
+
+
+def test_audit_of_sends_sharing_one_amount_grows_linearly():
+    # Intersecting the amount ancestors of every pair of transfers under a
+    # selector read about 3.8x per doubling here; per-source call sites 2x.
+    small, large = _sends_text(1000), _sends_text(2000)
+    transfers = analyze_ir(small).semantics.transfers
+    assert len(transfers) == 1000 and all(t.shares_amount_source for t in transfers)
+    best_small, best_large = _best_audit_walls(small, large)
+    assert best_large <= 2.5 * best_small, (best_small, best_large)
 
 
 def _reference_decisions(program, db, reach, site: str, selector: str):

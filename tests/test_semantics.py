@@ -402,6 +402,49 @@ def test_bound_checks_index_comparisons_by_selector_once(monkeypatch):
     # Scanning every row for every write makes w * (c + 1) calls.
     assert len(calls) <= c + w
 
+
+def test_bound_checks_ask_once_per_store(monkeypatch):
+    # One supply store in a private function that two selectors call is
+    # two writes; its deciders are asked for once.
+    text = f"""contract {ADDR}
+function mint private params (va) {{
+  block P:
+    0: vl = SLOAD 3
+    1: vs = ADD vl va
+    2: SSTORE 3 vs
+    3: vk = GT vs 0x64
+    returnprivate va
+}}
+function a public sig 0x00000001 params (vx) {{
+  block A:
+    0: CALLPRIVATE mint vx
+    stop
+}}
+function b public sig 0x00000002 params (vy) {{
+  block B:
+    0: CALLPRIVATE mint vy
+    stop
+}}
+"""
+    db = build_facts(parse_ir(text))
+    _, sdg, _ = build_graphs(db)
+    writes = sdg.writes_to(3)
+    assert [(w.store_site, w.selector) for w in writes] == [
+        ("mint.P.2", "0x00000001"),
+        ("mint.P.2", "0x00000002"),
+    ]
+
+    calls = []
+    deciders = FactDb.deciders
+
+    def counting(self, sid):
+        calls.append(sid)
+        return deciders(self, sid)
+
+    monkeypatch.setattr(FactDb, "deciders", counting)
+    assert semantics._bound_checks(db, 3, writes) == (False, True)
+    assert calls == ["mint.P.2"]
+
 # ---------------------------------------------------------------------------
 # Pause status
 
