@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from functools import lru_cache
 from typing import Protocol
 
 from .keccak import keccak_256
@@ -73,6 +74,8 @@ def _to_word(text: str, context: str, error=MockFormatError) -> int:
 MAX_STRING_BYTES = 1 << 12
 
 
+# A pure-Python Keccak-f costs about 0.3 ms; a program names few slots.
+@lru_cache(maxsize=256)
 def _data_slot(slot: int) -> int:
     return int.from_bytes(keccak_256(slot.to_bytes(32, "big")), "big")
 

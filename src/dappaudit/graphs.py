@@ -174,7 +174,7 @@ def build_ftg(
         if g.slot in owner_slots:
             privileged.setdefault(g.selector, g.slot)
 
-    loaded = [l.value for l in db.sloads]
+    loaded = {l.value for l in db.sloads}
 
     def classify(recipient: Operand) -> RecipientClass:
         sources = db.reaching((recipient,))
@@ -313,8 +313,9 @@ def _free_branches(db: FactDb, site: str, selector: str) -> Follow:
         # it reaches sits inside br's arms.
         fn, blocks = br.function, br.blocks
         reached = db.reached_from(br.sets)
+        # Walks `reached`: a set's intersection with a dict walks the dict.
         if reached.isdisjoint(operands) and all(
-            f == fn and b in blocks for c in reached.intersection(where) for f, b in where[c]
+            f == fn and b in blocks for c in reached if c in where for f, b in where[c]
         ):
             free.append((fn, br.block, br.short_arm))
     return frozenset(free)

@@ -18,26 +18,34 @@ identified positionally as `function.block.index`, which is what the
 printer emits.
 
 Each line is split into tokens once, after cutting a comment (only when
-the line holds a `#`).  Statements are most of a program, so a line whose
-first token ends in `:` inside an open, unterminated block is parsed as a
-statement straight away; no header, `}` or terminator line has such a
+the line holds a `#`).  Statements and terminators are most of a program,
+so inside an open, unterminated block a line whose first token ends in
+`:` is parsed as a statement, and one whose first token is a terminator
+keyword as a terminator, straight away; no header or `}` line has such a
 first token.  Any other line goes through the header checks in their
-fixed order: `contract`, `function`, `}`, `block`, then a terminator.
-The shortcut changes no outcome: every line it takes would have passed
-those checks and reached the statement parse.
+fixed order: `contract`, `function`, `}`, `block`, and ends in an error
+if none of them takes it.
 
 The parser is the one place where per-statement facts are computed: each
-statement records its variable operands (`IrStatement.uses`), which
-validation, the base-fact pass and the graphs read; they are collected
-in the loop that converts the operands.  Within one `parse_ir` call each
-statement operand token is converted once and looked up afterwards (a
-defined variable's name is entered with its definition); a token that
-fails to convert is never remembered, so each occurrence raises with its
-own line and message.  Statements are `NamedTuple` records (see
-`model`), built with `tuple.__new__` from their five fields, which skips
-the record class's Python-level `__new__`; no other record is built that
-way.  Validation runs once the whole text has parsed, so a syntax error
-anywhere wins over a validation error.
+statement records its variable operands (`IrStatement.uses`), which the
+base-fact pass and the graphs read.  Statements are `NamedTuple` records
+(see `model`), built with `tuple.__new__` from their five fields, which
+skips the record class's Python-level `__new__`; no other record is built
+that way.
+
+The program's invariants are checked in the same pass.  The open function
+keeps a scope set: its parameters, then each definition as it is read.  A
+statement whose operand tokens are all in scope takes them as its `args`
+and `uses` with no per-token work.  Any other statement converts its
+tokens (each token once per call; a token that fails to convert is not
+remembered, so each occurrence raises with its own line) and records its
+variables, as a terminator records its condition and values.  At `}` the
+recorded reads must be in the final scope (PHIs and blocks listed before
+their definers read ahead), the block ids unique and the jump targets
+among them; at the end, every definition, parameters included, and every
+function name unique, and every callee defined.  Only if one of these
+fails does `model.validate` run, to name the first violation in its own
+order; a syntax error anywhere still wins, being raised before that.
 """
 from __future__ import annotations
 
@@ -137,8 +145,14 @@ def parse_ir(text: str) -> IrProgram:
     blk_stmts: list[IrStatement] = []
     blk_term: Terminator | None = None
 
-    # Statement operand token -> its operand, for this call only; a defined
-    # variable's name is entered when its definition is read.
+    # The open function's scope set, the reads to check against it at `}`
+    # and its jump targets; every definition and callee of the program; and
+    # whether every check so far passed (module docstring).
+    local: set[str] = set()
+    reads, jumps, defs, callees = [], [], [], []
+    valid = True
+
+    # Statement operand token -> its operand, for this call only.
     operands: dict[str, str | int] = {}
     CALLPRIVATE, CONST = Opcode.CALLPRIVATE, Opcode.CONST
     new_tuple = tuple.__new__  # skips IrStatement's Python-level __new__ frame
@@ -152,14 +166,6 @@ def parse_ir(text: str) -> IrProgram:
         fn_blocks.append(IrBlock(blk_id, tuple(blk_stmts), blk_term))
         blk_id, blk_stmts, blk_term = None, [], None
 
-    def close_function(line: int) -> None:
-        nonlocal fn_name, fn_selector, fn_params, fn_blocks
-        close_block(line)
-        if not fn_blocks:
-            raise IrSyntaxError(line, f"function {fn_name} has no blocks")
-        functions.append(IrFunction(fn_name, fn_selector, fn_params, tuple(fn_blocks)))
-        fn_name, fn_selector, fn_params, fn_blocks = None, None, (), []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
@@ -167,17 +173,20 @@ def parse_ir(text: str) -> IrProgram:
         if not toks:
             continue
 
-        # "<sid>: [<var> =] OPCODE operands..." in an open block.  No header,
-        # `}` or terminator line has a first token ending in ":".
-        if toks[0][-1] == ":" and blk_term is None and blk_id is not None:
+        # "<sid>: [<var> =] OPCODE operands..." or a terminator in an open
+        # block.  No header or `}` line starts with either.
+        in_block = blk_term is None and blk_id is not None
+        if in_block and toks[0][-1] == ":":
             n = len(toks)
             defvar: str | None = None
             i = 1  # index of the opcode token
             if n > 2 and toks[2] == "=":
                 defvar = toks[1]
-                if not _VAR_RE.match(defvar):
+                # `_VAR_RE.match` on a token from split(), without the call.
+                if not (defvar[0] == "v" and defvar.isidentifier() and defvar.isascii()):
                     raise IrSyntaxError(lineno, f"bad def variable {defvar!r}")
-                operands[defvar] = defvar
+                local.add(defvar)
+                defs.append(defvar)
                 i = 3
             if i == n:
                 raise IrSyntaxError(lineno, "empty statement")
@@ -189,18 +198,23 @@ def parse_ir(text: str) -> IrProgram:
             if opcode is CALLPRIVATE:
                 if i + 1 == n:
                     raise ArityMismatch(lineno, "CALLPRIVATE needs a callee")
+                callees.append(toks[i + 1])
                 first = i + 2
             else:
                 first = i + 1
-            ops: list[str | int] = []
-            uses: list[str] = []
-            for tok in toks[first:]:
-                op = operands.get(tok)
-                if op is None:
-                    op = operands[tok] = _operand(tok, lineno)
-                ops.append(op)
-                if op.__class__ is str:
-                    uses.append(op)
+            ops = uses = tuple(toks[first:])
+            if not local.issuperset(ops):
+                conv: list[str | int] = []
+                var: list[str] = []
+                for tok in ops:
+                    op = operands.get(tok)
+                    if op is None:
+                        op = operands[tok] = _operand(tok, lineno)
+                    conv.append(op)
+                    if op.__class__ is str:
+                        var.append(op)
+                ops, uses = tuple(conv), tuple(var)
+                reads += var
 
             k = len(ops)
             if k < lo or (hi is not None and k > hi):
@@ -212,9 +226,15 @@ def parse_ir(text: str) -> IrProgram:
             if defvar is not None and not may_def:
                 raise ArityMismatch(lineno, f"{opcode.value} cannot define a variable")
 
-            args = (toks[i + 1], *ops) if opcode is CALLPRIVATE else tuple(ops)
+            args = (toks[i + 1], *ops) if opcode is CALLPRIVATE else ops
             sid = f"{blk_sid}{len(blk_stmts)}"
-            blk_stmts.append(new_tuple(IrStatement, (sid, opcode, defvar, args, tuple(uses))))
+            blk_stmts.append(new_tuple(IrStatement, (sid, opcode, defvar, args, uses)))
+            continue
+
+        if in_block and toks[0] in _TERMINATORS:
+            blk_term = t = _parse_terminator(toks, lineno)
+            jumps += t.targets
+            reads += [v for v in (t.cond, *t.values) if v.__class__ is str]
             continue
 
         line = raw.strip()
@@ -240,12 +260,21 @@ def parse_ir(text: str) -> IrProgram:
                 if not _VAR_RE.match(p):
                     raise IrSyntaxError(lineno, f"bad parameter name {p!r}")
             fn_params = tuple(params)
+            local, reads, jumps = set(params), [], []
+            defs += params
             continue
 
         if line == "}":
             if fn_name is None:
                 raise IrSyntaxError(lineno, "unmatched '}'")
-            close_function(lineno)
+            close_block(lineno)
+            if not fn_blocks:
+                raise IrSyntaxError(lineno, f"function {fn_name} has no blocks")
+            bids = {b.bid for b in fn_blocks}
+            valid &= len(bids) == len(fn_blocks) and bids.issuperset(jumps)
+            valid &= local.issuperset(reads)
+            functions.append(IrFunction(fn_name, fn_selector, fn_params, tuple(fn_blocks)))
+            fn_name, fn_selector, fn_params, fn_blocks = None, None, (), []
             continue
 
         if fn_name is None:
@@ -260,13 +289,12 @@ def parse_ir(text: str) -> IrProgram:
             blk_sid = f"{fn_name}.{blk_id}."
             continue
 
+        # Statements and terminators of an open block were taken above.
         if blk_id is None:
             raise IrSyntaxError(lineno, f"statement outside block: {line!r}")
         if blk_term is not None:
             raise IrSyntaxError(lineno, f"statement after terminator: {line!r}")
-        if toks[0] not in _TERMINATORS:
-            raise IrSyntaxError(lineno, f"missing statement label: {line!r}")
-        blk_term = _parse_terminator(toks, lineno)
+        raise IrSyntaxError(lineno, f"missing statement label: {line!r}")
 
     if fn_name is not None:
         raise IrSyntaxError(len(text.splitlines()), "unterminated function")
@@ -274,7 +302,10 @@ def parse_ir(text: str) -> IrProgram:
         raise IrSyntaxError(1, "missing contract header")
 
     program = IrProgram(address, tuple(functions))
-    validate(program)
+    names = {f.name for f in functions}
+    valid &= len(names) == len(functions) and names.issuperset(callees)
+    if not (valid and len(set(defs)) == len(defs)):
+        validate(program)
     return program
 
 

@@ -291,31 +291,40 @@ def summarize_semantics(
 def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
     """Does any comparison on the slot's value (or the value being stored)
     gate the store (before) or merely exist under the same selector (after)?
-    The comparisons are indexed by selector once, and each store is handled
-    once, however many selectors (writes) reach it.  The slot's loads are
-    walked from once, and the stored value once per store, only for a store
-    that some comparison shares a selector with."""
-    comps: dict[str, list[tuple]] = {}  # selector -> its `comp` rows
-    for row in db.comp:
-        for sel in db.selectors_of(row[0]):
-            comps.setdefault(sel, []).append(row)
+    The comparisons are indexed once, by selector and then by the variable
+    each defines, and each store is handled once, however many selectors
+    (writes) reach it.  A row that gates the store (defines one of its
+    deciders) can set only `before`, any other row only `after`, so a row
+    is tested only while its flag is unset, and the search ends once both
+    are set.  The slot's loads are walked from once; a store's value only
+    when some open row reads neither side from the loads."""
+    comps: dict[str, dict[str, tuple]] = {}  # selector -> comparison def -> its sides
+    for cmp_site, _, lhs, rhs, defvar in db.comp:
+        for sel in db.selectors_of(cmp_site):
+            comps.setdefault(sel, {})[defvar] = (lhs, rhs)
     loaded = None
-    before = False
-    after = False
+    found = {True: False, False: False}  # gates the store? -> before, after
     for site, value in {w.store_site: w.value for w in writes}.items():
-        # A row shared by two selectors is met twice; it sets the same flag.
-        rows = [r for sel in db.selectors_of(site) for r in comps.get(sel, ())]
+        rows: dict[str, tuple] = {}
+        for sel in db.selectors_of(site):
+            rows.update(comps.get(sel, {}))
         if not rows:
             continue
         if loaded is None:
             loaded = db.reached_from(db.slot_loads.get(slot, ()))
-        gates = db.deciders(site)
-        reached = loaded | db.reached_from((value,))
-        for _, _, lhs, rhs, defvar in rows:
-            if lhs not in reached and rhs not in reached:
-                continue
-            if defvar in gates:
-                before = True
-            else:
-                after = True
-    return before, after
+        gating = db.deciders(site).intersection(rows)
+        todo = [] if found[True] else [(True, rows[d]) for d in gating]
+        if not found[False]:
+            todo += [(False, rows[d]) for d in rows.keys() - gating]
+        for reached in (loaded, None):
+            todo = [(gate, sides) for gate, sides in todo if not found[gate]]
+            if not todo:
+                break
+            if reached is None:
+                reached = db.reached_from((value,))
+            for gate, sides in todo:
+                if not reached.isdisjoint(sides):
+                    found[gate] = True
+        if found[True] and found[False]:
+            break
+    return found[True], found[False]

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from dappaudit import chain
 from dappaudit.chain import (
     MAX_STRING_BYTES,
     ChainUnavailable,
@@ -176,6 +177,21 @@ def test_long_string_round_trip_uses_hashed_location():
     base = int.from_bytes(keccak_256((7).to_bytes(32, "big")), "big")
     assert base in words and base + 1 in words
     assert _mock_with_words(words).read_string_at(ADDR, 7) == text
+
+
+def test_long_string_hashes_its_slot_once(monkeypatch):
+    text = "https://api.example/nft/metadata/" * 3
+    mock = _mock_with_words(encode_string_at(11, text))
+    assert mock.read_string_at(ADDR, 11) == text
+    calls = []
+
+    def counting(data: bytes) -> bytes:
+        calls.append(data)
+        return keccak_256(data)
+
+    monkeypatch.setattr(chain, "keccak_256", counting)
+    assert mock.read_string_at(ADDR, 11) == text
+    assert calls == []
 
 
 def test_zero_word_is_empty_string():

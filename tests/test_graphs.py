@@ -511,14 +511,14 @@ def _diamonds_text(k: int) -> str:
     return "\n".join(lines)
 
 
-def _best_audit_walls(small: str, large: str) -> tuple[float, float]:
-    """The best `analyze_ir` wall time of each text over 3 runs, the sizes
-    alternating and the collector off (see the chain tests in
-    test_facts.py)."""
+def _best_audit_walls(small, large, run=analyze_ir) -> tuple[float, float]:
+    """The best wall time of `run` (by default `analyze_ir` of a text) on
+    each input over 3 runs, the sizes alternating and the collector off
+    (see the chain tests in test_facts.py)."""
 
-    def wall(text: str) -> float:
+    def wall(item) -> float:
         start = time.perf_counter()
-        analyze_ir(text)
+        run(item)
         return time.perf_counter() - start
 
     best_small = best_large = float("inf")
@@ -540,6 +540,15 @@ def test_audit_of_sequential_diamonds_grows_linearly():
     assert len(entry.follow) == 1000
     best_small, best_large = _best_audit_walls(small, large)
     assert best_large <= 3 * best_small, (best_small, best_large)
+
+
+def test_graphs_of_sequential_diamonds_grow_linearly():
+    # Each branch intersected the conditions it reaches with the dict of
+    # every branch condition, which iterates the whole dict: about 5x per
+    # doubling of k for `build_graphs` alone.
+    small, large = (build_facts(parse_ir(_diamonds_text(k))) for k in (2000, 4000))
+    best_small, best_large = _best_audit_walls(small, large, build_graphs)
+    assert best_large <= 2.5 * best_small, (best_small, best_large)
 
 
 def _sends_text(n: int) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,14 +11,21 @@ from dappaudit import parser
 from dappaudit.model import (
     ArityMismatch,
     DanglingTarget,
+    IrBlock,
+    IrError,
+    IrFunction,
+    IrProgram,
+    IrStatement,
     IrSyntaxError,
     Opcode,
     SsaViolation,
+    Terminator,
     TermKind,
     UndefinedVariable,
     UnknownOpcode,
+    validate,
 )
-from helpers import ADDR, random_program_text
+from helpers import ADDR, random_program, random_program_text
 
 MINIMAL = f"""contract {ADDR}
 function f public sig 0xa1b2c3d4 params (v0) {{
@@ -192,6 +200,162 @@ def test_contract_with_no_functions_parses():
 
 # With several faults the first one met wins: syntax over validation, then
 # the validation checks in their order.
+
+
+def test_valid_programs_parse_without_validate(monkeypatch):
+    # The parser checks the invariants as it reads; `validate` runs only to
+    # name the first fault of a program already known to be invalid.
+    def refuse(program):
+        raise AssertionError("validate ran on a valid program")
+
+    monkeypatch.setattr(parser, "validate", refuse)
+    for name, text in _uses_texts():
+        parser.parse_ir(text)
+
+
+# Record-level faults for the differential test below.  Each edits the
+# functions of a program held as lists, [name, selector, params, blocks]
+# with a block as [bid, statements, terminator], and returns whether it
+# applied.
+
+
+def _defs(fn: list) -> list[str]:
+    return [*fn[2], *(s.defvar for b in fn[3] for s in b[1] if s.defvar)]
+
+
+def _set(block: list, i: int, **fields) -> None:
+    s = block[1][i]._replace(**fields)
+    args = s.args[1:] if s.opcode is Opcode.CALLPRIVATE else s.args
+    block[1][i] = s._replace(uses=tuple(a for a in args if isinstance(a, str)))
+
+
+def _redefine(rng: random.Random, fns: list, across: bool) -> bool:
+    """A def takes the name of a def or parameter of its own function, or of
+    another function."""
+    dst = rng.choice(fns)
+    others = [f for f in fns if f is not dst] if across else [dst]
+    sites = [(b, i) for b in dst[3] for i, s in enumerate(b[1]) if s.defvar]
+    if not others or not sites:
+        return False
+    block, i = rng.choice(sites)
+    names = [n for n in _defs(rng.choice(others)) if n != block[1][i].defvar]
+    if not names:
+        return False
+    _set(block, i, defvar=rng.choice(names))
+    return True
+
+
+def _read(rng: random.Random, fns: list, foreign: bool) -> bool:
+    """A variable operand, a branch condition or a returned value becomes a
+    variable of another function, or one that nothing defines."""
+    fn = rng.choice(fns)
+    names = [n for f in fns if f is not fn for n in _defs(f)] if foreign else ["vnever"]
+    if not names:
+        return False
+    name = rng.choice(names)
+    sites = [
+        (b, i, k)
+        for b in fn[3]
+        for i, s in enumerate(b[1])
+        for k, a in enumerate(s.args)
+        if isinstance(a, str) and not (k == 0 and s.opcode is Opcode.CALLPRIVATE)
+    ]
+    if sites and rng.random() < 0.6:
+        block, i, k = rng.choice(sites)
+        args = list(block[1][i].args)
+        args[k] = name
+        _set(block, i, args=tuple(args))
+    else:
+        block = rng.choice(fn[3])
+        block[2] = rng.choice([
+            Terminator(TermKind.JUMPI, cond=name, targets=(fn[3][0][0],) * 2),
+            Terminator(TermKind.RETURN, values=(7, name)),
+        ])
+    return True
+
+
+def _jump_to_missing(rng: random.Random, fns: list) -> bool:
+    block = rng.choice(rng.choice(fns)[3])
+    block[2] = Terminator(TermKind.JUMP, targets=("Bmissing",))
+    return True
+
+
+def _call_unknown(rng: random.Random, fns: list) -> bool:
+    fn = rng.choice(fns)
+    block = rng.choice(fn[3])
+    i = rng.randint(0, len(block[1]))
+    block[1].insert(i, IrStatement("", Opcode.CALLPRIVATE, None, (), ()))
+    _set(block, i, args=("nothere", *rng.sample(fn[2], min(1, len(fn[2])))))
+    return True
+
+
+def _repeat_block_id(rng: random.Random, fns: list) -> bool:
+    fn = rng.choice(fns)
+    if len(fn[3]) < 2:
+        return False
+    a, b = rng.sample(fn[3], 2)
+    b[0] = a[0]
+    return True
+
+
+def _repeat_function_name(rng: random.Random, fns: list) -> bool:
+    if len(fns) < 2:
+        return False
+    a, b = rng.sample(fns, 2)
+    b[0] = a[0]
+    return True
+
+
+_FAULTS = {
+    "def repeated in its function": lambda rng, fns: _redefine(rng, fns, False),
+    "def repeated across functions": lambda rng, fns: _redefine(rng, fns, True),
+    "another function's variable read": lambda rng, fns: _read(rng, fns, True),
+    "undefined variable read": lambda rng, fns: _read(rng, fns, False),
+    "jump to a missing block": _jump_to_missing,
+    "unknown callee": _call_unknown,
+    "block id repeated": _repeat_block_id,
+    "function name repeated": _repeat_function_name,
+}
+
+
+def _program(address: str, fns: list) -> IrProgram:
+    """The edited functions as records, with positional statement ids."""
+    return IrProgram(address, tuple(
+        IrFunction(name, selector, tuple(params), tuple(
+            IrBlock(bid, tuple(s._replace(sid=f"{name}.{bid}.{i}") for i, s in enumerate(stmts)), term)
+            for bid, stmts, term in blocks
+        ))
+        for name, selector, params, blocks in fns
+    ))
+
+
+def test_parse_errors_match_validate_on_mutated_programs():
+    rng = random.Random(32)
+    applied, raised = Counter(), Counter()
+    for _ in range(400):
+        base = random_program(rng, 20)
+        fns = [
+            [f.name, f.selector, list(f.params), [[b.bid, list(b.statements), b.terminator] for b in f.blocks]]
+            for f in base.functions
+        ]
+        faults = rng.sample(sorted(_FAULTS), 2 if rng.random() < 0.3 else 1)
+        if not all(_FAULTS[name](rng, fns) for name in faults):
+            continue
+        applied.update(faults)
+        applied["two at once"] += len(faults) == 2
+        mutant = _program(base.address, fns)
+        text = parser.print_ir(mutant)
+        try:
+            validate(mutant)
+        except IrError as err:
+            with pytest.raises(IrError) as info:
+                parser.parse_ir(text)
+            assert (type(info.value), str(info.value)) == (type(err), str(err)), text
+            raised[type(err).__name__] += 1
+        else:
+            assert parser.parse_ir(text) == mutant, text
+    assert set(applied) == {*_FAULTS, "two at once"}, applied
+    assert set(raised) == {"SsaViolation", "UndefinedVariable", "DanglingTarget"}, raised
 
 
 def test_later_syntax_error_wins_over_earlier_ssa_violation():

@@ -445,6 +445,46 @@ function b public sig 0x00000002 params (vy) {{
     assert semantics._bound_checks(db, 3, writes) == (False, True)
     assert calls == ["mint.P.2"]
 
+
+def test_bound_checks_stop_once_both_flags_are_set(monkeypatch):
+    # The cap check gates every store and the later comparison gates none,
+    # and both read the loaded supply: the first store sets both flags.
+    n = 6
+    stores = [f"    {k}: SSTORE 3 vs{k}" for k in range(n)]
+    text = "\n".join([
+        f"contract {ADDR}",
+        "function mint public sig 0x00000001 params (va) {",
+        "  block M0:",
+        "    0: vl = SLOAD 3",
+        "    1: vok = LT vl 0x64",
+        "    jumpi vok M1 M2",
+        "  block M1:",
+        *(f"    {k}: vs{k} = ADD vl va" for k in range(n)),
+        *(line.replace(f"{k}:", f"{n + k}:", 1) for k, line in enumerate(stores)),
+        f"    {2 * n}: vk = GT vs0 0x3e8",
+        "    stop",
+        "  block M2:",
+        "    revert",
+        "}",
+        "",
+    ])
+    db = build_facts(parse_ir(text))
+    _, sdg, _ = build_graphs(db)
+    writes = sdg.writes_to(3)
+    assert len(writes) == n
+
+    calls = []
+    reached_from = FactDb.reached_from
+
+    def counting(self, sources):
+        calls.append(sources)
+        return reached_from(self, sources)
+
+    monkeypatch.setattr(FactDb, "reached_from", counting)
+    assert semantics._bound_checks(db, 3, writes) == (True, True)
+    # Walking from the loads and then from every stored value is n + 1 calls.
+    assert len(calls) < n
+
 # ---------------------------------------------------------------------------
 # Pause status
 
