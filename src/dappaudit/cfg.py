@@ -10,7 +10,9 @@ over the blocks in reverse postorder repeat until none changes, except that
 a first pass which meets no back edge (a successor that can reach the exit
 but is not yet set) is final. They are built only for a function with a
 reachable branch, found in one stack walk from the entry: most functions
-have none, and without one no statement has a controlling branch.
+have none, and without one no statement has a controlling branch. A
+block's successors are a plain list of block ids; a branch's two outcomes
+come from its JUMPI targets, the then-target first.
 
 Control dependence takes the region form of Ferrante, Ottenstein &
 Warren (1987): a branch at block A with immediate post-dominator P
@@ -53,20 +55,10 @@ from .model import IrFunction, Operand, TermKind
 EXIT = "__exit__"
 
 
-def _successors(fn: IrFunction) -> dict[str, list[tuple[str, bool | None]]]:
-    """Block id -> (successor, branch outcome) pairs; every terminator but
-    a jump leaves the function, an edge to the synthetic exit."""
-    JUMP, JUMPI = TermKind.JUMP, TermKind.JUMPI
-    succ: dict[str, list[tuple[str, bool | None]]] = {}
-    for b in fn.blocks:
-        t = b.terminator
-        if t.kind is JUMP:
-            succ[b.bid] = [(t.targets[0], None)]
-        elif t.kind is JUMPI:
-            succ[b.bid] = [(t.targets[0], True), (t.targets[1], False)]
-        else:
-            succ[b.bid] = [(EXIT, None)]
-    return succ
+def _successors(fn: IrFunction) -> dict[str, list[str]]:
+    """Block id -> successor block ids; every terminator but a jump leaves
+    the function, an edge to the synthetic exit."""
+    return {b.bid: list(b.terminator.targets) or [EXIT] for b in fn.blocks}
 
 
 def branch_structure(
@@ -84,7 +76,7 @@ def branch_structure(
     # The blocks the entry reaches, in one stack walk that never enters the exit.
     reachable, work = {order[0], EXIT}, [order[0]]
     while work:
-        for d, _ in succ[work.pop()]:
+        for d in succ[work.pop()]:
             if d not in reachable:
                 reachable.add(d)
                 work.append(d)
@@ -112,7 +104,7 @@ def branch_structure(
             post = sink_ipdom
         regions: list[set[str]] = []
         dist: list[float] = []
-        for dst, branch in succ[b.bid]:
+        for dst, branch in zip(t.targets, (True, False)):
             region, steps = _reach(dst, succ, post[b.bid])
             for n in region:
                 deps.setdefault(n, set()).add((t.cond, branch))
@@ -138,7 +130,7 @@ def _short_arm(
     regions: list[set[str]],
     dist: list[float],
     stop: str,
-    succ: dict[str, list[tuple[str, bool | None]]],
+    succ: dict[str, list[str]],
 ) -> str | None:
     """The arm with the fewest blocks before `stop`, or None when it breaks
     a condition of the module docstring."""
@@ -153,7 +145,7 @@ def _longest_path(
     start: str,
     region: set[str],
     stop: str,
-    succ: dict[str, list[tuple[str, bool | None]]],
+    succ: dict[str, list[str]],
 ) -> int | None:
     """Most blocks of `region` a path from `start` crosses before `stop`;
     None when the region holds a cycle."""
@@ -161,16 +153,13 @@ def _longest_path(
         return 0
     if len(region) == 1:
         # The region is `start` alone: a cycle only through a self-loop.
-        for d, _ in succ[start]:
-            if d == start:
-                return None
-        return 1
+        return None if start in succ[start] else 1
     longest: dict[str, int] = {}
     on_path: set[str] = set()
     work = [(start, False)]
     while work:
         n, done = work.pop()
-        inner = [d for d, _ in succ[n] if d in region]
+        inner = [d for d in succ[n] if d in region]
         if done:
             on_path.discard(n)
             longest[n] = 1 + max((longest[d] for d in inner), default=0)
@@ -185,9 +174,9 @@ def _longest_path(
 
 def _with_sink_exits(
     order: list[str],
-    succ: dict[str, list[tuple[str, bool | None]]],
+    succ: dict[str, list[str]],
     live: dict[str, str],
-) -> dict[str, list[tuple[str, bool | None]]]:
+) -> dict[str, list[str]]:
     """succ plus a virtual exit edge from the first block of each sink
     region; `live` holds the blocks that can reach the exit."""
     # One iterative pass of Tarjan's algorithm over the blocks that cannot
@@ -197,7 +186,7 @@ def _with_sink_exits(
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
-    walk: list[tuple[str, Iterator[tuple[str, bool | None]]]] = []
+    walk: list[tuple[str, Iterator[str]]] = []
     aug = dict(succ)
 
     def visit(n: str) -> None:
@@ -212,7 +201,7 @@ def _with_sink_exits(
         visit(root)
         while walk:
             n, rest = walk[-1]
-            for d, _ in rest:
+            for d in rest:
                 if d not in index:
                     visit(d)
                     break
@@ -231,14 +220,14 @@ def _with_sink_exits(
                 while n not in component:
                     component.add(stack.pop())
                 on_stack -= component
-                if all(d in component for m in component for d, _ in succ[m]):
+                if all(d in component for m in component for d in succ[m]):
                     first = min(component, key=rank.__getitem__)
-                    aug[first] = succ[first] + [(EXIT, None)]
+                    aug[first] = succ[first] + [EXIT]
     return aug
 
 
 def _reach(
-    start: str, succ: dict[str, list[tuple[str, bool | None]]], stop: str
+    start: str, succ: dict[str, list[str]], stop: str
 ) -> tuple[set[str], int | None]:
     """Blocks reachable from `start` without entering `stop` or the exit,
     and how many of them the shortest path to `stop` crosses (None when no
@@ -252,7 +241,7 @@ def _reach(
     while level:
         nxt = []
         for n in level:
-            for d, _ in succ[n]:
+            for d in succ[n]:
                 if d == stop:
                     if steps is None:
                         steps = depth
@@ -264,14 +253,12 @@ def _reach(
     return seen, steps
 
 
-def _post_dominators(
-    order: list[str], succ: dict[str, list[tuple[str, bool | None]]]
-) -> dict[str, str]:
+def _post_dominators(order: list[str], succ: dict[str, list[str]]) -> dict[str, str]:
     """Immediate post-dominator of each block that can reach the exit."""
     preds: dict[str, list[str]] = {n: [] for n in order}
     preds[EXIT] = []
     for n in order:
-        for d, _ in succ[n]:
+        for d in succ[n]:
             preds[d].append(n)
 
     # Postorder of a depth-first walk from the exit over predecessor edges;
@@ -300,7 +287,7 @@ def _post_dominators(
         changed = False
         for n in rpo:
             new = None
-            for d, _ in succ[n]:
+            for d in succ[n]:
                 if d not in ipdom:
                     if d in rank:
                         changed = True

@@ -57,7 +57,6 @@ from .inference import (
     StorageRole,
     StorageRoleFact,
     TransferFact,
-    TransferKind,
     infer_sender_guards,
     infer_storage_roles,
     infer_transfers,
@@ -83,7 +82,6 @@ class FtgEdge(NamedTuple):
     recipient_class: RecipientClass
     amount: Operand
     selector: str
-    kind: TransferKind
     # Slot guarding this selector, when that slot also carries the owner role.
     privileged_owner: int | None
     # Another transfer under the same selector splits a common source value.
@@ -197,7 +195,6 @@ def build_ftg(
             recipient_class=classes[t.recipient],
             amount=t.amount,
             selector=t.selector,
-            kind=t.kind,
             privileged_owner=privileged.get(t.selector),
             shared_fee_ancestor=(t.call_site, t.selector) in shared,
             follow=_free_branches(db, t.call_site, t.selector),

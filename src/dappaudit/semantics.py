@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 from .executor import CheckpointState, ExecutionResult
 from .facts import FactDb
 from .graphs import FtgEdge, FundTransferGraph, RecipientClass, StateDependencyGraph
-from .inference import StorageRole, TransferKind
+from .inference import StorageRole
 from .symexpr import SymExpr, const, leaves, render
 
 
@@ -37,7 +37,6 @@ class DynamicFlags(NamedTuple):
 class TransferSummary(NamedTuple):
     call_site: str
     selector: str
-    kind: TransferKind
     recipient_class: RecipientClass
     amount_expr: SymExpr
     dynamic: DynamicFlags
@@ -53,7 +52,6 @@ class FeeCandidate(NamedTuple):
 
     call_site: str
     selector: str
-    recipient_class: RecipientClass
     base_expr: SymExpr
     numerator: SymExpr
     denominator: int
@@ -173,7 +171,6 @@ def summarize_semantics(
                 TransferSummary(
                     call_site=edge.call_site,
                     selector=edge.selector,
-                    kind=edge.kind,
                     recipient_class=edge.recipient_class,
                     amount_expr=amount_expr,
                     dynamic=_dynamic_flags(amount_leaves, written_slots),
@@ -219,7 +216,6 @@ def summarize_semantics(
             FeeCandidate(
                 call_site=t.call_site,
                 selector=t.selector,
-                recipient_class=t.recipient_class,
                 base_expr=base,
                 numerator=k,
                 denominator=d,
