@@ -18,13 +18,15 @@ identified positionally as `function.block.index`, which is what the
 printer emits.
 
 Each line is split into tokens once, after cutting a comment (only when
-the line holds a `#`).  Statements and terminators are most of a program,
-so inside an open, unterminated block a line whose first token ends in
-`:` is parsed as a statement, and one whose first token is a terminator
-keyword as a terminator, straight away; no header or `}` line has such a
-first token.  Any other line goes through the header checks in their
-fixed order: `contract`, `function`, `}`, `block`, and ends in an error
-if none of them takes it.
+the line holds a `#`).  The common lines are read first: in an open,
+unterminated block, a statement (its first token ends in `:`), then
+`jump <t>` or a `jumpi` on a condition already in scope (below) from its
+tokens, then any other terminator (a literal or read-ahead condition
+too) by `_parse_terminator`; then, in a function, `block <id>:` with a
+plain ASCII id after a space.  No header or `}` line has such tokens.
+The rest, `block <id> :` and a digit-led id included, go through the
+header checks in their fixed order, `contract`, `function`, `}`, `block`
+(by `_BLOCK_RE`), and end in an error if none of them takes the line.
 
 The parser is the one place where per-statement facts are computed: each
 statement records its variable operands (`IrStatement.uses`), which the
@@ -111,11 +113,11 @@ _OPCODES: dict[str, tuple[Opcode, int, int | None, bool, bool]] = {
 
 
 def _operand(tok: str, line: int) -> str | int:
-    if _VAR_RE.match(tok):
-        return tok
-    # A plain decimal, the common literal, needs neither regex; isascii()
-    # keeps out the other scripts' digits, which int() would read.
+    # A plain decimal, the common literal, needs no regex; isascii() keeps
+    # out the other scripts' digits, which int() would read.
     plain = tok.isascii() and tok.isdecimal()
+    if not plain and _VAR_RE.match(tok):
+        return tok
     m = None if plain else _SLOT_RE.fullmatch(tok)
     lit = m[1] if m else tok
     if plain or _LITERAL_RE.fullmatch(lit):
@@ -155,6 +157,7 @@ def parse_ir(text: str) -> IrProgram:
     # Statement operand token -> its operand, for this call only.
     operands: dict[str, str | int] = {}
     CALLPRIVATE, CONST = Opcode.CALLPRIVATE, Opcode.CONST
+    JUMP, JUMPI = TermKind.JUMP, TermKind.JUMPI
     new_tuple = tuple.__new__  # skips IrStatement's Python-level __new__ frame
 
     def close_block(line: int) -> None:
@@ -232,10 +235,29 @@ def parse_ir(text: str) -> IrProgram:
             continue
 
         if in_block and toks[0] in _TERMINATORS:
+            # `jump <t>`, and `jumpi` on a condition in scope: no read to record.
+            n = len(toks)
+            if n == 2 and toks[0] == "jump":
+                blk_term = Terminator(JUMP, None, (toks[1],))
+                jumps.append(toks[1])
+                continue
+            if n == 4 and toks[0] == "jumpi" and toks[1] in local:
+                blk_term = Terminator(JUMPI, toks[1], (toks[2], toks[3]))
+                jumps += toks[2:]
+                continue
             blk_term = t = _parse_terminator(toks, lineno)
             jumps += t.targets
             reads += [v for v in (t.cond, *t.values) if v.__class__ is str]
             continue
+
+        # `block <id>:` as the chain below reads it; with two tokens,
+        # `"block " in raw` means the first separator is a space.
+        if toks[0] == "block" and len(toks) == 2 and fn_name is not None and "block " in raw:
+            bid = toks[1][:-1]
+            if toks[1][-1] == ":" and bid.isidentifier() and bid.isascii():
+                close_block(lineno)
+                blk_id, blk_sid = bid, f"{fn_name}.{bid}."
+                continue
 
         line = raw.strip()
         if line.startswith("contract "):

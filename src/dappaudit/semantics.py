@@ -231,9 +231,11 @@ def summarize_semantics(
         role_slots.setdefault(role, []).append(slot)
 
     supplies = []
-    for slot in sorted(set(role_slots.get(StorageRole.SUPPLY.value, ()))):
+    supply_slots = sorted(set(role_slots.get(StorageRole.SUPPLY.value, ())))
+    comps = _comparisons(db) if supply_slots else {}
+    for slot in supply_slots:
         writes = sdg.writes_to(slot)
-        before, after = _bound_checks(db, slot, writes)
+        before, after = _bound_checks(db, comps, slot, writes)
         supplies.append(
             SupplyStatus(
                 slot=slot,
@@ -284,20 +286,26 @@ def summarize_semantics(
     )
 
 
-def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
-    """Does any comparison on the slot's value (or the value being stored)
-    gate the store (before) or merely exist under the same selector (after)?
-    The comparisons are indexed once, by selector and then by the variable
-    each defines, and each store is handled once, however many selectors
-    (writes) reach it.  A row that gates the store (defines one of its
-    deciders) can set only `before`, any other row only `after`, so a row
-    is tested only while its flag is unset, and the search ends once both
-    are set.  The slot's loads are walked from once; a store's value only
-    when some open row reads neither side from the loads."""
-    comps: dict[str, dict[str, tuple]] = {}  # selector -> comparison def -> its sides
+def _comparisons(db: FactDb) -> dict[str, dict[str, tuple]]:
+    """Selector -> comparison def -> its sides, for `_bound_checks`."""
+    comps: dict[str, dict[str, tuple]] = {}
     for cmp_site, _, lhs, rhs, defvar in db.comp:
         for sel in db.selectors_of(cmp_site):
             comps.setdefault(sel, {})[defvar] = (lhs, rhs)
+    return comps
+
+
+def _bound_checks(db: FactDb, comps, slot: int, writes) -> tuple[bool, bool]:
+    """Does any comparison on the slot's value (or the value being stored)
+    gate the store (before) or merely exist under the same selector (after)?
+    `comps` indexes the comparisons by selector and then by the variable
+    each defines (`_comparisons`, once per contract).  Each store is
+    handled once, however many selectors (writes) reach it.  A row that
+    gates the store (defines one of its deciders) can set only `before`,
+    any other row only `after`, so a row is tested only while its flag is
+    unset, and the search ends once both are set.  The slot's loads are
+    walked from once; a store's value only when some open row reads
+    neither side from the loads."""
     loaded = None
     found = {True: False, False: False}  # gates the store? -> before, after
     for site, value in {w.store_site: w.value for w in writes}.items():
@@ -319,7 +327,7 @@ def _bound_checks(db: FactDb, slot: int, writes) -> tuple[bool, bool]:
             if reached is None:
                 reached = db.reached_from((value,))
             for gate, sides in todo:
-                if not reached.isdisjoint(sides):
+                if not found[gate] and not reached.isdisjoint(sides):
                     found[gate] = True
         if found[True] and found[False]:
             break

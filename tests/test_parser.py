@@ -26,6 +26,7 @@ from dappaudit.model import (
     validate,
 )
 from helpers import ADDR, random_program, random_program_text
+from test_graphs import _diamonds_text
 
 MINIMAL = f"""contract {ADDR}
 function f public sig 0xa1b2c3d4 params (v0) {{
@@ -540,6 +541,24 @@ def _in_block(*lines: str) -> str:
          "line 4: returnprivate takes a continuation target"),
         (_in_block("stop v0"), ArityMismatch, "line 4: stop takes no operands"),
         (_in_block("revert 1"), ArityMismatch, "line 4: revert takes no operands"),
+        # `jump`, `jumpi` and `block <id>:` lines read without the regexes,
+        # and the shapes next to them that are not
+        (_in_block("jump B1", "block B1:", "jump"), ArityMismatch,
+         "line 6: jump takes one target"),
+        (_in_block("jump B1 B1", "block B1:", "stop"), ArityMismatch,
+         "line 4: jump takes one target"),
+        (_in_block("0: v1 = CONST 1", "jumpi v1 B0"), ArityMismatch,
+         "line 5: jumpi takes cond, then, else"),
+        (_in_block("0: v1 = CONST 1", "jumpi v1 B0 B0 B0"), ArityMismatch,
+         "line 5: jumpi takes cond, then, else"),
+        (_in_block("jumpi v9 B0 B0"), UndefinedVariable, "f.B0: v9 is not defined"),
+        (_in_block("stop", "block  B0:", "stop"), SsaViolation, "duplicate block id in f"),
+        (_in_block("0: v1 = CONST 1", "block  B1:", "stop"), IrSyntaxError,
+         "line 5: block B0 has no terminator"),
+        (_in_block("block B1:", "stop"), IrSyntaxError, "line 4: block B0 has no terminator"),
+        (_in_block("stop", "block B1", "stop"), IrSyntaxError, "line 5: bad block header: 'block B1'"),
+        (_in_block("stop", "block\tB1:", "stop"), IrSyntaxError,
+         "line 5: statement after terminator: 'block\\tB1:'"),
         # end of text
         (_in_block("stop")[:-2], IrSyntaxError, "line 4: unterminated function"),
         ("", IrSyntaxError, "line 1: missing contract header"),
@@ -549,10 +568,55 @@ def _in_block(*lines: str) -> str:
     ],
 )
 def test_parse_error_table(text, exc, message):
-    with pytest.raises(IrSyntaxError) as info:
+    with pytest.raises(IrError) as info:
         parser.parse_ir(text)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "lines, printed",
+    [
+        (["jumpi 1 B0 B0"], ["  block B0:", "    jumpi 0x1 B0 B0"]),
+        (
+            ["jump B1", "block B1:", "0: v1 = CONST 1", "jumpi v2 B0 B2",
+             "block B2:", "0: v2 = CONST 2", "stop"],
+            ["  block B0:", "    jump B1", "  block B1:", "    f.B1.0: v1 = CONST 0x1",
+             "    jumpi v2 B0 B2", "  block B2:", "    f.B2.0: v2 = CONST 0x2", "    stop"],
+        ),
+        (["jump 1", "block 1:", "stop"], ["  block B0:", "    jump 1", "  block 1:", "    stop"]),
+        (["jump B1", "block B1 :", "stop"],
+         ["  block B0:", "    jump B1", "  block B1:", "    stop"]),
+    ],
+    ids=["literal-cond", "read-ahead-cond", "digit-led-id", "space-before-colon"],
+)
+def test_jump_and_header_shapes_off_the_inline_path(lines, printed):
+    program = parser.parse_ir(_in_block(*lines))
+    assert parser.print_ir(program) == _HEAD + "".join(f"{x}\n" for x in printed) + "}\n"
+
+
+def test_jumps_and_block_headers_are_read_inline(monkeypatch):
+    # Every block of the diamonds but the last ends in a `jump`, or in a
+    # `jumpi` on a condition its own block defines.
+    text = _diamonds_text(50)
+    want = parser.parse_ir(text)
+    calls = Counter()
+    parse_terminator, block_re = parser._parse_terminator, parser._BLOCK_RE
+
+    def counting(toks, line):
+        calls["_parse_terminator"] += 1
+        return parse_terminator(toks, line)
+
+    class CountingBlockRe:
+        def match(self, line):
+            calls["_BLOCK_RE"] += 1
+            return block_re.match(line)
+
+    monkeypatch.setattr(parser, "_parse_terminator", counting)
+    monkeypatch.setattr(parser, "_BLOCK_RE", CountingBlockRe())
+    assert parser.parse_ir(text) == want
+    # Only the final `stop` takes the general path.
+    assert calls == {"_parse_terminator": 1}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from dappaudit import semantics
@@ -361,6 +362,28 @@ def test_supply_without_a_comparison_builds_no_reach_set(monkeypatch):
     assert summarize_semantics(executions, db, ftg, sdg).supplies == want
 
 
+def test_bound_checks_index_comparisons_once_per_contract(monkeypatch):
+    # The stored chain with `vc<i> = GT v<i> 0x64` after each store, all
+    # under one selector: every supply slot has comparisons to test, and
+    # none of them gates a store.
+    n = 200
+    text = re.sub(
+        r"(: SSTORE (\d+) (v\d+)\n)", r"\1    c: vc\2 = GT \3 0x64\n", _stored_chain_text(n)
+    )
+    calls = []
+    selectors_of = FactDb.selectors_of
+
+    def counting(self, sid):
+        calls.append(sid)
+        return selectors_of(self, sid)
+
+    monkeypatch.setattr(FactDb, "selectors_of", counting)
+    supplies = analyze_ir(text).semantics.supplies
+    assert len(supplies) == n
+    assert all(not s.bound_checked and s.bound_checked_after_add for s in supplies)
+    # Indexing every comparison once per supply slot makes about n * n calls.
+    assert len(calls) < 10 * n
+
 
 def test_bound_checks_index_comparisons_by_selector_once(monkeypatch):
     # W mints each store an ADD of the supply slot 3; the first also
@@ -395,7 +418,7 @@ def test_bound_checks_index_comparisons_by_selector_once(monkeypatch):
         return selectors_of(self, sid)
 
     monkeypatch.setattr(FactDb, "selectors_of", counting)
-    assert semantics._bound_checks(db, 3, writes) == (False, True)
+    assert semantics._bound_checks(db, semantics._comparisons(db), 3, writes) == (False, True)
     # Scanning every row for every write makes w * (c + 1) calls.
     assert len(calls) <= c + w
 
@@ -439,7 +462,7 @@ function b public sig 0x00000002 params (vy) {{
         return deciders(self, sid)
 
     monkeypatch.setattr(FactDb, "deciders", counting)
-    assert semantics._bound_checks(db, 3, writes) == (False, True)
+    assert semantics._bound_checks(db, semantics._comparisons(db), 3, writes) == (False, True)
     assert calls == ["mint.P.2"]
 
 
@@ -478,7 +501,7 @@ def test_bound_checks_stop_once_both_flags_are_set(monkeypatch):
         return reached_from(self, sources)
 
     monkeypatch.setattr(FactDb, "reached_from", counting)
-    assert semantics._bound_checks(db, 3, writes) == (True, True)
+    assert semantics._bound_checks(db, semantics._comparisons(db), 3, writes) == (True, True)
     # Walking from the loads and then from every stored value is n + 1 calls.
     assert len(calls) < n
 
