@@ -19,14 +19,15 @@ printer emits.
 
 Each line is split into tokens once, after cutting a comment (only when
 the line holds a `#`).  The common lines are read first: in an open,
-unterminated block, a statement (its first token ends in `:`), then
-`jump <t>` or a `jumpi` on a condition already in scope (below) from its
-tokens, then any other terminator (a literal or read-ahead condition
-too) by `_parse_terminator`; then, in a function, `block <id>:` with a
-plain ASCII id after a space.  No header or `}` line has such tokens.
-The rest, `block <id> :` and a digit-led id included, go through the
-header checks in their fixed order, `contract`, `function`, `}`, `block`
-(by `_BLOCK_RE`), and end in an error if none of them takes the line.
+unterminated block, a statement (its first token ends in `:`), then a
+`jump` or `jumpi` from its tokens (a condition already in scope, below,
+takes no conversion), then any other terminator by `_parse_terminator`;
+then `block <id>:` whose first separator is a space, its id taken from the
+tokens when it is a plain ASCII identifier followed by `:` and by
+`_BLOCK_RE` otherwise (a digit-led id, `block <id> :`).  No header or `}`
+line has such tokens.  The rest go through the header checks in their
+fixed order, `contract`, `function`, `}`, and end in an error if none of
+them takes the line.
 
 The parser is the one place where per-statement facts are computed: each
 statement records its variable operands (`IrStatement.uses`), which the
@@ -160,15 +161,6 @@ def parse_ir(text: str) -> IrProgram:
     JUMP, JUMPI = TermKind.JUMP, TermKind.JUMPI
     new_tuple = tuple.__new__  # skips IrStatement's Python-level __new__ frame
 
-    def close_block(line: int) -> None:
-        nonlocal blk_id, blk_stmts, blk_term
-        if blk_id is None:
-            return
-        if blk_term is None:
-            raise IrSyntaxError(line, f"block {blk_id} has no terminator")
-        fn_blocks.append(IrBlock(blk_id, tuple(blk_stmts), blk_term))
-        blk_id, blk_stmts, blk_term = None, [], None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
@@ -235,29 +227,46 @@ def parse_ir(text: str) -> IrProgram:
             continue
 
         if in_block and toks[0] in _TERMINATORS:
-            # `jump <t>`, and `jumpi` on a condition in scope: no read to record.
+            # `jump` and `jumpi` are read here; a condition in scope records
+            # no read.
             n = len(toks)
-            if n == 2 and toks[0] == "jump":
+            if toks[0] == "jump":
+                if n != 2:
+                    raise ArityMismatch(lineno, "jump takes one target")
                 blk_term = Terminator(JUMP, None, (toks[1],))
                 jumps.append(toks[1])
-                continue
-            if n == 4 and toks[0] == "jumpi" and toks[1] in local:
-                blk_term = Terminator(JUMPI, toks[1], (toks[2], toks[3]))
+            elif toks[0] == "jumpi":
+                if n != 4:
+                    raise ArityMismatch(lineno, "jumpi takes cond, then, else")
+                cond = toks[1]
+                if cond not in local:
+                    cond = _operand(cond, lineno)
+                    if cond.__class__ is str:
+                        reads.append(cond)
+                blk_term = Terminator(JUMPI, cond, (toks[2], toks[3]))
                 jumps += toks[2:]
-                continue
-            blk_term = t = _parse_terminator(toks, lineno)
-            jumps += t.targets
-            reads += [v for v in (t.cond, *t.values) if v.__class__ is str]
+            else:
+                blk_term = t = _parse_terminator(toks, lineno)
+                reads += [v for v in t.values if v.__class__ is str]
+            fn_blocks.append(IrBlock(blk_id, tuple(blk_stmts), blk_term))
             continue
 
-        # `block <id>:` as the chain below reads it; with two tokens,
-        # `"block " in raw` means the first separator is a space.
-        if toks[0] == "block" and len(toks) == 2 and fn_name is not None and "block " in raw:
+        # `block <id>:`, the first header test; the first separator must be
+        # a space.  No other header line starts with `block`.
+        if toks[0] == "block" and raw.strip()[5:6] == " ":
+            if fn_name is None:
+                raise IrSyntaxError(lineno, f"statement outside function: {raw.strip()!r}")
+            if in_block:
+                raise IrSyntaxError(lineno, f"block {blk_id} has no terminator")
             bid = toks[1][:-1]
-            if toks[1][-1] == ":" and bid.isidentifier() and bid.isascii():
-                close_block(lineno)
-                blk_id, blk_sid = bid, f"{fn_name}.{bid}."
-                continue
+            if not (len(toks) == 2 and toks[1][-1] == ":" and bid.isidentifier() and bid.isascii()):
+                m = _BLOCK_RE.match(raw.strip())
+                if not m:
+                    raise IrSyntaxError(lineno, f"bad block header: {raw.strip()!r}")
+                bid = m.group(1)
+            blk_id, blk_sid = bid, f"{fn_name}.{bid}."
+            blk_stmts, blk_term = [], None
+            continue
 
         line = raw.strip()
         if line.startswith("contract "):
@@ -289,7 +298,9 @@ def parse_ir(text: str) -> IrProgram:
         if line == "}":
             if fn_name is None:
                 raise IrSyntaxError(lineno, "unmatched '}'")
-            close_block(lineno)
+            if in_block:
+                raise IrSyntaxError(lineno, f"block {blk_id} has no terminator")
+            blk_id = None
             if not fn_blocks:
                 raise IrSyntaxError(lineno, f"function {fn_name} has no blocks")
             bids = {b.bid for b in fn_blocks}
@@ -301,15 +312,6 @@ def parse_ir(text: str) -> IrProgram:
 
         if fn_name is None:
             raise IrSyntaxError(lineno, f"statement outside function: {line!r}")
-
-        if line.startswith("block "):
-            close_block(lineno)
-            m = _BLOCK_RE.match(line)
-            if not m:
-                raise IrSyntaxError(lineno, f"bad block header: {line!r}")
-            blk_id = m.group(1)
-            blk_sid = f"{fn_name}.{blk_id}."
-            continue
 
         # Statements and terminators of an open block were taken above.
         if blk_id is None:
@@ -334,14 +336,6 @@ def parse_ir(text: str) -> IrProgram:
 def _parse_terminator(toks: list[str], line: int) -> Terminator:
     kind = _TERMINATORS[toks[0]]
     rest = toks[1:]
-    if kind is TermKind.JUMP:
-        if len(rest) != 1:
-            raise ArityMismatch(line, "jump takes one target")
-        return Terminator(kind, targets=(rest[0],))
-    if kind is TermKind.JUMPI:
-        if len(rest) != 3:
-            raise ArityMismatch(line, "jumpi takes cond, then, else")
-        return Terminator(kind, cond=_operand(rest[0], line), targets=(rest[1], rest[2]))
     if kind is TermKind.RETURN:
         return Terminator(kind, values=tuple(_operand(t, line) for t in rest))
     if kind is TermKind.RETURNPRIVATE:

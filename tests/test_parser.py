@@ -559,6 +559,20 @@ def _in_block(*lines: str) -> str:
         (_in_block("stop", "block B1", "stop"), IrSyntaxError, "line 5: bad block header: 'block B1'"),
         (_in_block("stop", "block\tB1:", "stop"), IrSyntaxError,
          "line 5: statement after terminator: 'block\\tB1:'"),
+        (f"contract {ADDR}\nblock B0:\n", IrSyntaxError,
+         "line 2: statement outside function: 'block B0:'"),
+        (_in_block("stop") + "  block B1:\n", IrSyntaxError,
+         "line 6: statement outside function: 'block B1:'"),
+        (_in_block("stop") + "block B1 :\n", IrSyntaxError,
+         "line 6: statement outside function: 'block B1 :'"),
+        (_in_block("0: v1 = CONST 1", "block B1 :", "stop"), IrSyntaxError,
+         "line 5: block B0 has no terminator"),
+        (_in_block("0: v1 = CONST 1", "block B-1:"), IrSyntaxError,
+         "line 5: block B0 has no terminator"),
+        (_in_block("0: v1 = CONST 1", "block 1:", "stop"), IrSyntaxError,
+         "line 5: block B0 has no terminator"),
+        (_in_block("jumpi 0x1 B0 B0", "block B1:", f"jumpi {'9' * 80} B0 B0"), IrSyntaxError,
+         f"line 6: bad operand '{'9' * 80}'"),
         # end of text
         (_in_block("stop")[:-2], IrSyntaxError, "line 4: unterminated function"),
         ("", IrSyntaxError, "line 1: missing contract header"),
