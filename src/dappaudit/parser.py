@@ -27,7 +27,8 @@ tokens when it is a plain ASCII identifier followed by `:` and by
 `_BLOCK_RE` otherwise (a digit-led id, `block <id> :`).  No header or `}`
 line has such tokens.  The rest go through the header checks in their
 fixed order, `contract`, `function`, `}`, and end in an error if none of
-them takes the line.
+them takes the line.  A block is recorded when its terminator is read; a
+header or `}` that finds the open block unterminated is an error.
 
 The parser is the one place where per-statement facts are computed: each
 statement records its variable operands (`IrStatement.uses`), which the
